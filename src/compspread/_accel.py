@@ -1,44 +1,25 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels: numpy array expressions and one LAPACK
+tridiagonal factorization.
 
-The jitted path is used automatically when numba imports; set the
-environment variable ``COMPSPREAD_NO_NUMBA=1`` to force the numpy path
-(the benchmark in :mod:`compspread.bench` times both).  Both paths
-evaluate the same formulas so results agree to rounding.
+Every kernel is a single vectorized expression or a LAPACK call, so the
+per-call cost is a few numpy dispatches; :mod:`compspread.bench` times
+each one at the grid sizes the package uses.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
+
+from .errors import NumericalGuardError
 
 _SMALL_EXPONENT = 1e-12
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false", "no")
-
-
-NUMBA_DISABLED = _env_flag("COMPSPREAD_NO_NUMBA")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via COMPSPREAD_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-# ---------------------------------------------------------------------------
-
-def np_logistic_step(u, rate, selflim, dt):
+def logistic_step(u, rate, selflim, dt):
     """Exact one-step solution of w' = w*(rate - selflim*w) with frozen
-    coefficients.  Nonnegative input stays nonnegative for any dt."""
+    coefficients.  Nonnegative input stays nonnegative for any dt.
+    ``selflim`` may be a scalar or an array matching ``u``."""
     x = rate * dt
     small = np.abs(x) < _SMALL_EXPONENT
     safe_rate = np.where(small, 1.0, rate)
@@ -46,7 +27,7 @@ def np_logistic_step(u, rate, selflim, dt):
     return u * np.exp(x) / (1.0 + selflim * u * phi)
 
 
-def np_second_diff(u, inv_h2):
+def second_diff(u, inv_h2):
     """Second difference with reflecting (zero-flux) ghost values."""
     out = np.empty_like(u)
     out[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) * inv_h2
@@ -55,140 +36,38 @@ def np_second_diff(u, inv_h2):
     return out
 
 
-def np_correlate_ext(u, weights):
+def correlate_ext(u, weights):
     """sum_k weights[k+m]*u[j+k] with constant extension of the edges."""
     m = (weights.size - 1) // 2
     padded = np.concatenate((np.full(m, u[0]), u, np.full(m, u[-1])))
     return np.correlate(padded, weights, mode="valid")
 
 
-def np_tridiag_solve(low, cp, inv_denom, rhs):
-    """Back/forward substitution with a prefactored tridiagonal matrix."""
-    n = rhs.size
-    y = np.empty_like(rhs)
-    y[0] = rhs[0] * inv_denom[0]
-    for i in range(1, n):
-        y[i] = (rhs[i] - low[i] * y[i - 1]) * inv_denom[i]
-    for i in range(n - 2, -1, -1):
-        y[i] -= cp[i] * y[i + 1]
-    return y
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same arithmetic, loop form)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_logistic_step(u, rate, selflim, dt):
-        n = u.size
-        out = np.empty(n)
-        for i in range(n):
-            x = rate[i] * dt
-            if abs(x) < _SMALL_EXPONENT:
-                phi = dt * (1.0 + 0.5 * x)
-            else:
-                phi = math.expm1(x) / rate[i]
-            out[i] = u[i] * math.exp(x) / (1.0 + selflim[i] * u[i] * phi)
-        return out
-
-    @njit(cache=True)
-    def _nb_second_diff(u, inv_h2):
-        n = u.size
-        out = np.empty(n)
-        for i in range(1, n - 1):
-            out[i] = (u[i - 1] - 2.0 * u[i] + u[i + 1]) * inv_h2
-        out[0] = 2.0 * (u[1] - u[0]) * inv_h2
-        out[n - 1] = 2.0 * (u[n - 2] - u[n - 1]) * inv_h2
-        return out
-
-    @njit(cache=True)
-    def _nb_correlate_ext(u, weights):
-        n = u.size
-        m = (weights.size - 1) // 2
-        out = np.empty(n)
-        for j in range(n):
-            s = 0.0
-            for k in range(-m, m + 1):
-                idx = j + k
-                if idx < 0:
-                    idx = 0
-                elif idx >= n:
-                    idx = n - 1
-                s += weights[k + m] * u[idx]
-            out[j] = s
-        return out
-
-    @njit(cache=True)
-    def _nb_tridiag_solve(low, cp, inv_denom, rhs):
-        n = rhs.size
-        y = np.empty(n)
-        y[0] = rhs[0] * inv_denom[0]
-        for i in range(1, n):
-            y[i] = (rhs[i] - low[i] * y[i - 1]) * inv_denom[i]
-        for i in range(n - 2, -1, -1):
-            y[i] -= cp[i] * y[i + 1]
-        return y
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    logistic_step = _nb_logistic_step
-    second_diff = _nb_second_diff
-    _tridiag_solve = _nb_tridiag_solve
-else:
-    logistic_step = np_logistic_step
-    second_diff = np_second_diff
-    _tridiag_solve = np_tridiag_solve
-
-# np.correlate is a tuned C kernel and beats the jitted loop at every size
-# used here (see compspread.bench), so both paths share it.
-correlate_ext = np_correlate_ext
-
-
 class TridiagFactor:
     """Prefactored solver for the tridiagonal matrix I - r*L, where L is the
     reflecting-boundary discrete Laplacian (row pattern 2,-2 / 1,-2,1 / -2,2
-    scaled by 1/h^2 folded into r)."""
+    scaled by 1/h^2 folded into r).  The LU factors (LAPACK ``dgttrf``,
+    partial pivoting) are computed once; each solve is one ``dgttrs``."""
 
     def __init__(self, n: int, r: float):
-        self.n = n
-        self.r = r
         diag = np.full(n, 1.0 + 2.0 * r)
         upper = np.full(n - 1, -r)
         lower = np.full(n - 1, -r)
         upper[0] = -2.0 * r
         lower[-1] = -2.0 * r
-        self._low = np.concatenate(([0.0], lower))
-        # Thomas forward-elimination coefficients, computed once.
-        cp = np.empty(n - 1)
-        denom = np.empty(n)
-        denom[0] = diag[0]
-        cp[0] = upper[0] / denom[0]
-        for i in range(1, n - 1):
-            denom[i] = diag[i] - lower[i - 1] * cp[i - 1]
-            cp[i] = upper[i] / denom[i]
-        denom[n - 1] = diag[n - 1] - lower[n - 2] * cp[n - 2]
-        self._cp = np.concatenate((cp, [0.0]))
-        self._inv_denom = 1.0 / denom
-        if not HAVE_NUMBA:
-            # banded form consumed by scipy.linalg.solve_banded
-            ab = np.zeros((3, n))
-            ab[0, 1:] = upper
-            ab[1, :] = diag
-            ab[2, :-1] = lower
-            self._ab = ab
+        *factors, info = dgttrf(lower, diag, upper)
+        if info != 0:
+            raise NumericalGuardError(
+                f"tridiagonal factorization failed (dgttrf info={info}, "
+                f"n={n}, r={r:.3e})")
+        self._factors = factors
 
     def solve(self, rhs):
-        if HAVE_NUMBA:
-            return _tridiag_solve(self._low, self._cp, self._inv_denom, rhs)
-        from scipy.linalg import solve_banded
-
-        return solve_banded((1, 1), self._ab, rhs, check_finite=False)
+        x, info = dgttrs(*self._factors, rhs)
+        if info != 0:
+            raise NumericalGuardError(
+                f"tridiagonal solve failed (dgttrs info={info})")
+        return x
 
 
 def cn_explicit_half(u, r):

@@ -1,7 +1,10 @@
-"""Benchmark the hot kernels: numba-jitted path against the numpy fallback.
+"""Time the hot kernels at the grid sizes the package uses.
 
-Run as ``python -m compspread.bench``.  When numba is unavailable (or
-disabled via COMPSPREAD_NO_NUMBA) only the numpy column is produced.
+Run as ``python -m compspread.bench``.  Each kernel is timed best-of-5
+over ``repeats`` calls: the exact logistic reaction step, one
+Crank-Nicolson substep (explicit half plus the prefactored tridiagonal
+solve) and the kernel correlation.  End-to-end and per-layer timings of
+whole workloads come from ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import numpy as np
 
 from . import _accel
 
+SIZES = (301, 3001, 4001)
+
 
 def _time(fn, *args, repeats: int = 200) -> float:
-    fn(*args)  # warm-up (includes jit compilation)
+    fn(*args)  # warm-up
     best = np.inf
     for _ in range(5):
         t0 = time.perf_counter()
@@ -24,72 +29,39 @@ def _time(fn, *args, repeats: int = 200) -> float:
     return best
 
 
-def run(n: int = 4001, kernel_taps: int = 201, repeats: int = 200) -> list[dict]:
+def run(sizes=SIZES, kernel_taps: int = 201,
+        repeats: int = 200) -> list[dict]:
+    """One row per kernel and grid size: {"kernel", "n", "us"}."""
     rng = np.random.default_rng(0)
-    u = rng.uniform(0.1, 1.0, n)
-    rate = rng.uniform(-0.5, 1.0, n)
-    lim = rng.uniform(0.5, 1.5, n)
     w = rng.uniform(0.0, 1.0, kernel_taps)
     w /= w.sum()
     dt = 0.005
-    inv_h2 = 1.0 / 0.1 ** 2
-    factor = _accel.TridiagFactor(n, 0.25)
-    rhs = _accel.cn_explicit_half(u, 0.25)
-
-    cases = [
-        ("logistic reaction step", _accel.np_logistic_step,
-         (u, rate, lim, dt)),
-        ("second difference", _accel.np_second_diff, (u, inv_h2)),
-        ("kernel correlation", _accel.np_correlate_ext, (u, w)),
-    ]
+    r = 0.25
     rows = []
-    for name, np_fn, args in cases:
-        row = {"kernel": name, "numpy_us": _time(np_fn, *args,
-                                                 repeats=repeats) * 1e6}
-        if _accel.HAVE_NUMBA:
-            nb_fn = {"logistic reaction step": _accel._nb_logistic_step,
-                     "second difference": _accel._nb_second_diff,
-                     "kernel correlation": _accel._nb_correlate_ext}[name]
-            row["numba_us"] = _time(nb_fn, *args, repeats=repeats) * 1e6
-            row["speedup"] = row["numpy_us"] / row["numba_us"]
-        rows.append(row)
-
-    row = {"kernel": "tridiagonal CN solve",
-           "numpy_us": _time(lambda r: __import__("scipy.linalg", fromlist=["solve_banded"])
-                             .solve_banded((1, 1), _banded(n, 0.25), r,
-                                           check_finite=False),
-                             rhs, repeats=repeats) * 1e6}
-    if _accel.HAVE_NUMBA:
-        row["numba_us"] = _time(factor.solve, rhs, repeats=repeats) * 1e6
-        row["speedup"] = row["numpy_us"] / row["numba_us"]
-    rows.append(row)
+    for n in sizes:
+        u = rng.uniform(0.1, 1.0, n)
+        rate = rng.uniform(-0.5, 1.0, n)
+        lim = rng.uniform(0.5, 1.5, n)
+        factor = _accel.TridiagFactor(n, r)
+        cases = [
+            ("logistic reaction step", _accel.logistic_step,
+             (u, rate, lim, dt)),
+            ("Crank-Nicolson substep",
+             lambda v: factor.solve(_accel.cn_explicit_half(v, r)), (u,)),
+            ("kernel correlation", _accel.correlate_ext, (u, w)),
+        ]
+        for name, fn, args in cases:
+            rows.append({"kernel": name, "n": n,
+                         "us": _time(fn, *args, repeats=repeats) * 1e6})
     return rows
 
 
-def _banded(n: int, r: float) -> np.ndarray:
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[0, 1:] = -r
-    ab[2, :-1] = -r
-    ab[0, 1] = -2.0 * r
-    ab[2, -2] = -2.0 * r
-    return ab
-
-
 def main() -> None:
-    print(f"numba available: {_accel.HAVE_NUMBA} "
-          f"(COMPSPREAD_NO_NUMBA={'set' if _accel.NUMBA_DISABLED else 'unset'})")
     rows = run()
     width = max(len(r["kernel"]) for r in rows)
-    header = f"{'kernel':<{width}}  {'numpy [us]':>12}"
-    if _accel.HAVE_NUMBA:
-        header += f"  {'numba [us]':>12}  {'speedup':>8}"
-    print(header)
+    print(f"{'kernel':<{width}}  {'n':>6}  {'time [us]':>10}")
     for r in rows:
-        line = f"{r['kernel']:<{width}}  {r['numpy_us']:>12.2f}"
-        if _accel.HAVE_NUMBA:
-            line += f"  {r['numba_us']:>12.2f}  {r['speedup']:>8.2f}"
-        print(line)
+        print(f"{r['kernel']:<{width}}  {r['n']:>6}  {r['us']:>10.2f}")
 
 
 if __name__ == "__main__":

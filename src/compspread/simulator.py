@@ -128,12 +128,6 @@ def make_scheme(problem: Problem, steps_per_period: Optional[int] = None,
     return scheme
 
 
-def _as_field(value, n: int) -> np.ndarray:
-    if np.ndim(value) == 0:
-        return np.full(n, float(value))
-    return np.ascontiguousarray(value, dtype=float)
-
-
 class Stepper:
     """Bound problem + scheme; advances raw (u, v) arrays one step."""
 
@@ -166,7 +160,6 @@ class Stepper:
 
     def step_arrays(self, u: np.ndarray, v: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray]:
-        n = self.grid.n
         u = self._disperse(u)
         v = self._disperse(v)
         t_mid = t + 0.5 * self.dt
@@ -178,11 +171,10 @@ class Stepper:
         b2 = base["b2"](t_mid) + b["b2"]
         c2 = base["c2"](t_mid) + b["c2"]
         # Frozen-competitor rates use the post-dispersal fields of both
-        # species, keeping the update symmetric and order-preserving.
-        rate_u = _as_field(a1 - c1 * v, n)
-        rate_v = _as_field(a2 - b2 * u, n)
-        u_new = _accel.logistic_step(u, rate_u, _as_field(b1, n), self.dt)
-        v_new = _accel.logistic_step(v, rate_v, _as_field(c2, n), self.dt)
+        # species, keeping the update symmetric and order-preserving.  A
+        # spatially constant b1 or c2 stays a scalar and broadcasts.
+        u_new = _accel.logistic_step(u, a1 - c1 * v, b1, self.dt)
+        v_new = _accel.logistic_step(v, a2 - b2 * u, c2, self.dt)
         return u_new, v_new
 
 

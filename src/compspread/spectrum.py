@@ -134,6 +134,11 @@ class _LinearStepper:
                  else p.kernel.weights) * p.kernel.h
             self._weights = w
             self._wmass = float(np.sum(w))
+        # The coefficient repeats every period: tabulate the half-step
+        # reaction exponentials once per phase.
+        self._half = [np.exp((0.5 * self.dt)
+                             * p.reaction_coefficient(k, self.spp))
+                      for k in range(self.spp)]
 
     def _dispersal(self, u: np.ndarray) -> np.ndarray:
         if self.p.kind == "random":
@@ -145,11 +150,8 @@ class _LinearStepper:
         return u + self.dt * bu + 0.5 * self.dt * self.dt * bbu
 
     def step(self, u: np.ndarray, k: int) -> np.ndarray:
-        a = self.p.reaction_coefficient(k, self.spp)
-        half = np.exp((0.5 * self.dt) * a)
-        u = u * half
-        u = self._dispersal(u)
-        return u * half
+        half = self._half[k]
+        return self._dispersal(u * half) * half
 
     def run_period(self, u: np.ndarray) -> np.ndarray:
         for k in range(self.spp):

@@ -4,7 +4,8 @@ import pytest
 from compspread.coefficients import PeriodicScalar, SpatialBump
 from compspread.dispersal import Grid, Kernel
 from compspread.errors import NumericalGuardError, PreconditionError
-from compspread.spectrum import (LinearProblem, evolve_linear,
+from compspread.spectrum import (MIN_STEPS_PER_PERIOD, LinearProblem,
+                                 _LinearStepper, evolve_linear,
                                  homogeneous_growth_exponent,
                                  principal_spectrum_point,
                                  principal_spectrum_point_widened,
@@ -186,3 +187,32 @@ def test_growth_exponent_closed_forms():
     k = Kernel.build("uniform", 1.0, 0.01)
     lam = homogeneous_growth_exponent(1.0, 0.8, "nonlocal", k)
     assert lam == pytest.approx(np.sinh(1.0) - 1.0 + 0.8, abs=1e-4)
+
+
+def _reference_period(stepper, u):
+    """One period with the reaction coefficient formed on every step."""
+    p = stepper.p
+    for k in range(stepper.spp):
+        a = p.reaction_coefficient(k, stepper.spp)
+        half = np.exp((0.5 * stepper.dt) * a)
+        u = half * stepper._dispersal(u * half)
+    return u
+
+
+@pytest.mark.parametrize("case", ["harmonic-bump", "table", "tilted"])
+def test_tabulated_period_map_matches_per_step_coefficients(case, rng):
+    if case == "harmonic-bump":
+        p = LinearProblem(0.0, "random", GRID, 1.0,
+                          baseline=PeriodicScalar.harmonic(0.2, 0.3, 0.4),
+                          bump=SpatialBump(0.5, 1.0, 0.5))
+    elif case == "table":
+        table = rng.uniform(-0.5, 0.5, (MIN_STEPS_PER_PERIOD, GRID.n))
+        p = LinearProblem(0.0, "random", GRID, 1.0, coef_table=table)
+    else:
+        p = LinearProblem(0.7, "nonlocal", GRID, 1.0,
+                          baseline=PeriodicScalar.harmonic(0.1, 0.2),
+                          kernel=Kernel.build("uniform", 1.0, GRID.h))
+    stepper = _LinearStepper(p)
+    u0 = rng.uniform(0.1, 1.0, GRID.n)
+    assert np.array_equal(stepper.run_period(u0),
+                          _reference_period(stepper, u0))
