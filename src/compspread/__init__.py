@@ -19,7 +19,7 @@ from .simulator import (Problem, SchemeConfig, SystemState, make_front_data,
 from .spectrum import (LinearProblem, SpectrumResult, evolve_linear,
                        principal_spectrum_point, spectrum_monotonicity_check)
 from .spreading import (SpeedEstimate, continuity_sweep, dispersion_speed,
-                        empirical_front_speed, speed_interval)
+                        speed_interval)
 from .verify import (SupersolutionSpec, build_ansatz_pair,
                      build_supersolution, check_ansatz_inequalities,
                      monotone_coexistence, persistence_probe,

@@ -1,19 +1,20 @@
 """Hot numeric kernels: numpy array expressions and one LAPACK
-tridiagonal factorization.
+symmetric tridiagonal factorization.
 
-Every kernel is a single vectorized expression or a LAPACK call, so the
-per-call cost is a few numpy dispatches; :mod:`compspread.bench` times
+Every kernel is a few vectorized numpy operations or a LAPACK call, so
+the per-call cost is a few numpy dispatches; :mod:`compspread.bench` times
 each one at the grid sizes the package uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import NumericalGuardError
+from .errors import NumericalGuardError, PreconditionError
 
 _SMALL_EXPONENT = 1e-12
+_HALF_SQRT2 = np.sqrt(0.5)
 
 
 def logistic_step(u, rate, selflim, dt):
@@ -22,9 +23,20 @@ def logistic_step(u, rate, selflim, dt):
     ``selflim`` may be a scalar or an array matching ``u``."""
     x = rate * dt
     small = np.abs(x) < _SMALL_EXPONENT
-    safe_rate = np.where(small, 1.0, rate)
-    phi = np.where(small, dt * (1.0 + 0.5 * x), np.expm1(x) / safe_rate)
-    return u * np.exp(x) / (1.0 + selflim * u * phi)
+    if small.any():
+        safe_rate = np.where(small, 1.0, rate)
+        phi = np.where(small, dt * (1.0 + 0.5 * x), np.expm1(x) / safe_rate)
+        return u * np.exp(x) / (1.0 + selflim * u * phi)
+    # The expression above, operation for operation, in place.
+    phi = np.expm1(x)
+    phi /= rate
+    den = selflim * u
+    den *= phi
+    den += 1.0
+    out = np.exp(x)
+    out *= u
+    out /= den
+    return out
 
 
 def second_diff(u, inv_h2):
@@ -44,29 +56,42 @@ def correlate_ext(u, weights):
 
 
 class TridiagFactor:
-    """Prefactored solver for the tridiagonal matrix I - r*L, where L is the
-    reflecting-boundary discrete Laplacian (row pattern 2,-2 / 1,-2,1 / -2,2
-    scaled by 1/h^2 folded into r).  The LU factors (LAPACK ``dgttrf``,
-    partial pivoting) are computed once; each solve is one ``dgttrs``."""
+    """Prefactored solver for the tridiagonal matrix M = I - r*L, where L is
+    the reflecting-boundary discrete Laplacian (row pattern 2,-2 / 1,-2,1 /
+    -2,2 scaled by 1/h^2 folded into r).
+
+    M is not symmetric, but W M W^-1 with W = diag(1/sqrt2, 1, ..., 1,
+    1/sqrt2) is symmetric positive definite, so it is LDL^T-factored once
+    with LAPACK ``dpttrf``; each solve scales the two boundary entries,
+    calls ``dpttrs`` and scales them back.  All multipliers share one sign,
+    so a nonnegative right-hand side gives a nonnegative solution."""
 
     def __init__(self, n: int, r: float):
-        diag = np.full(n, 1.0 + 2.0 * r)
+        if n < 2:
+            raise PreconditionError(
+                f"tridiagonal solve needs at least 2 points (n={n})")
+        w = np.ones(n)
+        w[0] = w[-1] = _HALF_SQRT2
         upper = np.full(n - 1, -r)
-        lower = np.full(n - 1, -r)
         upper[0] = -2.0 * r
-        lower[-1] = -2.0 * r
-        *factors, info = dgttrf(lower, diag, upper)
+        d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r), w[:-1] * upper / w[1:])
         if info != 0:
             raise NumericalGuardError(
-                f"tridiagonal factorization failed (dgttrf info={info}, "
+                f"tridiagonal factorization failed (dpttrf info={info}, "
                 f"n={n}, r={r:.3e})")
-        self._factors = factors
+        self._d = d
+        self._e = e
 
     def solve(self, rhs):
-        x, info = dgttrs(*self._factors, rhs)
+        b = np.array(rhs, dtype=float)
+        b[0] *= _HALF_SQRT2
+        b[-1] *= _HALF_SQRT2
+        x, info = dpttrs(self._d, self._e, b, overwrite_b=1)
         if info != 0:
             raise NumericalGuardError(
-                f"tridiagonal solve failed (dgttrs info={info})")
+                f"tridiagonal solve failed (dpttrs info={info})")
+        x[0] /= _HALF_SQRT2
+        x[-1] /= _HALF_SQRT2
         return x
 
 

@@ -1,10 +1,12 @@
-"""Time the hot kernels at the grid sizes the package uses.
+"""Time the hot kernels and one split step at the grid sizes the package
+uses.
 
-Run as ``python -m compspread.bench``.  Each kernel is timed best-of-5
-over ``repeats`` calls: the exact logistic reaction step, one
-Crank-Nicolson substep (explicit half plus the prefactored tridiagonal
-solve) and the kernel correlation.  End-to-end and per-layer timings of
-whole workloads come from ``perfbench/run.py``.
+Run as ``python -m compspread.bench``.  Each case is timed best-of-5 over
+``repeats`` calls: the exact logistic reaction step, one Crank-Nicolson
+substep (explicit half plus the prefactored tridiagonal solve) and the
+kernel correlation (:func:`run`), then one ``Stepper.step_arrays`` call
+for random and for nonlocal dispersal (:func:`run_steps`).  End-to-end and
+per-layer timings of whole workloads come from ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ import time
 import numpy as np
 
 from . import _accel
+from .coefficients import (CoefficientField, PeriodicScalar, SpatialBump,
+                           constant_set)
+from .dispersal import Grid, Kernel
+from .simulator import Problem, Stepper, make_scheme
 
 SIZES = (301, 3001, 4001)
 
@@ -56,8 +62,31 @@ def run(sizes=SIZES, kernel_taps: int = 201,
     return rows
 
 
+def run_steps(sizes=SIZES, h: float = 0.1, repeats: int = 200) -> list[dict]:
+    """One row per dispersal kind and grid size: {"kernel", "n", "us"} for
+    one split step of a system with a harmonic baseline and a bump, on a
+    grid of spacing ``h`` with the default scheme."""
+    cs = constant_set(1.0, 1.0, 0.5, 0.4, 0.5, 1.0).replace_field(
+        "a1", CoefficientField(PeriodicScalar.harmonic(1.0, 0.1),
+                               SpatialBump(-0.2, 2.0, 0.5)))
+    rng = np.random.default_rng(0)
+    rows = []
+    for n in sizes:
+        grid = Grid(-10.0, -10.0 + h * (n - 1), n)
+        u = rng.uniform(0.1, 1.0, n)
+        v = rng.uniform(0.1, 0.4, n)
+        for kind, kernel in (("random", None),
+                             ("nonlocal", Kernel.build("uniform", 1.0, h))):
+            problem = Problem(cs, grid, kernel)
+            stepper = Stepper(problem, make_scheme(problem))
+            rows.append({"kernel": f"split step ({kind})", "n": n,
+                         "us": _time(stepper.step_arrays, u, v, stepper.dt,
+                                     repeats=repeats) * 1e6})
+    return rows
+
+
 def main() -> None:
-    rows = run()
+    rows = run() + run_steps()
     width = max(len(r["kernel"]) for r in rows)
     print(f"{'kernel':<{width}}  {'n':>6}  {'time [us]':>10}")
     for r in rows:

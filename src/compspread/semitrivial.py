@@ -109,12 +109,14 @@ def compute_semitrivial(species: str, problem: Problem,
         work = problem
     stepper = Stepper(work, scheme)
     spp = stepper.spp
+    absent = np.zeros(work.grid.n)  # step_arrays never mutates its inputs
 
-    def step_species(w: np.ndarray, t: float) -> np.ndarray:
+    def step_species(w: np.ndarray, k: int) -> np.ndarray:
+        t = stepper.time_at(k)
         if species == "u":
-            w2, _ = stepper.step_arrays(w, np.zeros_like(w), t)
+            w2, _ = stepper.step_arrays(w, absent, t)
         else:
-            _, w2 = stepper.step_arrays(np.zeros_like(w), w, t)
+            _, w2 = stepper.step_arrays(absent, w, t)
         return w2
 
     w = np.full(work.grid.n, seed_scale * orbit.values[0])
@@ -122,10 +124,8 @@ def compute_semitrivial(species: str, problem: Problem,
     converged = False
     for _ in range(max_periods):
         w_prev = w
-        t = 0.0
         for k in range(spp):
-            w = step_species(w, t)
-            t += stepper.dt
+            w = step_species(w, k)
         if not np.isfinite(w).all():
             raise NumericalGuardError("resident state blew up")
         delta = float(np.max(np.abs(w - w_prev)))
@@ -139,10 +139,8 @@ def compute_semitrivial(species: str, problem: Problem,
 
     work_frames = np.empty((spp + 1, work.grid.n))
     work_frames[0] = w
-    t = 0.0
     for k in range(spp):
-        w = step_species(w, t)
-        t += stepper.dt
+        w = step_species(w, k)
         work_frames[k + 1] = w
     if homogeneous:
         frames = np.repeat(work_frames[:, :1], n, axis=1)

@@ -54,8 +54,8 @@ class Problem:
         """Invariant box [0, u_max] x [0, v_max] preserved by the discrete
         dynamics."""
         cs = self.coefficients
-        return (_field_sup(cs.a1) / _field_inf(cs.b1),
-                _field_sup(cs.a2) / _field_inf(cs.c2))
+        return (_field_sup(cs.a1) / cs.b1.min_value(),
+                _field_sup(cs.a2) / cs.c2.min_value())
 
 
 def _field_sup(fld) -> float:
@@ -64,10 +64,6 @@ def _field_sup(fld) -> float:
     if fld.bump is not None:
         hi += max(0.0, fld.bump.amplitude)
     return hi
-
-
-def _field_inf(fld) -> float:
-    return fld.min_value()
 
 
 @dataclass(frozen=True)
@@ -128,19 +124,32 @@ def make_scheme(problem: Problem, steps_per_period: Optional[int] = None,
     return scheme
 
 
+_COEFFS = ("a1", "b1", "c1", "a2", "b2", "c2")
+
+
 class Stepper:
-    """Bound problem + scheme; advances raw (u, v) arrays one step."""
+    """Bound problem + scheme; advances raw (u, v) arrays one step.
+
+    Times live on the step lattice t = k*dt: the baselines repeat every
+    period, so they are tabulated once at the step midpoints (k + 1/2)*dt
+    and each step looks up its phase k mod steps_per_period."""
 
     def __init__(self, problem: Problem, scheme: SchemeConfig):
         scheme.validate(problem)
         self.problem = problem
         self.scheme = scheme
         self.dt = scheme.dt
-        self.spp = scheme.steps_per_period(problem.coefficients.period)
+        self.period = problem.coefficients.period
+        self.spp = scheme.steps_per_period(self.period)
         self.grid = problem.grid
-        self._bumps = problem.bump_arrays()
-        self._base = {name: fld.baseline
-                      for name, fld in problem.coefficients.fields().items()}
+        bumps = problem.bump_arrays()
+        self._bumps = tuple(bumps[name] for name in _COEFFS)
+        fields = problem.coefficients.fields()
+        t_mid = (np.arange(self.spp) + 0.5) * self.dt
+        # One tuple of six floats (in _COEFFS order) per phase.
+        self._phase_coefs = list(zip(*(
+            fields[name].baseline(t_mid).tolist()
+            for name in _COEFFS)))
         if scheme.kind == "random":
             self._inv_h2 = 1.0 / self.grid.h ** 2
             if scheme.mode == "diffusion-implicit":
@@ -151,25 +160,42 @@ class Stepper:
         else:
             self._weights = problem.kernel.weights * problem.kernel.h
 
+    def step_index(self, t: float) -> int:
+        """Lattice index k with t = k*dt; PreconditionError when t is more
+        than 1e-9 off the lattice."""
+        k = round(t / self.dt)
+        if abs(k * self.dt - t) > 1e-9:
+            raise PreconditionError(
+                f"time {t!r} does not lie on the step lattice (dt={self.dt!r})")
+        return k
+
+    def time_at(self, k: int) -> float:
+        """Time of lattice index k, exact at whole periods (no drift from
+        accumulating dt)."""
+        periods, phase = divmod(k, self.spp)
+        return periods * self.period + phase * self.period / self.spp
+
     def _disperse(self, w: np.ndarray) -> np.ndarray:
         if self.scheme.kind == "random":
             if self._cn is not None:
                 return self._cn.solve(_accel.cn_explicit_half(w, self._r))
             return w + self.dt * _accel.second_diff(w, self._inv_h2)
-        return w + self.dt * (_accel.correlate_ext(w, self._weights) - w)
+        # w + dt*(K*w - w), operation for operation, in place.
+        out = _accel.correlate_ext(w, self._weights)
+        out -= w
+        out *= self.dt
+        out += w
+        return out
 
     def step_arrays(self, u: np.ndarray, v: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) one step after time t, which must lie on the step
+        lattice.  The inputs are never modified."""
+        base = self._phase_coefs[self.step_index(t) % self.spp]
         u = self._disperse(u)
         v = self._disperse(v)
-        t_mid = t + 0.5 * self.dt
-        b, base = self._bumps, self._base
-        a1 = base["a1"](t_mid) + b["a1"]
-        b1 = base["b1"](t_mid) + b["b1"]
-        c1 = base["c1"](t_mid) + b["c1"]
-        a2 = base["a2"](t_mid) + b["a2"]
-        b2 = base["b2"](t_mid) + b["b2"]
-        c2 = base["c2"](t_mid) + b["c2"]
+        a1, b1, c1, a2, b2, c2 = (
+            c + bump for c, bump in zip(base, self._bumps))
         # Frozen-competitor rates use the post-dispersal fields of both
         # species, keeping the update symmetric and order-preserving.  A
         # spatially constant b1 or c2 stays a scalar and broadcasts.
@@ -187,9 +213,10 @@ def _guard_finite(u: np.ndarray, v: np.ndarray, t: float, grid: Grid) -> None:
             f"nonfinite value at t={t:.6g}, x={grid.x[j]:.6g} (index {j})")
 
 
-def _advance(state: SystemState, stepper: Stepper) -> SystemState:
+def _advance(state: SystemState, stepper: Stepper, k: int) -> SystemState:
+    """Step the state at lattice index k to index k + 1."""
     u, v = stepper.step_arrays(state.u, state.v, state.t)
-    t = state.t + stepper.dt
+    t = stepper.time_at(k + 1)
     _guard_finite(u, v, t, stepper.grid)
     return SystemState(t, u, v)
 
@@ -197,7 +224,8 @@ def _advance(state: SystemState, stepper: Stepper) -> SystemState:
 def step(state: SystemState, problem: Problem,
          scheme: SchemeConfig) -> SystemState:
     """One split step; guards against nonfinite values."""
-    return _advance(state, Stepper(problem, scheme))
+    stepper = Stepper(problem, scheme)
+    return _advance(state, stepper, stepper.step_index(state.t))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +359,9 @@ def run_periods(state: SystemState, problem: Problem, scheme: SchemeConfig,
     marks: list[float] = []
     deltas: list[float] = []
     prev_mark: Optional[SystemState] = None
+    k0 = stepper.step_index(state.t)
     for k in range(n_periods * stepper.spp):
-        state = _advance(state, stepper)
+        state = _advance(state, stepper, k0 + k)
         if (k + 1) % cadence == 0:
             times.append(state.t)
             for obs in observers:
@@ -396,9 +425,7 @@ def run_transformed(state: SystemState, problem: Problem, scheme: SchemeConfig,
             "resident frames must have shape (steps_per_period[+1], n)")
     frames = vstar_frames[:spp]
     u, vt = state.u.copy(), state.v.copy()
-    k0 = int(round(state.t / stepper.dt))
-    if abs(k0 * stepper.dt - state.t) > 1e-9:
-        raise PreconditionError("state time must lie on the step lattice")
+    k0 = stepper.step_index(state.t)
     if np.any(vt < -1e-12) or np.any(vt > frames[k0 % spp] + 1e-9):
         raise PreconditionError("transformed component must satisfy 0 <= vt <= vstar")
     cadence = scheme.cadence or spp
@@ -412,7 +439,7 @@ def run_transformed(state: SystemState, problem: Problem, scheme: SchemeConfig,
         phase = (k0 + k) % spp
         v = frames[phase] - vt
         u, v = stepper.step_arrays(u, v, t)
-        t += stepper.dt
+        t = stepper.time_at(k0 + k + 1)
         _guard_finite(u, v, t, problem.grid)
         vt = frames[(k0 + k + 1) % spp] - v
         if (k + 1) % cadence == 0:

@@ -188,9 +188,6 @@ def fit_front_speed(times: np.ndarray, positions: np.ndarray, period: float,
                          window=(float(t[0]), float(t[-1])))
 
 
-empirical_front_speed = fit_front_speed
-
-
 @dataclass
 class SpeedIntervalResult:
     lower: SpeedEstimate

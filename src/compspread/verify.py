@@ -484,10 +484,8 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
     lo_u, lo_v = eps * prof_u, vstar.frames[0].copy()
 
     def one_period(u, v):
-        t = 0.0
         for k in range(spp):
-            u, v = stepper.step_arrays(u, v, t)
-            t += stepper.dt
+            u, v = stepper.step_arrays(u, v, stepper.time_at(k))
         return u, v
 
     max_violation = 0.0
@@ -599,10 +597,8 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
         settled = max_periods
         prev = (u.copy(), v.copy())
         for p in range(max_periods):
-            t = 0.0
             for k in range(spp):
-                u, v = stepper.step_arrays(u, v, t)
-                t += stepper.dt
+                u, v = stepper.step_arrays(u, v, stepper.time_at(k))
             delta = max(float(np.max(np.abs(u - prev[0]))),
                         float(np.max(np.abs(v - prev[1]))))
             prev = (u.copy(), v.copy())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from compspread import _accel, bench
-from compspread.errors import NumericalGuardError
+from compspread.errors import NumericalGuardError, PreconditionError
 
 
 def _dense_reflecting(n, r):
@@ -49,4 +49,55 @@ def test_bench_returns_one_row_per_kernel_and_size():
     assert len(kernels) == 3
     assert sorted((r["kernel"], r["n"]) for r in rows) == sorted(
         (k, n) for k in kernels for n in (11, 21))
+    assert all(r["us"] > 0.0 for r in rows)
+
+
+def _logistic_formula(u, rate, selflim, dt):
+    x = rate * dt
+    small = np.abs(x) < 1e-12
+    phi = np.where(small, dt * (1.0 + 0.5 * x),
+                   np.expm1(x) / np.where(small, 1.0, rate))
+    return u * np.exp(x) / (1.0 + selflim * u * phi)
+
+
+@pytest.mark.parametrize("with_small", [False, True])
+@pytest.mark.parametrize("scalar_selflim", [False, True])
+def test_logistic_step_is_bitwise_the_written_out_formula(with_small,
+                                                          scalar_selflim, rng):
+    n = 4001
+    u = rng.uniform(0.0, 1.5, n)
+    rate = rng.uniform(-0.5, 1.0, n)
+    if with_small:
+        rate[::97] = 0.0
+        rate[1::97] = 3e-11  # |rate*dt| = 1.5e-13
+    selflim = 0.7 if scalar_selflim else rng.uniform(0.5, 1.5, n)
+    dt = 0.005
+    assert np.array_equal(_accel.logistic_step(u, rate, selflim, dt),
+                          _logistic_formula(u, rate, selflim, dt))
+
+
+@pytest.mark.parametrize("r", [0.25, 5.0])
+def test_tridiag_factor_keeps_nonnegative_rhs_nonnegative(r, rng):
+    n = 4001
+    b = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.2)
+    b[[0, 1, n // 2, -1]] = [0.0, 1e-300, 1.0, 0.0]
+    assert np.all(_accel.TridiagFactor(n, r).solve(b) >= 0.0)
+
+
+@pytest.mark.parametrize("r", [0.25, 5.0])
+def test_tridiag_factor_two_points_solves_or_refuses(r, rng):
+    b = rng.uniform(0.1, 1.0, 2)
+    try:
+        x = _accel.TridiagFactor(2, r).solve(b)
+    except PreconditionError:
+        return
+    np.testing.assert_allclose(x, np.linalg.solve(_dense_reflecting(2, r), b),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_bench_steps_returns_one_row_per_kind_and_size():
+    rows = bench.run_steps(sizes=(41, 61), repeats=2)
+    assert sorted((r["kernel"], r["n"]) for r in rows) == sorted(
+        (f"split step ({kind})", n) for kind in ("random", "nonlocal")
+        for n in (41, 61))
     assert all(r["us"] > 0.0 for r in rows)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from compspread import _accel
+from compspread.coefficients import (CoefficientField, PeriodicScalar,
+                                     SpatialBump, constant_set)
 from compspread.dispersal import Grid, Kernel
 from compspread.errors import ConfigError, NumericalGuardError, PreconditionError
 from compspread.periodic_orbits import logistic_orbit
@@ -238,3 +241,76 @@ def test_invariant_box(canonical_set, rng):
     assert np.max(state.v) <= v_hi + 1e-10
     assert np.min(state.u) >= 0.0
     assert np.min(state.v) >= 0.0
+
+
+# --- per-phase coefficient tables and the step lattice ------------------------
+
+def _harmonic_bump_set(canonical_set):
+    return canonical_set.replace_field(
+        "a1", CoefficientField(PeriodicScalar.harmonic(1.0, 0.2, 0.3),
+                               SpatialBump(-0.3, 1.0, 0.5)))
+
+
+def _tabulation_problem(case, canonical_set):
+    grid = Grid(-5.0, 5.0, 101)
+    if case == "harmonic-bump":
+        return Problem(_harmonic_bump_set(canonical_set), grid)
+    if case == "table":
+        a2 = PeriodicScalar.table([[0.0, 0.35], [0.3, 0.5], [1.0, 0.35]], 1.0)
+        cs = canonical_set.replace_field(
+            "a2", CoefficientField(a2, SpatialBump(0.2, 0.5, 1.0)))
+        return Problem(cs, grid)
+    cs = canonical_set.replace_field(
+        "c1", CoefficientField(PeriodicScalar.harmonic(0.5, 0.1, 1.1),
+                               SpatialBump(0.1, 1.5, 0.0)))
+    return Problem(cs, grid, Kernel.build("uniform", 1.0, grid.h))
+
+
+def _reference_step(stepper, problem, u, v, k):
+    """One split step forming baseline((k + 1/2) dt) + bump afresh."""
+    t_mid = (k % stepper.spp + 0.5) * stepper.dt
+    c = {}
+    for name, fld in problem.coefficients.fields().items():
+        c[name] = fld.baseline(t_mid)
+        if fld.bump is not None:
+            c[name] = c[name] + fld.bump(problem.grid.x)
+    u = stepper._disperse(u)
+    v = stepper._disperse(v)
+    return (_accel.logistic_step(u, c["a1"] - c["c1"] * v, c["b1"], stepper.dt),
+            _accel.logistic_step(v, c["a2"] - c["b2"] * u, c["c2"], stepper.dt))
+
+
+@pytest.mark.parametrize("case", ["harmonic-bump", "table", "nonlocal"])
+def test_tabulated_step_matches_per_step_coefficients(case, canonical_set, rng):
+    problem = _tabulation_problem(case, canonical_set)
+    stepper = Stepper(problem, make_scheme(problem))
+    u = rng.uniform(0.1, 1.0, problem.grid.n)
+    v = rng.uniform(0.1, 0.4, problem.grid.n)
+    ru, rv = u, v
+    for k in range(2 * stepper.spp + 3):
+        u, v = stepper.step_arrays(u, v, stepper.time_at(k))
+        ru, rv = _reference_step(stepper, problem, ru, rv, k)
+    assert np.array_equal(u, ru) and np.array_equal(v, rv)
+
+
+def test_off_lattice_time_is_a_precondition_error(canonical_set):
+    problem = _tiny_problem(canonical_set)
+    stepper = Stepper(problem, make_scheme(problem))
+    u = np.full(11, 0.5)
+    stepper.step_arrays(u, u, 3 * stepper.dt + 5e-10)
+    with pytest.raises(PreconditionError):
+        stepper.step_arrays(u, u, 3.5 * stepper.dt)
+
+
+def test_period_marks_are_exact_multiples_of_the_period():
+    period = 0.7
+    cs = constant_set(1.0, 1.0, 0.5, 0.4, 0.5, 1.0, period=period)
+    problem = _tiny_problem(cs)
+    scheme = make_scheme(problem, steps_per_period=30)
+    state = SystemState(0.0, np.full(11, 0.5), np.full(11, 0.2))
+    end, rec = run_periods(state, problem, scheme, 7)
+    assert np.array_equal(rec.period_marks, np.arange(1, 8) * period)
+    assert end.t == 7 * period
+    frames = np.full((30, 11), 0.4)
+    _, rec = run_transformed(end, problem, scheme, frames, 3)
+    assert np.array_equal(rec.period_marks, np.arange(8, 11) * period)
