@@ -19,7 +19,7 @@ from .coefficients import CoefficientSet, SpatialBump
 from .dispersal import Grid, Kernel
 from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 from .periodic_orbits import PeriodicOrbit, logistic_orbit
-from .simulator import Problem, SchemeConfig, Stepper, make_scheme
+from .simulator import Problem, SchemeConfig, Stepper, fixed_point, make_scheme
 from .spectrum import (LinearProblem, SpectrumResult, principal_spectrum_point,
                        principal_spectrum_point_widened, radius_threshold_test)
 
@@ -109,39 +109,25 @@ def compute_semitrivial(species: str, problem: Problem,
         work = problem
     stepper = Stepper(work, scheme)
     spp = stepper.spp
+    slot = 0 if species == "u" else 1
     absent = np.zeros(work.grid.n)  # step_arrays never mutates its inputs
 
-    def step_species(w: np.ndarray, k: int) -> np.ndarray:
-        t = stepper.time_at(k)
-        if species == "u":
-            w2, _ = stepper.step_arrays(w, absent, t)
-        else:
-            _, w2 = stepper.step_arrays(absent, w, t)
-        return w2
+    def with_absent(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (w, absent) if species == "u" else (absent, w)
 
-    w = np.full(work.grid.n, seed_scale * orbit.values[0])
-    delta = np.inf
-    converged = False
-    for _ in range(max_periods):
-        w_prev = w
-        for k in range(spp):
-            w = step_species(w, k)
-        if not np.isfinite(w).all():
-            raise NumericalGuardError("resident state blew up")
-        delta = float(np.max(np.abs(w - w_prev)))
-        if delta < tol:
-            converged = True
-            break
-    if not converged:
+    seed = np.full(work.grid.n, seed_scale * orbit.values[0])
+    (w,), _, delta = fixed_point(
+        lambda f: (stepper.run_period(*with_absent(f[0]))[slot],),
+        (seed,), tol, max_periods)
+    if delta >= tol:
         raise ConvergenceError(
             f"resident state not periodic after {max_periods} periods",
             diagnostics={"last_delta": delta})
 
     work_frames = np.empty((spp + 1, work.grid.n))
     work_frames[0] = w
-    for k in range(spp):
-        w = step_species(w, k)
-        work_frames[k + 1] = w
+    for k, pair in enumerate(stepper.period_steps(*with_absent(w))):
+        work_frames[k + 1] = pair[slot]
     if homogeneous:
         frames = np.repeat(work_frames[:, :1], n, axis=1)
     else:
@@ -194,7 +180,8 @@ def linearized_radius(target: str, problem: Problem,
     (target 'u' = state with only species u present), computed by power
     iteration on the scalar period map.  The resident state enters the
     coefficient pointwise; separable cases reduce to baseline-plus-bump
-    problems."""
+    problems.  ``scheme`` is not used: the power iteration runs on the
+    resident's step lattice or chooses its own."""
     if target not in ("u", "v"):
         raise PreconditionError("target must be 'u' or 'v'")
     growth, suppress = _invasion_coefficient(problem, target)
@@ -213,8 +200,6 @@ def linearized_radius(target: str, problem: Problem,
         else:
             res = principal_spectrum_point(p, tol, max_periods)
     else:
-        if scheme is None:
-            scheme = make_scheme(problem)
         spp = resident.steps_per_period
         dt = resident.dt
         x = problem.grid.x

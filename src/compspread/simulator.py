@@ -12,7 +12,7 @@ principles as the continuous system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -128,7 +128,8 @@ _COEFFS = ("a1", "b1", "c1", "a2", "b2", "c2")
 
 
 class Stepper:
-    """Bound problem + scheme; advances raw (u, v) arrays one step.
+    """Bound problem + scheme; advances raw (u, v) arrays one step or one
+    period.
 
     Times live on the step lattice t = k*dt: the baselines repeat every
     period, so they are tabulated once at the step midpoints (k + 1/2)*dt
@@ -203,6 +204,24 @@ class Stepper:
         v_new = _accel.logistic_step(v, a2 - b2 * u, c2, self.dt)
         return u_new, v_new
 
+    def period_steps(self, u: np.ndarray, v: np.ndarray):
+        """Yield (u, v) after each step of one period from phase 0.  The
+        state ending the period is checked for nonfinite values before it
+        is yielded; neither substep turns a nonfinite value finite, so the
+        check covers the whole period."""
+        for k in range(self.spp):
+            u, v = self.step_arrays(u, v, self.time_at(k))
+            if k + 1 == self.spp:
+                _guard_finite(u, v, self.period, self.grid)
+            yield u, v
+
+    def run_period(self, u: np.ndarray,
+                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) one whole period after phase 0: the period map."""
+        for u, v in self.period_steps(u, v):
+            pass
+        return u, v
+
 
 def _guard_finite(u: np.ndarray, v: np.ndarray, t: float, grid: Grid) -> None:
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
@@ -213,19 +232,36 @@ def _guard_finite(u: np.ndarray, v: np.ndarray, t: float, grid: Grid) -> None:
             f"nonfinite value at t={t:.6g}, x={grid.x[j]:.6g} (index {j})")
 
 
-def _advance(state: SystemState, stepper: Stepper, k: int) -> SystemState:
-    """Step the state at lattice index k to index k + 1."""
-    u, v = stepper.step_arrays(state.u, state.v, state.t)
-    t = stepper.time_at(k + 1)
-    _guard_finite(u, v, t, stepper.grid)
-    return SystemState(t, u, v)
+def _sup_change(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> float:
+    """Largest sup-norm change over paired fields."""
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(new, old))
+
+
+def fixed_point(period_map: Callable[[tuple], tuple], fields: tuple,
+                tol: float, max_periods: int) -> tuple[tuple, int, float]:
+    """Iterate a period map on a tuple of fields until the largest sup-norm
+    change over the fields drops below tol, or for max_periods periods.
+    Returns the last fields, the periods used and the last change (inf
+    when no period ran); the caller decides whether missing tol is an
+    error."""
+    delta = np.inf
+    for p in range(1, max_periods + 1):
+        new = period_map(fields)
+        delta = _sup_change(new, fields)
+        fields = new
+        if delta < tol:
+            return fields, p, delta
+    return fields, max_periods, delta
 
 
 def step(state: SystemState, problem: Problem,
          scheme: SchemeConfig) -> SystemState:
     """One split step; guards against nonfinite values."""
     stepper = Stepper(problem, scheme)
-    return _advance(state, stepper, stepper.step_index(state.t))
+    u, v = stepper.step_arrays(state.u, state.v, state.t)
+    t = stepper.time_at(stepper.step_index(state.t) + 1)
+    _guard_finite(u, v, t, stepper.grid)
+    return SystemState(t, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -347,35 +383,52 @@ class RunRecords:
                    header=",".join(["t"] + names), comments="", fmt="%.12g")
 
 
+def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
+                    observers: Sequence[Observer], advance: Callable
+                    ) -> tuple[SystemState, RunRecords]:
+    """Advance n whole periods with advance(u, v, k), which takes the
+    fields from lattice index k to k + 1; sample observers at the cadence
+    (default once per period) and record period marks and period-to-period
+    sup deltas.  Every sampled and every period-end state is checked for
+    nonfinite values first."""
+    spp = stepper.spp
+    cadence = stepper.scheme.cadence or spp
+    times: list[float] = []
+    series: dict[str, list[float]] = {obs.name: [] for obs in observers}
+    marks: list[float] = []
+    deltas: list[float] = []
+    prev_mark: Optional[tuple[np.ndarray, np.ndarray]] = None
+    k0 = stepper.step_index(state.t)
+    for j in range(1, n_periods * spp + 1):
+        u, v = advance(state.u, state.v, k0 + j - 1)
+        state = SystemState(stepper.time_at(k0 + j), u, v)
+        sample, mark = j % cadence == 0, j % spp == 0
+        if sample or mark:
+            _guard_finite(u, v, state.t, stepper.grid)
+        if sample:
+            times.append(state.t)
+            for obs in observers:
+                series[obs.name].append(obs.sample(state))
+        if mark:
+            marks.append(state.t)
+            if prev_mark is not None:
+                deltas.append(_sup_change((u, v), prev_mark))
+            prev_mark = (u, v)
+    records = RunRecords(np.asarray(times),
+                         {k: np.asarray(v) for k, v in series.items()},
+                         np.asarray(marks), np.asarray(deltas))
+    return state, records
+
+
 def run_periods(state: SystemState, problem: Problem, scheme: SchemeConfig,
                 n_periods: int, observers: Sequence[Observer] = ()
                 ) -> tuple[SystemState, RunRecords]:
     """Advance n whole periods, sampling observers at the cadence (default
     once per period) and recording period-to-period sup deltas."""
     stepper = Stepper(problem, scheme)
-    cadence = scheme.cadence or stepper.spp
-    times: list[float] = []
-    series: dict[str, list[float]] = {obs.name: [] for obs in observers}
-    marks: list[float] = []
-    deltas: list[float] = []
-    prev_mark: Optional[SystemState] = None
-    k0 = stepper.step_index(state.t)
-    for k in range(n_periods * stepper.spp):
-        state = _advance(state, stepper, k0 + k)
-        if (k + 1) % cadence == 0:
-            times.append(state.t)
-            for obs in observers:
-                series[obs.name].append(obs.sample(state))
-        if (k + 1) % stepper.spp == 0:
-            marks.append(state.t)
-            if prev_mark is not None:
-                deltas.append(max(float(np.max(np.abs(state.u - prev_mark.u))),
-                                  float(np.max(np.abs(state.v - prev_mark.v)))))
-            prev_mark = state
-    records = RunRecords(np.asarray(times),
-                         {k: np.asarray(v) for k, v in series.items()},
-                         np.asarray(marks), np.asarray(deltas))
-    return state, records
+    return _record_periods(
+        stepper, state, n_periods, observers,
+        lambda u, v, k: stepper.step_arrays(u, v, stepper.time_at(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,39 +477,15 @@ def run_transformed(state: SystemState, problem: Problem, scheme: SchemeConfig,
         raise PreconditionError(
             "resident frames must have shape (steps_per_period[+1], n)")
     frames = vstar_frames[:spp]
-    u, vt = state.u.copy(), state.v.copy()
     k0 = stepper.step_index(state.t)
-    if np.any(vt < -1e-12) or np.any(vt > frames[k0 % spp] + 1e-9):
+    if np.any(state.v < -1e-12) or np.any(state.v > frames[k0 % spp] + 1e-9):
         raise PreconditionError("transformed component must satisfy 0 <= vt <= vstar")
-    cadence = scheme.cadence or spp
-    times: list[float] = []
-    series: dict[str, list[float]] = {obs.name: [] for obs in observers}
-    marks: list[float] = []
-    deltas: list[float] = []
-    prev_mark: Optional[tuple[np.ndarray, np.ndarray]] = None
-    t = state.t
-    for k in range(n_periods * spp):
-        phase = (k0 + k) % spp
-        v = frames[phase] - vt
-        u, v = stepper.step_arrays(u, v, t)
-        t = stepper.time_at(k0 + k + 1)
-        _guard_finite(u, v, t, problem.grid)
-        vt = frames[(k0 + k + 1) % spp] - v
-        if (k + 1) % cadence == 0:
-            tstate = SystemState(t, u, vt)
-            times.append(t)
-            for obs in observers:
-                series[obs.name].append(obs.sample(tstate))
-        if (k + 1) % spp == 0:
-            marks.append(t)
-            if prev_mark is not None:
-                deltas.append(max(float(np.max(np.abs(u - prev_mark[0]))),
-                                  float(np.max(np.abs(vt - prev_mark[1])))))
-            prev_mark = (u.copy(), vt.copy())
-    records = RunRecords(np.asarray(times),
-                         {k: np.asarray(v) for k, v in series.items()},
-                         np.asarray(marks), np.asarray(deltas))
-    return SystemState(t, u, vt), records
+
+    def advance(u, vt, k):
+        u, v = stepper.step_arrays(u, frames[k % spp] - vt, stepper.time_at(k))
+        return u, frames[(k + 1) % spp] - v
+
+    return _record_periods(stepper, state, n_periods, observers, advance)
 
 
 def snapshot_to_csv(path, grid: Grid, state: SystemState) -> None:

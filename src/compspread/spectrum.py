@@ -257,26 +257,21 @@ class MonotonicityVerdict:
     gap: float
 
 
-def _coefficient_at(p: LinearProblem, t: float):
-    base = p.baseline(t) if callable(p.baseline) else float(p.baseline)
-    if p.bump is None:
-        return base
-    return base + p.bump(p.grid.x)
-
-
 def spectrum_monotonicity_check(p1: LinearProblem, p2: LinearProblem,
-                                tol: float = 1e-5,
-                                time_samples: int = 64) -> MonotonicityVerdict:
+                                tol: float = 1e-5) -> MonotonicityVerdict:
     """Check that a pointwise-larger coefficient yields a growth exponent at
-    least as large (within tol)."""
+    least as large (within tol).  The ordering is checked on the step
+    lattice both period maps use."""
     if (p1.mu, p1.kind) != (p2.mu, p2.kind) or p1.grid != p2.grid:
         raise PreconditionError("problems must share tilt, kind, and grid")
-    ts = np.linspace(0.0, p1.period, time_samples, endpoint=False)
-    for t in ts:
-        a1 = np.atleast_1d(_coefficient_at(p1, t))
-        a2 = np.atleast_1d(_coefficient_at(p2, t))
-        if np.any(a1 > a2 + 1e-12):
-            raise PreconditionError("coefficient ordering fails on samples")
+    spp = p1.resolved_steps()
+    if (p1.period, spp) != (p2.period, p2.resolved_steps()):
+        raise PreconditionError("problems must share the step lattice")
+    for k in range(spp):
+        if np.any(p1.reaction_coefficient(k, spp)
+                  > p2.reaction_coefficient(k, spp) + 1e-12):
+            raise PreconditionError(
+                "coefficient ordering fails on the step lattice")
     r1 = principal_spectrum_point(p1)
     r2 = principal_spectrum_point(p2)
     gap = r2.lam - r1.lam

@@ -105,7 +105,17 @@ def dispersion_speed(cs: CoefficientSet, kind: str,
     """Minimize lambda(mu)/mu over mu > 0 by golden-section search after a
     coarse unimodality scan (grid minimum with a warning when the scan is
     not unimodal)."""
-    mean_alpha = _check_invasion_setting(cs)
+    return minimize_dispersion(_check_invasion_setting(cs), kind, kernel,
+                               bracket, coarse, xtol)
+
+
+def minimize_dispersion(mean_alpha: float, kind: str,
+                        kernel: Optional[Kernel] = None,
+                        bracket: tuple[float, float] = (1e-2, 8.0),
+                        coarse: int = 256, xtol: float = 1e-8
+                        ) -> SpeedEstimate:
+    """The scan and refinement of :func:`dispersion_speed` for a given
+    mean invasion rate, which only enters through lambda(mu)."""
 
     def speed_of(mu: float) -> float:
         return homogeneous_growth_exponent(mu, mean_alpha, kind, kernel) / mu

@@ -23,9 +23,10 @@ from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 from .periodic_orbits import (N_TIME_DEFAULT, PeriodicOrbit, logistic_orbit,
                               nonhomogeneous_periodic)
 from .semitrivial import PeriodicField, compute_semitrivial, linearized_radius
-from .simulator import Problem, SchemeConfig, Stepper, SystemState, make_scheme
+from .simulator import (Problem, SchemeConfig, Stepper, SystemState, fixed_point,
+                        make_scheme)
 from .spectrum import homogeneous_growth_exponent
-from .spreading import golden_minimize
+from .spreading import minimize_dispersion
 
 
 # ---------------------------------------------------------------------------
@@ -141,33 +142,6 @@ def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
     return AnsatzPair(phi, psi, lam, mu, eps, sh, v0, kind, kernel)
 
 
-def minimize_shifted_dispersion(cs: CoefficientSet, eps: float,
-                                kind: str = "random",
-                                kernel: Optional[Kernel] = None,
-                                bracket: tuple[float, float] = (1e-2, 8.0)
-                                ) -> tuple[float, float]:
-    """(mu*, c*) minimizing lam_eps(mu)/mu for the inflated family, with the
-    resident orbit of the base family."""
-    base = cs.baselines()
-    sh = shifted_set(base, eps)
-    v0 = logistic_orbit(base.a2.baseline, base.c2.baseline)
-    t = np.linspace(0.0, cs.period, N_TIME_DEFAULT, endpoint=False)
-    mean_alpha = float(np.mean(sh.a1.baseline(t)
-                               - sh.c1.baseline(t) * v0.value(t)))
-    if mean_alpha <= 0.0:
-        raise PreconditionError("mean invasion rate must be positive")
-
-    def speed_of(mu: float) -> float:
-        return homogeneous_growth_exponent(mu, mean_alpha, kind, kernel) / mu
-
-    mus = np.linspace(bracket[0], bracket[1], 256)
-    vals = np.array([speed_of(m) for m in mus])
-    i = int(np.argmin(vals))
-    mu_star = golden_minimize(speed_of, mus[max(i - 1, 0)],
-                              mus[min(i + 1, mus.size - 1)])
-    return mu_star, speed_of(mu_star)
-
-
 # ---------------------------------------------------------------------------
 # super-solution specification
 # ---------------------------------------------------------------------------
@@ -225,9 +199,19 @@ def build_supersolution(cs: CoefficientSet, eps: float,
     """Assemble the super-solution at the minimizing decay rate.  K starts
     at K_init and doubles until the cutoff clears the localized coefficient
     region (and any given initial data is dominated at t = 0)."""
-    mu_star, c_star = minimize_shifted_dispersion(cs, eps, kind, kernel)
-    pair = build_ansatz_pair(cs, eps, mu_star, kind, kernel)
+    # The dispersion minimum of the inflated family, with the resident
+    # orbit of the base family.
     base = cs.baselines()
+    sh = shifted_set(base, eps)
+    v0 = logistic_orbit(base.a2.baseline, base.c2.baseline)
+    t = np.linspace(0.0, cs.period, N_TIME_DEFAULT, endpoint=False)
+    mean_alpha = float(np.mean(sh.a1.baseline(t)
+                               - sh.c1.baseline(t) * v0.value(t)))
+    if mean_alpha <= 0.0:
+        raise PreconditionError("mean invasion rate must be positive")
+    theo = minimize_dispersion(mean_alpha, kind, kernel)
+    mu_star, c_star = theo.mu_star, theo.value
+    pair = build_ansatz_pair(cs, eps, mu_star, kind, kernel)
     u0 = logistic_orbit(base.a1.baseline, base.b1.baseline)
     sups = [u0.sup(), pair.v0.sup()]
     sups.extend(f.sup() for f in resident_fields)
@@ -435,13 +419,6 @@ class CoexistenceResult:
     ordered: bool
 
 
-def _resident_pair(problem: Problem, scheme: SchemeConfig,
-                   tol: float) -> tuple[PeriodicField, PeriodicField]:
-    ustar = compute_semitrivial("u", problem, scheme, tol=tol)
-    vstar = compute_semitrivial("v", problem, scheme, tol=tol)
-    return ustar, vstar
-
-
 def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None,
                          seed_eps: float = 1e-2, tol: float = 1e-6,
                          max_periods: int = 3000,
@@ -460,7 +437,8 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
     recorded here rather than resolved."""
     if scheme is None:
         scheme = make_scheme(problem)
-    ustar, vstar = _resident_pair(problem, scheme, resident_tol)
+    ustar = compute_semitrivial("u", problem, scheme, tol=resident_tol)
+    vstar = compute_semitrivial("v", problem, scheme, tol=resident_tol)
     ver_u = linearized_radius("u", problem, ustar)
     ver_v = linearized_radius("v", problem, vstar)
     if not (ver_u.unstable and ver_v.unstable):
@@ -471,7 +449,6 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
     prof_u = ver_v.spectrum.profile
 
     stepper = Stepper(problem, scheme)
-    spp = stepper.spp
     first_slack = max(mono_slack, 10.0 * max(ustar.residual, vstar.residual))
 
     eps = seed_eps
@@ -480,20 +457,17 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
                 np.all(eps * prof_v < vstar.frames[0]):
             break
         eps *= 0.5
-    up_u, up_v = ustar.frames[0].copy(), eps * prof_v
-    lo_u, lo_v = eps * prof_u, vstar.frames[0].copy()
-
-    def one_period(u, v):
-        for k in range(spp):
-            u, v = stepper.step_arrays(u, v, stepper.time_at(k))
-        return u, v
 
     max_violation = 0.0
-    wrap = np.inf
-    for p in range(max_periods):
-        new_up = one_period(up_u, up_v)
-        new_lo = one_period(lo_u, lo_v)
-        slack = first_slack if p == 0 else mono_slack
+    period = 0
+
+    def one_period(fields):
+        nonlocal max_violation, period
+        up_u, up_v, lo_u, lo_v = fields
+        new_up = stepper.run_period(up_u, up_v)
+        new_lo = stepper.run_period(lo_u, lo_v)
+        slack = first_slack if period == 0 else mono_slack
+        period += 1
         viol = max(float(np.max(new_up[0] - up_u)),
                    float(np.max(up_v - new_up[1])),
                    float(np.max(lo_u - new_lo[0])),
@@ -501,21 +475,22 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
         max_violation = max(max_violation, viol)
         if viol > slack:
             raise NumericalGuardError(
-                f"monotonicity violated by {viol:.3e} at period {p + 1}")
-        wrap = max(float(np.max(np.abs(new_up[0] - up_u))),
-                   float(np.max(np.abs(new_up[1] - up_v))),
-                   float(np.max(np.abs(new_lo[0] - lo_u))),
-                   float(np.max(np.abs(new_lo[1] - lo_v))))
-        up_u, up_v = new_up
-        lo_u, lo_v = new_lo
-        if wrap < tol:
-            ordered = bool(np.all(lo_u <= up_u + 1e-9)
-                           and np.all(up_v <= lo_v + 1e-9))
-            return CoexistenceResult((up_u, up_v), (lo_u, lo_v), p + 1,
-                                     max_violation, wrap, ordered)
-    raise ConvergenceError(
-        f"monotone iteration did not converge in {max_periods} periods",
-        diagnostics={"wrap": wrap})
+                f"monotonicity violated by {viol:.3e} at period {period}")
+        return (*new_up, *new_lo)
+
+    # Upper pair (u-resident, small invader), lower pair (small invader,
+    # v-resident).
+    seeds = (ustar.frames[0].copy(), eps * prof_v,
+             eps * prof_u, vstar.frames[0].copy())
+    (up_u, up_v, lo_u, lo_v), periods, wrap = fixed_point(
+        one_period, seeds, tol, max_periods)
+    if wrap >= tol:
+        raise ConvergenceError(
+            f"monotone iteration did not converge in {max_periods} periods",
+            diagnostics={"wrap": wrap})
+    ordered = bool(np.all(lo_u <= up_u + 1e-9) and np.all(up_v <= lo_v + 1e-9))
+    return CoexistenceResult((up_u, up_v), (lo_u, lo_v), periods,
+                             max_violation, wrap, ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +540,8 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
     invader and of the gap to the v-resident."""
     if scheme is None:
         scheme = make_scheme(problem)
-    ustar, vstar = _resident_pair(problem, scheme, 1e-10)
+    ustar = compute_semitrivial("u", problem, scheme, tol=1e-10)
+    vstar = compute_semitrivial("v", problem, scheme, tol=1e-10)
     ver_u = linearized_radius("u", problem, ustar)
     ver_v = linearized_radius("v", problem, vstar)
     if mode == "auto":
@@ -578,7 +554,6 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
                                 "linearly unstable")
 
     stepper = Stepper(problem, scheme)
-    spp = stepper.spp
     rng = np.random.default_rng(seed)
     x = problem.grid.x
     u_level = ustar.homogeneous_orbit.values[0] if ustar.homogeneous_orbit else 1.0
@@ -594,17 +569,8 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
     trials = []
     failures = 0
     for u, v in ensemble:
-        settled = max_periods
-        prev = (u.copy(), v.copy())
-        for p in range(max_periods):
-            for k in range(spp):
-                u, v = stepper.step_arrays(u, v, stepper.time_at(k))
-            delta = max(float(np.max(np.abs(u - prev[0]))),
-                        float(np.max(np.abs(v - prev[1]))))
-            prev = (u.copy(), v.copy())
-            if delta < settle_tol:
-                settled = p + 1
-                break
+        (u, v), settled, _ = fixed_point(lambda f: stepper.run_period(*f),
+                                         (u, v), settle_tol, max_periods)
         if mode == "two-sided":
             eta = min(float(np.min(u)), float(np.min(v)))
         else:

@@ -13,6 +13,7 @@ from compspread.simulator import (FrontObserver, Problem, SchemeConfig,
                                   SystemState, Stepper, front_position,
                                   make_front_data, make_scheme, ramp_profile,
                                   run_periods, run_transformed, step)
+from compspread.verify import monotone_coexistence, persistence_probe
 
 
 def _tiny_problem(cs):
@@ -314,3 +315,75 @@ def test_period_marks_are_exact_multiples_of_the_period():
     frames = np.full((30, 11), 0.4)
     _, rec = run_transformed(end, problem, scheme, frames, 3)
     assert np.array_equal(rec.period_marks, np.arange(8, 11) * period)
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_run_period_matches_step_loop(kind, canonical_set, rng):
+    grid = Grid(-5.0, 5.0, 101)
+    kernel = Kernel.build("uniform", 1.0, grid.h) if kind == "nonlocal" else None
+    problem = Problem(_harmonic_bump_set(canonical_set), grid, kernel)
+    stepper = Stepper(problem, make_scheme(problem))
+    u = rng.uniform(0.1, 1.0, grid.n)
+    v = rng.uniform(0.1, 0.4, grid.n)
+    ru, rv = u, v
+    frames = []
+    for k in range(stepper.spp):
+        ru, rv = stepper.step_arrays(ru, rv, k * stepper.dt)
+        frames.append((ru, rv))
+    pu, pv = stepper.run_period(u, v)
+    assert np.array_equal(pu, ru) and np.array_equal(pv, rv)
+    for (fu, fv), (su, sv) in zip(frames, stepper.period_steps(u, v)):
+        assert np.array_equal(fu, su) and np.array_equal(fv, sv)
+
+
+# --- one finite-value guard for every period loop ----------------------------
+
+def _nan_mid_period(monkeypatch, min_points=0):
+    """Make Stepper.step_arrays put a NaN into u halfway through each period
+    on grids with more than min_points points."""
+    real = Stepper.step_arrays
+
+    def poisoned(self, u, v, t):
+        u, v = real(self, u, v, t)
+        if u.size > min_points and \
+                self.step_index(t) % self.spp == self.spp // 2:
+            u[u.size // 2] = np.nan
+        return u, v
+
+    monkeypatch.setattr(Stepper, "step_arrays", poisoned)
+
+
+def _weak_problem(weak_set):
+    problem = Problem(weak_set, Grid(-15.0, 15.0, 151))
+    return problem, make_scheme(problem, steps_per_period=32)
+
+
+@pytest.mark.parametrize("loop", ["run_periods", "run_transformed",
+                                  "compute_semitrivial",
+                                  "monotone_coexistence",
+                                  "persistence_probe"])
+def test_nonfinite_mid_period_is_a_guard_error(loop, canonical_set, weak_set,
+                                               monkeypatch):
+    if loop in ("monotone_coexistence", "persistence_probe"):
+        # The homogeneous residents are computed on a 3-point grid, so only
+        # the loop under test sees the NaN.
+        problem, scheme = _weak_problem(weak_set)
+        _nan_mid_period(monkeypatch, min_points=3)
+        with pytest.raises(NumericalGuardError, match="nonfinite"):
+            if loop == "monotone_coexistence":
+                monotone_coexistence(problem, scheme)
+            else:
+                persistence_probe(problem, scheme, n_trials=1)
+        return
+    problem = _tiny_problem(canonical_set)
+    scheme = make_scheme(problem, steps_per_period=30)
+    state = SystemState(0.0, np.full(11, 0.5), np.full(11, 0.2))
+    _nan_mid_period(monkeypatch)
+    with pytest.raises(NumericalGuardError, match="nonfinite"):
+        if loop == "run_periods":
+            run_periods(state, problem, scheme, 2, [FrontObserver(
+                problem.grid, 0.25, guard=False)])
+        elif loop == "run_transformed":
+            run_transformed(state, problem, scheme, np.full((30, 11), 0.4), 2)
+        else:
+            compute_semitrivial("u", problem, scheme)

@@ -119,6 +119,26 @@ def test_monotonicity_rejects_unordered():
         spectrum_monotonicity_check(p1, p2)
 
 
+def test_monotonicity_rejects_unordered_tables():
+    spp = 128
+    table = np.ones((spp, GRID.n))
+    p1 = LinearProblem(0.0, "random", GRID, 1.0, coef_table=0.3 * table,
+                       steps_per_period=spp)
+    p2 = LinearProblem(0.0, "random", GRID, 1.0, coef_table=-0.3 * table,
+                       steps_per_period=spp)
+    with pytest.raises(PreconditionError):
+        spectrum_monotonicity_check(p1, p2)
+
+
+def test_monotonicity_rejects_different_step_lattices():
+    p1 = LinearProblem(0.0, "random", GRID, 1.0, baseline=0.1,
+                       steps_per_period=128)
+    p2 = LinearProblem(0.0, "random", GRID, 1.0, baseline=0.2,
+                       steps_per_period=256)
+    with pytest.raises(PreconditionError):
+        spectrum_monotonicity_check(p1, p2)
+
+
 def test_bump_lower_bound_vs_homogeneous_tail(rng):
     g = Grid(-20.0, 20.0, 401)
     for _ in range(3):
