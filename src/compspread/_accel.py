@@ -3,7 +3,10 @@ symmetric tridiagonal factorization.
 
 Every kernel is a few vectorized numpy operations or a LAPACK call, so
 the per-call cost is a few numpy dispatches; :mod:`compspread.bench` times
-each one at the grid sizes the package uses.
+each one at the grid sizes the package uses.  The linear period map takes
+a whole Crank-Nicolson substep as one prefactored solve and two in-place
+passes (:meth:`TridiagFactor.crank_nicolson`); the simulator keeps the
+explicit half (:func:`cn_explicit_half`) ahead of its solve.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ def second_diff(u, inv_h2):
 def correlate_ext(u, weights):
     """sum_k weights[k+m]*u[j+k] with constant extension of the edges."""
     m = (weights.size - 1) // 2
-    padded = np.concatenate((np.full(m, u[0]), u, np.full(m, u[-1])))
+    padded = np.empty(u.size + 2 * m)
+    padded[:m] = u[0]
+    padded[m:m + u.size] = u
+    padded[m + u.size:] = u[-1]
     return np.correlate(padded, weights, mode="valid")
 
 
@@ -64,7 +70,11 @@ class TridiagFactor:
     1/sqrt2) is symmetric positive definite, so it is LDL^T-factored once
     with LAPACK ``dpttrf``; each solve scales the two boundary entries,
     calls ``dpttrs`` and scales them back.  All multipliers share one sign,
-    so a nonnegative right-hand side gives a nonnegative solution."""
+    so a nonnegative right-hand side gives a nonnegative solution.
+
+    :meth:`crank_nicolson` applies the whole Crank-Nicolson matrix
+    (I - rL)^-1 (I + rL) through its Cayley form 2(I - rL)^-1 - I: one
+    solve, no explicit half."""
 
     def __init__(self, n: int, r: float):
         if n < 2:
@@ -92,6 +102,15 @@ class TridiagFactor:
                 f"tridiagonal solve failed (dpttrs info={info})")
         x[0] /= _HALF_SQRT2
         x[-1] /= _HALF_SQRT2
+        return x
+
+    def crank_nicolson(self, u):
+        """(I - rL)^-1 (I + rL) u = 2 (I - rL)^-1 u - u.  With G = (I - rL)^-1
+        entrywise nonnegative and G_ii >= 1/(1 + 2r), the map is
+        order-preserving for r <= 1/2, i.e. dt <= h^2."""
+        x = self.solve(u)
+        x *= 2.0
+        x -= u
         return x
 
 

@@ -3,10 +3,12 @@ uses.
 
 Run as ``python -m compspread.bench``.  Each case is timed best-of-5 over
 ``repeats`` calls: the exact logistic reaction step, one Crank-Nicolson
-substep (explicit half plus the prefactored tridiagonal solve) and the
-kernel correlation (:func:`run`), then one ``Stepper.step_arrays`` call
-for random and for nonlocal dispersal (:func:`run_steps`).  End-to-end and
-per-layer timings of whole workloads come from ``perfbench/run.py``.
+substep as the simulator takes it (explicit half plus the prefactored
+tridiagonal solve) and the kernel correlation (:func:`run`), then one
+``Stepper.step_arrays`` call for random and for nonlocal dispersal
+(:func:`run_steps`), then one linear period map behind a principal
+spectrum point (:func:`run_linear_periods`).  End-to-end and per-layer
+timings of whole workloads come from ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .coefficients import (CoefficientField, PeriodicScalar, SpatialBump,
                            constant_set)
 from .dispersal import Grid, Kernel
 from .simulator import Problem, Stepper, make_scheme
+from .spectrum import LinearProblem, _LinearStepper
 
 SIZES = (301, 3001, 4001)
 
@@ -85,8 +88,33 @@ def run_steps(sizes=SIZES, h: float = 0.1, repeats: int = 200) -> list[dict]:
     return rows
 
 
+def run_linear_periods(sizes=(("random", 512), ("nonlocal", 401)),
+                       repeats: int = 20) -> list[dict]:
+    """One row per (dispersal kind, grid size): {"kernel", "n", "us"} for
+    one ``_LinearStepper.run_period`` call of a unit-period problem with a
+    square bump, at the default steps per period.  The linear map's
+    Crank-Nicolson substep (``TridiagFactor.crank_nicolson``) is timed
+    here, inside the random-dispersal map."""
+    # The spacing of RANDOM_GRID and KERNEL_GRID in perfbench/workloads.py;
+    # FINE_KERNEL_GRID (h = 0.01) is not timed here.
+    h = 0.1
+    rng = np.random.default_rng(0)
+    rows = []
+    for kind, n in sizes:
+        grid = Grid(-0.5 * h * (n - 1), 0.5 * h * (n - 1), n)
+        kernel = Kernel.build("uniform", 1.0, h) if kind == "nonlocal" else None
+        stepper = _LinearStepper(LinearProblem(
+            0.0, kind, grid, 1.0, baseline=0.1,
+            bump=SpatialBump.square(0.3, 2.0), kernel=kernel))
+        u = rng.uniform(0.1, 1.0, n)
+        rows.append({"kernel": f"linear period map ({kind})", "n": n,
+                     "us": _time(stepper.run_period, u,
+                                 repeats=repeats) * 1e6})
+    return rows
+
+
 def main() -> None:
-    rows = run() + run_steps()
+    rows = run() + run_steps() + run_linear_periods()
     width = max(len(r["kernel"]) for r in rows)
     print(f"{'kernel':<{width}}  {'n':>6}  {'time [us]':>10}")
     for r in rows:

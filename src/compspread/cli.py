@@ -152,7 +152,7 @@ def cmd_persistence(cfg: RunConfig, out_dir: Path, args) -> int:
         write_json(writer.path("persistence.json"), report.to_json_dict())
     writer.finish()
     print(f"persistence floor eta = {report.eta:.6f} ({report.mode}, "
-          f"{report.failures} failures)")
+          f"{report.failures} failures, {report.unsettled} unsettled)")
     return 0
 
 

@@ -3,11 +3,16 @@
 The growth exponent is ln(spectral radius of the one-period solution
 operator)/T, computed by power iteration on the period map.  The evolution
 scheme is a symmetrized split step: half an exact reaction exponential,
-one dispersal substep, half an exact reaction exponential.  The scalar
-action of the tilt on constants (mu^2 for random dispersal, the tilted
-kernel mass minus one for nonlocal dispersal) is folded into the reaction
-exponent, so spatially homogeneous problems are integrated exactly in
-time and only kernel quadrature limits their accuracy.
+one dispersal substep, half an exact reaction exponential.  The random
+dispersal substep is Crank-Nicolson in Cayley form, 2(I - rL)^-1 - I (one
+prefactored tridiagonal solve); the nonlocal one is the second-order series
+alpha*I + beta*C + dt^2/2*C^2 of exp(dt*(C - m*I)) in the kernel
+correlation C, two correlations per substep.  Both are order-preserving
+under the step bounds that :meth:`LinearProblem.resolved_steps` enforces.
+The scalar action of the tilt on constants (mu^2 for random dispersal,
+the tilted kernel mass minus one for nonlocal dispersal) is folded into
+the reaction exponent, so spatially homogeneous problems are integrated
+exactly in time and only kernel quadrature limits their accuracy.
 """
 
 from __future__ import annotations
@@ -126,14 +131,18 @@ class _LinearStepper:
         self.dt = p.period / self.spp
         self.n = p.grid.n
         if p.kind == "random":
-            r = 0.5 * self.dt / p.grid.h ** 2
-            self._r = r
-            self._factor = _accel.TridiagFactor(self.n, r)
+            self._factor = _accel.TridiagFactor(
+                self.n, 0.5 * self.dt / p.grid.h ** 2)
         else:
             w = (p.kernel.tilted_weights(p.mu) if p.mu > 0.0
                  else p.kernel.weights) * p.kernel.h
             self._weights = w
-            self._wmass = float(np.sum(w))
+            dm = self.dt * float(np.sum(w))
+            # I + dt*B + dt^2/2*B^2 with B = C - m*I, regrouped by powers
+            # of the correlation C: alpha*I + beta*C + dt^2/2*C^2.
+            self._alpha = 1.0 - dm + 0.5 * dm * dm
+            self._beta = self.dt * (1.0 - dm)
+            self._gamma = 0.5 * self.dt * self.dt
         # The coefficient repeats every period: tabulate the half-step
         # reaction exponentials once per phase.
         self._half = [np.exp((0.5 * self.dt)
@@ -142,12 +151,16 @@ class _LinearStepper:
 
     def _dispersal(self, u: np.ndarray) -> np.ndarray:
         if self.p.kind == "random":
-            return self._factor.solve(_accel.cn_explicit_half(u, self._r))
-        # Two-term exponential series for the zero-on-constants part
-        # B = (conv - mass*I); positive for dt*mass <= 1, second order.
-        bu = _accel.correlate_ext(u, self._weights) - self._wmass * u
-        bbu = _accel.correlate_ext(bu, self._weights) - self._wmass * bu
-        return u + self.dt * bu + 0.5 * self.dt * self.dt * bbu
+            return self._factor.crank_nicolson(u)
+        # alpha*u + beta*Cu + gamma*C(Cu): every coefficient is
+        # nonnegative for dt*m <= 1.
+        cu = _accel.correlate_ext(u, self._weights)
+        out = _accel.correlate_ext(cu, self._weights)
+        out *= self._gamma
+        cu *= self._beta
+        out += cu
+        out += np.multiply(u, self._alpha, out=cu)
+        return out
 
     def step(self, u: np.ndarray, k: int) -> np.ndarray:
         half = self._half[k]

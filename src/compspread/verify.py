@@ -499,9 +499,15 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
 
 @dataclass
 class PersistenceTrial:
+    """One ensemble member: the period it stopped at, its floor, whether
+    the floor is below the failure floor, and whether its last period
+    changed the fields by less than the settle tolerance (an unsettled
+    floor is a transient, not a persistence floor)."""
+
     settled_period: int
     eta: float
     failed: bool
+    settled: bool
 
 
 @dataclass
@@ -511,11 +517,16 @@ class PersistenceReport:
     trials: list[PersistenceTrial]
     failures: int
 
+    @property
+    def unsettled(self) -> int:
+        return sum(not t.settled for t in self.trials)
+
     def to_json_dict(self) -> dict:
         return {"mode": self.mode, "eta": self.eta,
-                "failures": self.failures,
+                "failures": self.failures, "unsettled": self.unsettled,
                 "trials": [{"settled_period": t.settled_period,
-                            "eta": t.eta, "failed": bool(t.failed)}
+                            "eta": t.eta, "failed": bool(t.failed),
+                            "settled": bool(t.settled)}
                            for t in self.trials]}
 
 
@@ -569,8 +580,8 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
     trials = []
     failures = 0
     for u, v in ensemble:
-        (u, v), settled, _ = fixed_point(lambda f: stepper.run_period(*f),
-                                         (u, v), settle_tol, max_periods)
+        (u, v), periods, delta = fixed_point(
+            lambda f: stepper.run_period(*f), (u, v), settle_tol, max_periods)
         if mode == "two-sided":
             eta = min(float(np.min(u)), float(np.min(v)))
         else:
@@ -578,6 +589,7 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
                       float(np.min(vstar.frames[0] - v)))
         failed = eta < failure_floor
         failures += int(failed)
-        trials.append(PersistenceTrial(settled, eta, failed))
+        trials.append(PersistenceTrial(periods, eta, failed,
+                                       delta < settle_tol))
     return PersistenceReport(mode, min(t.eta for t in trials), trials,
                              failures)

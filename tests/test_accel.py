@@ -101,3 +101,47 @@ def test_bench_steps_returns_one_row_per_kind_and_size():
         (f"split step ({kind})", n) for kind in ("random", "nonlocal")
         for n in (41, 61))
     assert all(r["us"] > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 301, 4001])
+@pytest.mark.parametrize("r", [0.25, 0.5])
+def test_crank_nicolson_matches_dense_product(n, r, rng):
+    u = rng.uniform(0.1, 1.0, n)
+    m = _dense_reflecting(n, r)
+    ref = np.linalg.solve(m, (2.0 * np.eye(n) - m) @ u)  # I + rL = 2I - M
+    np.testing.assert_allclose(_accel.TridiagFactor(n, r).crank_nicolson(u),
+                               ref, rtol=1e-12, atol=0.0)
+
+
+def test_crank_nicolson_leaves_input_unchanged(rng):
+    u = rng.uniform(0.1, 1.0, 51)
+    before = u.copy()
+    _accel.TridiagFactor(51, 0.5).crank_nicolson(u)
+    assert np.array_equal(u, before)
+
+
+def test_crank_nicolson_is_nonnegative_at_the_step_bound():
+    # r = 1/2 is dt = h^2, where I + rL has a zero diagonal.
+    n = 41
+    factor = _accel.TridiagFactor(n, 0.5)
+    for j in range(n):
+        assert np.all(factor.crank_nicolson(np.eye(n)[j]) >= 0.0), j
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 401])
+@pytest.mark.parametrize("taps", [1, 5, 23])
+def test_correlate_ext_is_bitwise_the_concatenated_form(n, taps, rng):
+    u = rng.uniform(0.1, 1.0, n)
+    w = rng.uniform(0.0, 1.0, taps)
+    m = (taps - 1) // 2
+    padded = np.concatenate((np.full(m, u[0]), u, np.full(m, u[-1])))
+    assert np.array_equal(_accel.correlate_ext(u, w),
+                          np.correlate(padded, w, mode="valid"))
+
+
+def test_bench_linear_periods_returns_one_row_per_case():
+    cases = (("random", 21), ("nonlocal", 31))
+    rows = bench.run_linear_periods(sizes=cases, repeats=1)
+    assert [(r["kernel"], r["n"]) for r in rows] == [
+        (f"linear period map ({kind})", n) for kind, n in cases]
+    assert all(r["us"] > 0.0 for r in rows)

@@ -236,3 +236,40 @@ def test_tabulated_period_map_matches_per_step_coefficients(case, rng):
     u0 = rng.uniform(0.1, 1.0, GRID.n)
     assert np.array_equal(stepper.run_period(u0),
                           _reference_period(stepper, u0))
+
+
+def _dense_correlation(weights, n):
+    """Dense C with (C u)_j = sum_k weights[k+m] u[clip(j+k)]: the kernel
+    correlation with constant extension of the edges."""
+    m = (weights.size - 1) // 2
+    c = np.zeros((n, n))
+    for j in range(n):
+        for k in range(-m, m + 1):
+            c[j, min(max(j + k, 0), n - 1)] += weights[k + m]
+    return c
+
+
+def _nonlocal_stepper(dt_mass):
+    kernel = Kernel.build("uniform", 1.0, GRID.h)
+    spp = MIN_STEPS_PER_PERIOD
+    period = dt_mass * spp / kernel.mass()
+    return _LinearStepper(LinearProblem(0.0, "nonlocal", GRID, period,
+                                        kernel=kernel, steps_per_period=spp))
+
+
+@pytest.mark.parametrize("dt_mass", [1.0, 0.25])
+def test_nonlocal_step_matches_dense_series(dt_mass, rng):
+    stepper = _nonlocal_stepper(dt_mass)
+    dt, n = stepper.dt, GRID.n
+    c = _dense_correlation(stepper._weights, n)
+    b = c - float(np.sum(stepper._weights)) * np.eye(n)
+    series = np.eye(n) + dt * b + 0.5 * dt * dt * (b @ b)
+    u = rng.uniform(0.1, 1.0, n)
+    np.testing.assert_allclose(stepper._dispersal(u), series @ u,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_nonlocal_step_is_nonnegative_at_the_step_bound():
+    stepper = _nonlocal_stepper(1.0)
+    for j in range(GRID.n):
+        assert np.all(stepper._dispersal(np.eye(GRID.n)[j]) >= 0.0), j

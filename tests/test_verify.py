@@ -243,3 +243,19 @@ def test_persistence_scalar_reduction(canonical_set):
     u_orb = logistic_orbit(canonical_set.a1.baseline, canonical_set.b1.baseline)
     assert report.trials[0].eta <= u_orb.inf() + 1e-6
     assert report.trials[0].eta > 0.3
+
+
+@pytest.mark.parametrize("max_periods, settled", [(2, False), (2000, True)])
+def test_persistence_reports_unsettled_trials(weak_set, max_periods, settled):
+    problem = Problem(weak_set, Grid(-15.0, 15.0, 151))
+    report = persistence_probe(problem, make_scheme(problem,
+                                                    steps_per_period=32),
+                               n_trials=2, seed=7, max_periods=max_periods)
+    assert [t.settled for t in report.trials] == [settled, settled]
+    assert report.unsettled == (0 if settled else 2)
+    assert report.to_json_dict()["unsettled"] == report.unsettled
+    if settled:
+        assert all(t.settled_period < max_periods for t in report.trials)
+        assert all(abs(t.eta - 2.0 / 3.0) < 1e-3 for t in report.trials)
+    else:
+        assert all(t.settled_period == 2 for t in report.trials)
