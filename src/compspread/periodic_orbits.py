@@ -1,21 +1,20 @@
 """Spatially homogeneous periodic problems: the logistic periodic orbit,
 the forced linear periodic solution, and the homogeneous coexistence orbit.
 
-Orbits are found as fixed points of the one-period time map (damped,
-derivative-free iteration) and sampled on a uniform time grid fine enough
-that downstream spectral and quadrature uses see them as exact.
+Scalar orbits come from their integrating-factor closed forms, by one
+cumulative Simpson rule on a uniform time grid fine enough that downstream
+uses see them as exact.  The RK45 time-map fixed points (``logistic_periodic``,
+``coexistence_homogeneous``) are references that import scipy.integrate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
 
 from .coefficients import CoefficientSet, PeriodicScalar, check_h0, compute_envelopes
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 
 N_TIME_DEFAULT = 4096
 IVP_RTOL = 1e-10
@@ -57,6 +56,33 @@ def _time_grid(period: float, n_samples: int) -> np.ndarray:
     return np.linspace(0.0, period, n_samples + 1)
 
 
+def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of y on increasing nodes x (3 or more),
+    from 0: bitwise ``scipy.integrate.cumulative_simpson(y, x=x, initial=0)``.
+    Each interval takes the three-point panel that starts at it (forward,
+    even intervals) or ends at it (backward, odd ones and the last)."""
+    dx = np.diff(x)
+    d, f = np.stack((dx, dx[::-1])), np.stack((y, y[::-1]))
+    x21, x32 = d[:, :-1], d[:, 1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    panels = x21 / 6 * ((3 - x21_x31) * f[:, :-2]
+                        + (3 + x21x21_x31x32 + x21_x31) * f[:, 1:-1]
+                        + -x21x21_x31x32 * f[:, 2:])
+    backward = panels[1, ::-1]
+    pieces = np.append(panels[0], backward[-1])
+    pieces[1::2] = backward[::2]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
+
+
+def _closed_orbit(period: float, t, E, values) -> PeriodicOrbit:
+    if not np.all(np.isfinite(values)):  # e^E past float64: |E| > ~709.8
+        raise NumericalGuardError(
+            f"integrating factor e^E overflows, E in [{np.min(E):.4g}, {np.max(E):.4g}]")
+    resid = abs(values[-1] - values[0]) / max(abs(values[0]), 1e-30)
+    return PeriodicOrbit(period, t, values, resid)
+
+
 def periodic_mean(fn, period: float, n_samples: int = N_TIME_DEFAULT) -> float:
     """Full-period trapezoid mean (spectrally accurate for smooth
     periodic integrands)."""
@@ -65,8 +91,6 @@ def periodic_mean(fn, period: float, n_samples: int = N_TIME_DEFAULT) -> float:
 
 
 def _as_callable(coeff):
-    if isinstance(coeff, PeriodicScalar):
-        return coeff
     if callable(coeff):
         return coeff
     value = float(coeff)
@@ -76,11 +100,11 @@ def _as_callable(coeff):
 def logistic_periodic(a0, b0, period: float | None = None,
                       n_samples: int = N_TIME_DEFAULT,
                       seed: float | None = None) -> PeriodicOrbit:
-    """Unique positive periodic solution of w' = w*(a0(t) - b0(t)*w).
-
+    """Unique positive periodic solution of w' = w*(a0(t) - b0(t)*w), by the
+    RK45 time map: a check on the closed form and the route past its domain.
     Requires positive mean growth; the orbit is globally attracting, so a
-    damped period-map iteration from any positive seed converges.
-    """
+    damped period-map iteration from any positive seed converges."""
+    from scipy.integrate import solve_ivp
     if period is None:
         if not isinstance(a0, PeriodicScalar):
             raise ValueError("period required when a0 is not a descriptor")
@@ -121,64 +145,60 @@ def logistic_periodic(a0, b0, period: float | None = None,
     return PeriodicOrbit(period, times, values, resid)
 
 
-@lru_cache(maxsize=128)
-def _logistic_cached(a0: PeriodicScalar, b0: PeriodicScalar,
-                     n_samples: int) -> PeriodicOrbit:
-    return logistic_periodic(a0, b0, n_samples=n_samples)
-
-
 def logistic_orbit(a0: PeriodicScalar, b0: PeriodicScalar,
                    n_samples: int = N_TIME_DEFAULT) -> PeriodicOrbit:
-    """Cached wrapper for descriptor coefficients (orbits recur constantly
-    downstream)."""
-    return _logistic_cached(a0, b0, n_samples)
+    """The logistic orbit over a0's period, by the closed form (uncached)."""
+    return logistic_closed_form(a0, b0, a0.period, n_samples)
 
 
 def logistic_closed_form(a0, b0, period: float,
                          n_samples: int = N_TIME_DEFAULT) -> PeriodicOrbit:
-    """Quadrature evaluation of the integrating-factor representation
-    w(t) = e^{A(t)} w0 / (1 + w0 * int_0^t b0 e^{A}), with w0 pinned by
-    periodicity.  Independent of the time-map route; used as an oracle."""
+    """w(t) = e^{A(t)} w0 / (1 + w0 * int_0^t b0 e^{A}), A = int_0^t a0, w0
+    pinned by periodicity.  Needs mean growth times period in (0, ~709): past
+    it e^A overflows, ``NumericalGuardError`` (``logistic_periodic`` handles
+    it).  Simpson's error grows like (a0 * period / n_samples)^4."""
     fa, fb = _as_callable(a0), _as_callable(b0)
     t = _time_grid(period, n_samples)
-    A = cumulative_simpson(fa(t), x=t, initial=0.0)
+    A = cumulative_simpson(fa(t), t)
     if A[-1] <= 0.0:
         raise PreconditionError("nonpositive mean growth")
-    I = cumulative_simpson(fb(t) * np.exp(A), x=t, initial=0.0)
-    w0 = np.expm1(A[-1]) / I[-1]
-    values = np.exp(A) * w0 / (1.0 + w0 * I)
-    resid = abs(values[-1] - values[0]) / max(abs(values[0]), 1e-30)
-    return PeriodicOrbit(period, t, values, resid)
+    with np.errstate(all="ignore"):
+        I = cumulative_simpson(fb(t) * np.exp(A), t)
+        w0 = np.expm1(A[-1]) / I[-1]
+        values = np.exp(A) * w0 / (1.0 + w0 * I)
+    return _closed_orbit(period, t, A, values)
 
 
 def nonhomogeneous_periodic(alpha, h, period: float | None = None,
                             n_samples: int = N_TIME_DEFAULT) -> PeriodicOrbit:
     """Unique periodic solution of u' = alpha(t) u + h(t) for negative mean
-    alpha, by the integrating-factor closed form."""
+    alpha, by the integrating-factor closed form.  |mean alpha| times period
+    above about 709 overflows e^{-int alpha}: ``NumericalGuardError``."""
     if period is None:
         if not isinstance(alpha, PeriodicScalar):
             raise ValueError("period required when alpha is not a descriptor")
         period = alpha.period
     falpha, fh = _as_callable(alpha), _as_callable(h)
     t = _time_grid(period, n_samples)
-    B = cumulative_simpson(falpha(t), x=t, initial=0.0)
+    B = cumulative_simpson(falpha(t), t)
     if B[-1] >= 0.0:
         raise PreconditionError(
             f"mean of the decay coefficient is {B[-1] / period:.3e} >= 0")
-    J = cumulative_simpson(fh(t) * np.exp(-B), x=t, initial=0.0)
-    eBT = np.exp(B[-1])
-    u0 = eBT * J[-1] / (1.0 - eBT)
-    values = np.exp(B) * (u0 + J)
-    resid = abs(values[-1] - values[0]) / max(abs(values[0]), 1e-30)
-    return PeriodicOrbit(period, t, values, resid)
+    with np.errstate(all="ignore"):
+        J = cumulative_simpson(fh(t) * np.exp(-B), t)
+        eBT = np.exp(B[-1])
+        u0 = eBT * J[-1] / (1.0 - eBT)
+        values = np.exp(B) * (u0 + J)
+    return _closed_orbit(period, t, B, values)
 
 
 def coexistence_homogeneous(cs: CoefficientSet,
                             n_samples: int = N_TIME_DEFAULT
                             ) -> tuple[PeriodicOrbit, PeriodicOrbit]:
     """Interior periodic orbit of the homogeneous two-species system, found
-    by damped fixed-point iteration of the one-period map from half the
+    by damped fixed-point iteration of the one-period RK45 map from half the
     single-species orbit levels."""
+    from scipy.integrate import solve_ivp
     env = compute_envelopes(cs)
     if not check_h0(env).holds:
         raise PreconditionError("coefficient envelopes must be positive")

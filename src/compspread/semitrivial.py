@@ -18,7 +18,7 @@ import numpy as np
 from .coefficients import CoefficientSet, SpatialBump
 from .dispersal import Grid, Kernel
 from .errors import ConvergenceError, NumericalGuardError, PreconditionError
-from .periodic_orbits import PeriodicOrbit, logistic_orbit
+from .periodic_orbits import PeriodicOrbit, logistic_orbit, periodic_mean
 from .simulator import Problem, SchemeConfig, Stepper, fixed_point, make_scheme
 from .spectrum import (LinearProblem, SpectrumResult, principal_spectrum_point,
                        principal_spectrum_point_widened, radius_threshold_test)
@@ -261,8 +261,7 @@ def destabilizing_bump(cs: CoefficientSet, kind: str = "random",
         amplitudes = np.round(np.arange(0.05, 1.0001, 0.05), 10)
     u_orbit = logistic_orbit(cs.a1.baseline, cs.b1.baseline)
     base = _CompositeBaseline(cs.a2.baseline, cs.b2.baseline, u_orbit)
-    t = np.linspace(0.0, cs.period, 4096, endpoint=False)
-    mean_resid = float(np.mean(base(t)))
+    mean_resid = periodic_mean(base, cs.period)
     if mean_resid >= 0.0:
         raise PreconditionError(
             "homogeneous resident is already unstable "

@@ -277,24 +277,6 @@ class Observer:
         raise NotImplementedError
 
 
-class SupObserver(Observer):
-    def __init__(self, component: str = "u"):
-        self.component = component
-        self.name = f"sup_{component}"
-
-    def sample(self, state: SystemState) -> float:
-        return float(np.max(getattr(state, self.component)))
-
-
-class InfObserver(Observer):
-    def __init__(self, component: str = "u"):
-        self.component = component
-        self.name = f"inf_{component}"
-
-    def sample(self, state: SystemState) -> float:
-        return float(np.min(getattr(state, self.component)))
-
-
 def front_position(values: np.ndarray, grid: Grid, level: float) -> float:
     """Rightmost crossing of the level, linearly interpolated between the
     bracketing grid points; nan when the field never reaches the level."""

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .coefficients import CoefficientField, CoefficientSet, compute_envelopes
 from .dispersal import Grid, Kernel, apply_nonlocal, apply_random
 from .errors import ConvergenceError, NumericalGuardError, PreconditionError
-from .periodic_orbits import (N_TIME_DEFAULT, PeriodicOrbit, logistic_orbit,
-                              nonhomogeneous_periodic)
+from .periodic_orbits import (N_TIME_DEFAULT, PeriodicOrbit, cumulative_simpson,
+                              logistic_orbit, nonhomogeneous_periodic,
+                              periodic_mean)
 from .semitrivial import PeriodicField, compute_semitrivial, linearized_radius
 from .simulator import (Problem, SchemeConfig, Stepper, SystemState, fixed_point,
                         make_scheme)
@@ -40,8 +40,7 @@ def shifted_set(cs: CoefficientSet, eps: float) -> CoefficientSet:
     if eps < 0.0:
         raise PreconditionError("eps must be nonnegative")
     base = cs.baselines()
-    v0 = logistic_orbit(base.a2.baseline, base.c2.baseline)
-    sup_v0 = v0.sup()
+    sup_v0 = logistic_orbit(base.a2.baseline, base.c2.baseline).sup()
     return CoefficientSet(
         a1=CoefficientField(base.a1.baseline.shifted(+eps)),
         b1=CoefficientField(base.b1.baseline.shifted(-eps)),
@@ -120,7 +119,7 @@ def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
     tilt = homogeneous_growth_exponent(mu, 0.0, kind, kernel)
     t = np.linspace(0.0, period, n_samples + 1)
     alpha = tilt + sh.a1.baseline(t) - sh.c1.baseline(t) * v0.value(t)
-    A = cumulative_simpson(alpha, x=t, initial=0.0)
+    A = cumulative_simpson(alpha, t)
     lam = float(A[-1] / period)
     phi_vals = np.exp(A - lam * t)
     phi = PeriodicOrbit(period, t, phi_vals,
@@ -133,7 +132,7 @@ def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
     def forcing(tt):
         return sh.b2.baseline(tt) * v0.value(tt) * phi.value(tt)
 
-    mean_alpha_psi = float(np.mean(alpha_psi(t[:-1])))
+    mean_alpha_psi = periodic_mean(alpha_psi, period, n_samples)
     if mean_alpha_psi >= 0.0:
         raise PreconditionError(
             "the forced component needs a decaying homogeneous part "
@@ -204,9 +203,9 @@ def build_supersolution(cs: CoefficientSet, eps: float,
     base = cs.baselines()
     sh = shifted_set(base, eps)
     v0 = logistic_orbit(base.a2.baseline, base.c2.baseline)
-    t = np.linspace(0.0, cs.period, N_TIME_DEFAULT, endpoint=False)
-    mean_alpha = float(np.mean(sh.a1.baseline(t)
-                               - sh.c1.baseline(t) * v0.value(t)))
+    mean_alpha = periodic_mean(
+        lambda t: sh.a1.baseline(t) - sh.c1.baseline(t) * v0.value(t),
+        cs.period)
     if mean_alpha <= 0.0:
         raise PreconditionError("mean invasion rate must be positive")
     theo = minimize_dispersion(mean_alpha, kind, kernel)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import compspread
 from compspread.cli import main
 from compspread.presets import PRESETS
 
@@ -256,3 +261,14 @@ def test_bump_config_accepts_support_radius_key(tmp_path):
     bad = _write_config(tmp_path, cfg_dict, "bad.json")
     assert main(["speed", "--config", str(bad), "--out",
                  str(tmp_path / "o2")]) == 2
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate costs about 0.25 s of import; only the RK45 reference
+    # routes in periodic_orbits load it, inside their own bodies.
+    src = str(Path(compspread.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, compspread.cli; "
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

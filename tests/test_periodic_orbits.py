@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from compspread.coefficients import (CoefficientField, PeriodicScalar,
                                      constant_set)
-from compspread.errors import PreconditionError
+from compspread.errors import NumericalGuardError, PreconditionError
 from compspread.periodic_orbits import (coexistence_homogeneous,
+                                        cumulative_simpson,
                                         logistic_closed_form,
+                                        logistic_orbit,
                                         logistic_periodic,
                                         nonhomogeneous_periodic)
 
@@ -65,6 +68,43 @@ def test_logistic_rejects_nonpositive_mean_growth():
     with pytest.raises(PreconditionError):
         logistic_periodic(PeriodicScalar.harmonic(-0.1, 0.5),
                           PeriodicScalar.constant(1.0))
+
+
+@pytest.mark.parametrize("period, intervals",
+                         [(1.0, 4096), (0.7, 4096), (1.0, 4097), (1.0, 4)])
+def test_cumulative_simpson_is_bitwise_scipy(period, intervals):
+    t = np.linspace(0.0, period, intervals + 1)
+    y = 1.0 + 0.5 * np.sin(TWO_PI * t / period) * np.exp(np.cos(3.0 * t))
+    expected = integrate.cumulative_simpson(y, x=t, initial=0.0)
+    assert np.array_equal(cumulative_simpson(y, t), expected)
+
+
+@pytest.mark.parametrize("a0, b0", [
+    (PeriodicScalar.harmonic(1.0, 0.5, 0.3, 1.0),
+     PeriodicScalar.harmonic(1.2, 0.3, 1.1, 1.0)),
+    (PeriodicScalar.table([[0.0, 0.35], [0.5, 0.45], [1.0, 0.35]], 1.0),
+     PeriodicScalar.constant(1.0, 1.0)),
+], ids=["harmonic", "table"])
+def test_logistic_orbit_matches_the_time_map(a0, b0):
+    orb = logistic_orbit(a0, b0)
+    ref = logistic_periodic(a0, b0)
+    assert np.array_equal(orb.times, ref.times)
+    assert np.max(np.abs(orb.values - ref.values) / ref.values) < 1e-8
+    assert orb.tol < 1e-14
+
+
+@pytest.mark.parametrize("rate, period", [(-0.5, 2000.0), (-400.0, 2.0)])
+def test_nonhomogeneous_refuses_an_overflowing_integrating_factor(rate, period):
+    with pytest.raises(NumericalGuardError, match=r"e\^E overflows, E in \["):
+        nonhomogeneous_periodic(PeriodicScalar.constant(rate, period),
+                                PeriodicScalar.constant(1.0, period))
+
+
+@pytest.mark.parametrize("rate, period", [(0.5, 2000.0), (400.0, 2.0)])
+def test_logistic_orbit_refuses_an_overflowing_integrating_factor(rate, period):
+    with pytest.raises(NumericalGuardError, match=r"e\^E overflows, E in \["):
+        logistic_orbit(PeriodicScalar.constant(rate, period),
+                       PeriodicScalar.constant(1.0, period))
 
 
 def test_nonhomogeneous_constant_equilibrium():
