@@ -1,23 +1,33 @@
 """Principal spectrum points of tilted linear dispersal equations.
 
 The growth exponent is ln(spectral radius of the one-period solution
-operator)/T, computed by power iteration on the period map.  The evolution
-scheme is a symmetrized split step: half an exact reaction exponential,
-one dispersal substep, half an exact reaction exponential.  The random
-dispersal substep is Crank-Nicolson in Cayley form, 2(I - rL)^-1 - I (one
-prefactored tridiagonal solve); the nonlocal one is the second-order series
-alpha*I + beta*C + dt^2/2*C^2 of exp(dt*(C - m*I)) in the kernel
-correlation C, two correlations per substep.  Both are order-preserving
-under the step bounds that :meth:`LinearProblem.resolved_steps` enforces.
-The scalar action of the tilt on constants (mu^2 for random dispersal,
-the tilted kernel mass minus one for nonlocal dispersal) is folded into
-the reaction exponent, so spatially homogeneous problems are integrated
-exactly in time and only kernel quadrature limits their accuracy.
+operator P)/T.  P is entrywise nonnegative, so for every positive field u
+the Collatz-Wielandt ratios bound it: min(Pu/u) <= rho(P) <= max(Pu/u).
+:func:`principal_spectrum_point` reports the exponent with that bracket,
+[lam_lo, lam_hi].  One map of the constant field closes the bracket to
+rounding for spatially homogeneous problems.  Otherwise ARPACK's Arnoldi
+method (loaded only then) gives the dominant Ritz pair, the bracket comes
+from |Re v|, and at most POWER_STEPS power steps narrow it while it is
+wider than the caller's ``tol``; a bracket left wider is reported, not
+forced shut.
+
+The evolution scheme is a symmetrized split step: half an exact reaction
+exponential, one dispersal substep, half an exact reaction exponential.
+The random dispersal substep is Crank-Nicolson in Cayley form,
+2(I - rL)^-1 - I (one prefactored tridiagonal solve); the nonlocal one is
+the second-order series alpha*I + beta*C + dt^2/2*C^2 of exp(dt*(C - m*I))
+in the kernel correlation C, two correlations per substep.  Both are
+order-preserving under the step bounds that
+:meth:`LinearProblem.resolved_steps` enforces.  The scalar action of the
+tilt on constants (mu^2 for random dispersal, the tilted kernel mass minus
+one for nonlocal dispersal) is folded into the reaction exponent, so
+spatially homogeneous problems are integrated exactly in time and only
+kernel quadrature limits their accuracy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +40,7 @@ from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_PERIODS = 2000
 MIN_STEPS_PER_PERIOD = 256
-STABLE_PERIODS = 3
+POWER_STEPS = 10
 
 
 @dataclass
@@ -114,14 +124,20 @@ class LinearProblem:
 
 @dataclass
 class SpectrumResult:
-    """Growth exponent with the dominant profile and power-iteration
-    diagnostics."""
+    """Growth exponent ``lam`` inside its Collatz-Wielandt bracket
+    [lam_lo, lam_hi], the dominant profile (max 1) and the number of
+    period maps spent."""
 
     lam: float
+    lam_lo: float
+    lam_hi: float
     profile: np.ndarray
-    ratios: list = field(default_factory=list)
-    periods: int = 0
-    residual: float = np.inf
+    periods: int
+
+    @property
+    def residual(self) -> float:
+        """Width of the bracket."""
+        return self.lam_hi - self.lam_lo
 
 
 class _LinearStepper:
@@ -190,35 +206,89 @@ def evolve_linear(u0: np.ndarray, p: LinearProblem, t0: float,
     return u
 
 
+class _PeriodBudget(Exception):
+    """Raised inside the period map once ``max_periods`` maps are spent."""
+
+
+def _cw_bracket(u: np.ndarray, pu: np.ndarray,
+                period: float) -> tuple[float, float]:
+    """Collatz-Wielandt bracket [log min(Pu/u), log max(Pu/u)]/T of the
+    growth exponent: valid for every positive u because the period map is
+    entrywise nonnegative."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = pu / u
+        return (float(np.log(np.min(ratio))) / period,
+                float(np.log(np.max(ratio))) / period)
+
+
 def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL,
                              max_periods: int = DEFAULT_MAX_PERIODS
                              ) -> SpectrumResult:
-    """Power iteration on the period map from the positive constant field:
-    evolve one period, record the sup-norm growth ratio, renormalize;
-    stop when the ratio is stable over three consecutive periods."""
+    """Growth exponent ln(rho(P))/T of the period map P with a
+    Collatz-Wielandt bracket [lam_lo, lam_hi] around it.
+
+    One map of the constant field settles every problem whose bracket is
+    already at most ``tol`` wide (all spatially homogeneous ones).
+    Otherwise ARPACK's implicitly restarted Arnoldi method finds the
+    dominant Ritz pair from v0 = P1, the bracket is formed from |Re v|,
+    and at most POWER_STEPS power steps narrow it while it is wider than
+    ``tol``.  A bracket left wider is still a bound and is reported as
+    it is.  ``lam`` is the Ritz value clipped into the bracket; every
+    period map, ARPACK's included, counts against ``max_periods``."""
     if tol <= 0.0:
         raise PreconditionError("tolerance must be positive")
+    if max_periods < 1:
+        raise PreconditionError("max_periods must be positive")
     stepper = _LinearStepper(p)
+    maps = 0
+
+    def period_map(u: np.ndarray) -> np.ndarray:
+        nonlocal maps
+        if maps >= max_periods:
+            raise _PeriodBudget
+        maps += 1
+        pu = stepper.run_period(u)
+        if not np.isfinite(pu).all():
+            raise NumericalGuardError(
+                f"period map produced a nonfinite value at map {maps}")
+        return pu
+
     u = np.ones(p.grid.n)
-    ratios: list[float] = []
-    stable = 0
-    residual = np.inf
-    for k in range(max_periods):
-        u = stepper.run_period(u)
-        r = float(np.max(np.abs(u)))
-        if not np.isfinite(r) or r <= 0.0:
-            raise NumericalGuardError(f"power iterate degenerated (ratio {r})")
-        ratios.append(r)
-        u /= r
-        if len(ratios) >= 2:
-            residual = abs(ratios[-1] - ratios[-2]) / abs(ratios[-2])
-            stable = stable + 1 if residual < tol else 0
-            if stable >= STABLE_PERIODS:
-                lam = float(np.log(ratios[-1]) / p.period)
-                return SpectrumResult(lam, u, ratios, k + 1, residual)
-    raise ConvergenceError(
-        f"period-map ratios did not stabilize in {max_periods} periods",
-        diagnostics={"ratios": ratios})
+    pu = period_map(u)
+    if not np.max(pu) > 0.0:
+        raise NumericalGuardError(
+            "the period map annihilates the constant field")
+    lo, hi = _cw_bracket(u, pu, p.period)
+    if hi - lo <= tol:
+        return SpectrumResult(hi, lo, hi, pu / np.max(pu), maps)
+
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+    op = LinearOperator((p.grid.n, p.grid.n), matvec=period_map, dtype=float)
+    try:
+        theta, vecs = eigs(op, k=1, which="LM", v0=pu / np.max(pu), tol=tol)
+        theta = complex(theta[0])
+        u = np.abs(vecs[:, 0].real)
+        u /= np.max(u)
+        if not np.all(u > 0.0):
+            u = period_map(u)
+            u /= np.max(u)
+        pu = period_map(u)
+        lo, hi = _cw_bracket(u, pu, p.period)
+    except (ArpackNoConvergence, _PeriodBudget) as exc:
+        raise ConvergenceError(
+            f"no certified principal eigenpair within {max_periods} period "
+            f"maps ({type(exc).__name__})",
+            diagnostics={"periods": maps, "lam_lo": lo, "lam_hi": hi}) from exc
+    for _ in range(POWER_STEPS):
+        if hi - lo <= tol or maps >= max_periods:
+            break
+        u = pu / np.max(pu)
+        pu = period_map(u)
+        lo, hi = _cw_bracket(u, pu, p.period)
+    ritz = (float(np.log(theta.real)) / p.period if theta.real > 0.0
+            else lo)
+    return SpectrumResult(min(max(ritz, lo), hi), lo, hi, pu / np.max(pu),
+                          maps)
 
 
 def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL,

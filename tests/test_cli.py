@@ -272,3 +272,21 @@ def test_cli_import_leaves_out_scipy_integrate():
     code = ("import sys, compspread.cli; "
             "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_homogeneous_spectrum_point_leaves_out_arpack():
+    # A homogeneous problem settles on the constant field's bracket, so
+    # scipy.sparse.linalg (ARPACK) stays unloaded by the CLI and by it.
+    src = str(Path(compspread.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, compspread.cli\n"
+            "from compspread.dispersal import Grid\n"
+            "from compspread.spectrum import LinearProblem, "
+            "principal_spectrum_point\n"
+            "res = principal_spectrum_point(LinearProblem("
+            "0.5, 'random', Grid(-5.0, 5.0, 101), 1.0, baseline=0.8))\n"
+            "assert res.periods == 1, res.periods\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules, "
+            "'scipy.sparse.linalg imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

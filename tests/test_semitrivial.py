@@ -79,6 +79,21 @@ def test_linearized_radius_canonical(canonical_problem):
     assert not at_v.inconclusive
 
 
+def test_verdict_is_inconclusive_when_the_bracket_contains_zero(canonical_set):
+    # invading v at the u-resident: growth -0.1 away from the bump and
+    # +0.2 on it; a tolerance wider than that settles on the constant
+    # field's bracket, which straddles 0
+    bumped = canonical_set.with_bump_on("a2", SpatialBump.square(0.3, 4.0))
+    problem = Problem(bumped, Grid(-30.0, 30.0, 301))
+    ustar = compute_semitrivial("u", problem)
+    wide = linearized_radius("u", problem, ustar, tol=1.0)
+    assert wide.lam_lo <= 0.0 <= wide.lam_hi
+    assert wide.inconclusive
+    sharp = linearized_radius("u", problem, ustar)
+    assert sharp.lam_lo <= sharp.lam <= sharp.lam_hi
+    assert not sharp.inconclusive
+
+
 def test_linearized_radius_general_table_path(canonical_set):
     # a bump on b2 makes the coefficient non-separable
     bumped = canonical_set.with_bump_on("b2", SpatialBump(0.2, 1.5, 0.5))

@@ -3,7 +3,8 @@ import pytest
 
 from compspread.coefficients import PeriodicScalar, SpatialBump
 from compspread.dispersal import Grid, Kernel
-from compspread.errors import NumericalGuardError, PreconditionError
+from compspread.errors import (ConvergenceError, NumericalGuardError,
+                               PreconditionError)
 from compspread.spectrum import (MIN_STEPS_PER_PERIOD, LinearProblem,
                                  _LinearStepper, evolve_linear,
                                  homogeneous_growth_exponent,
@@ -273,3 +274,75 @@ def test_nonlocal_step_is_nonnegative_at_the_step_bound():
     stepper = _nonlocal_stepper(1.0)
     for j in range(GRID.n):
         assert np.all(stepper._dispersal(np.eye(GRID.n)[j]) >= 0.0), j
+
+
+def _dense_exponent(p):
+    """ln(spectral radius)/T of the period map assembled column by column."""
+    stepper = _LinearStepper(p)
+    m = np.column_stack([stepper.run_period(e) for e in np.eye(p.grid.n)])
+    return float(np.log(np.max(np.abs(np.linalg.eigvals(m)))) / p.period)
+
+
+def test_plateau_table_problem_matches_dense_exponent():
+    # The constant field's sup-norm ratio sits on the tail value 0.5 for
+    # several periods; the exponent is that of the bumped-down centre.
+    g = Grid(-30.0, 30.0, 301)
+    row = 0.5 - 0.3 * np.exp(-g.x ** 2 / 4.0)
+    p = LinearProblem(0.0, "random", g, 1.0, coef_table=np.tile(row, (32, 1)),
+                      steps_per_period=32)
+    res = principal_spectrum_point(p)
+    ref = _dense_exponent(p)
+    assert ref == pytest.approx(0.4972841156, abs=1e-10)
+    assert abs(res.lam - ref) < 1e-10
+    assert res.lam_lo <= res.lam <= res.lam_hi
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_bracket_contains_dense_exponent(kind):
+    g = Grid(-10.0, 10.0, 201)
+    kernel = Kernel.build("uniform", 1.0, g.h) if kind == "nonlocal" else None
+    p = LinearProblem(0.0, kind, g, 1.0,
+                      baseline=PeriodicScalar.harmonic(-0.2, 0.3, 0.4),
+                      bump=SpatialBump(0.5, 1.5, 0.5), kernel=kernel)
+    res = principal_spectrum_point(p)
+    ref = _dense_exponent(p)
+    assert res.lam_lo - 1e-11 <= ref <= res.lam_hi + 1e-11
+    assert res.lam_lo <= res.lam <= res.lam_hi
+    assert res.periods > 1
+
+
+@pytest.mark.parametrize("case", ["homogeneous", "tilted-random",
+                                  "tilted-nonlocal"])
+def test_homogeneous_problems_take_one_period_map(case):
+    if case == "homogeneous":
+        p = _harmonic_problem(0.3, 0.5)
+        exact = 0.3
+    elif case == "tilted-random":
+        p = LinearProblem(1.5, "random", GRID, 1.0, baseline=0.8)
+        exact = 1.5 ** 2 + 0.8
+    else:
+        k = Kernel.build("uniform", 1.0, GRID.h)
+        p = LinearProblem(0.5, "nonlocal", GRID, 1.0,
+                          baseline=PeriodicScalar.harmonic(0.1, 0.2), kernel=k)
+        exact = homogeneous_growth_exponent(0.5, 0.1, "nonlocal", k)
+    res = principal_spectrum_point(p)
+    assert res.periods == 1
+    assert res.residual <= 1e-6
+    assert abs(res.lam - exact) < 1e-5
+
+
+def test_too_few_periods_for_arpack_raise_convergence_error():
+    p = LinearProblem(0.0, "random", GRID, 1.0, baseline=-0.1,
+                      bump=SpatialBump(0.5, 1.0, 0.5))
+    with pytest.raises(ConvergenceError) as info:
+        principal_spectrum_point(p, max_periods=5)
+    diag = info.value.diagnostics
+    assert diag["periods"] == 5
+    assert diag["lam_lo"] < diag["lam_hi"]
+
+
+def test_nonfinite_period_map_signals():
+    p = LinearProblem(0.0, "random", GRID, 1.0, baseline=800.0)
+    with pytest.raises(NumericalGuardError), \
+            np.errstate(over="ignore", invalid="ignore"):
+        principal_spectrum_point(p)
