@@ -2,8 +2,7 @@
 symmetric tridiagonal factorization.
 
 Every kernel is a few vectorized numpy operations or a LAPACK call, so
-the per-call cost is a few numpy dispatches; :mod:`compspread.bench` times
-each one at the grid sizes the package uses.  The linear period map takes
+the per-call cost is a few numpy dispatches.  The linear period map takes
 a whole Crank-Nicolson substep as one prefactored solve and two in-place
 passes (:meth:`TridiagFactor.crank_nicolson`); the simulator keeps the
 explicit half (:func:`cn_explicit_half`) ahead of its solve.

@@ -15,6 +15,10 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 
 TWO_PI = 2.0 * np.pi
+# Time samples where only sampling can bound a tabular baseline from
+# below, and where the determinacy condition is checked.
+MIN_VALUE_SAMPLES = 1024
+H2_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -171,9 +175,10 @@ class CoefficientField:
     def with_bump(self, bump: Optional[SpatialBump]) -> "CoefficientField":
         return CoefficientField(self.baseline, bump)
 
-    def min_value(self, samples: int = 1024) -> float:
+    def min_value(self) -> float:
         rng = self.baseline.range_exact()
-        lo = rng[0] if rng is not None else self.baseline.sampled_range(samples)[0]
+        lo = (rng[0] if rng is not None
+              else self.baseline.sampled_range(MIN_VALUE_SAMPLES)[0])
         if self.bump is not None:
             lo += min(0.0, self.bump.amplitude)
         return lo
@@ -294,26 +299,32 @@ def check_h1(env: EnvelopeTable) -> HypothesisVerdict:
                              ("invasion", "exclusion"))
 
 
-def _h2_expressions(cs: CoefficientSet, env: EnvelopeTable, t):
+def h2_expressions(cs: CoefficientSet, resident: EnvelopeTable,
+                   competition: EnvelopeTable, t):
+    """The two determinacy expressions of ``cs`` at times ``t``, with the
+    resident ratios (a2, c2) from ``resident`` and the competition ratios
+    (c1/b1, c2/b2) from ``competition``."""
     a1 = cs.a1.baseline(t)
     a2 = cs.a2.baseline(t)
     b2 = cs.b2.baseline(t)
     c1 = cs.c1.baseline(t)
     c2 = cs.c2.baseline(t)
-    common = (a1 - c1 * env.a2M / env.c2L - a2 + 2.0 * c2 * env.a2L / env.c2M)
-    e1 = common - b2 * (env.a2M / env.c2L) * (env.c1M / env.b1L)
-    e2 = common - b2 * (env.a2M / env.c2L) * (env.c2M / env.b2L)
+    common = (a1 - c1 * resident.a2M / resident.c2L - a2
+              + 2.0 * c2 * resident.a2L / resident.c2M)
+    e1 = common - b2 * (resident.a2M / resident.c2L) * (
+        competition.c1M / competition.b1L)
+    e2 = common - b2 * (resident.a2M / resident.c2L) * (
+        competition.c2M / competition.b2L)
     return e1, e2
 
 
-def check_h2(cs: CoefficientSet, env: EnvelopeTable,
-             samples_per_period: int = 256) -> HypothesisVerdict:
+def check_h2(cs: CoefficientSet, env: EnvelopeTable) -> HypothesisVerdict:
     """Linear determinacy condition: both pointwise-in-time expressions must
     stay strictly positive over one period."""
     if not check_h0(env).holds:
         raise PreconditionError("envelope positivity fails; condition undefined")
-    t = np.linspace(0.0, cs.period, samples_per_period, endpoint=False)
-    e1, e2 = _h2_expressions(cs, env, t)
+    t = np.linspace(0.0, cs.period, H2_SAMPLES, endpoint=False)
+    e1, e2 = h2_expressions(cs, env, env, t)
     m1, m2 = float(np.min(e1)), float(np.min(e2))
     return HypothesisVerdict(m1 > 0.0 and m2 > 0.0, (m1, m2),
                              ("determinacy-1", "determinacy-2"))

@@ -25,6 +25,8 @@ from .simulator import Problem, SchemeConfig
 _TOP_KEYS = {"coefficients", "grid", "kernel", "scheme", "scenario", "output",
              "seed"}
 _COEFF_NAMES = ("a1", "b1", "c1", "a2", "b2", "c2")
+SVG_WIDTH = 640
+SVG_HEIGHT = 400
 
 
 def _require_keys(d: dict, allowed: set, where: str) -> None:
@@ -194,8 +196,7 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def write_svg_polyline(path: Path, xs, ys, title: str,
-                       width: int = 640, height: int = 400) -> None:
+def write_svg_polyline(path: Path, xs, ys, title: str) -> None:
     """Minimal deterministic SVG line plot (convenience view of the CSVs)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -205,13 +206,13 @@ def write_svg_polyline(path: Path, xs, ys, title: str,
         xs = ys = np.zeros(1)
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
-    sx = (width - 80) / (x1 - x0 if x1 > x0 else 1.0)
-    sy = (height - 80) / (y1 - y0 if y1 > y0 else 1.0)
+    sx = (SVG_WIDTH - 80) / (x1 - x0 if x1 > x0 else 1.0)
+    sy = (SVG_HEIGHT - 80) / (y1 - y0 if y1 > y0 else 1.0)
     pts = " ".join(
-        f"{40 + (x - x0) * sx:.2f},{height - 40 - (y - y0) * sy:.2f}"
+        f"{40 + (x - x0) * sx:.2f},{SVG_HEIGHT - 40 - (y - y0) * sy:.2f}"
         for x, y in zip(xs, ys))
-    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}"><title>{title}</title>'
+    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+           f'height="{SVG_HEIGHT}"><title>{title}</title>'
            f'<rect width="100%" height="100%" fill="white"/>'
            f'<polyline points="{pts}" fill="none" stroke="black" '
            f'stroke-width="1"/></svg>\n')

@@ -24,6 +24,12 @@ from .spectrum import (LinearProblem, SpectrumResult, principal_spectrum_point,
                        principal_spectrum_point_widened, radius_threshold_test)
 
 _SPECIES_COEFFS = {"u": ("a1", "b1"), "v": ("a2", "c2")}
+# Period budget of the resident fixed point, and how far its tail may miss
+# the homogeneous orbit.
+RESIDENT_MAX_PERIODS = 5000
+TAIL_TOL = 1e-4
+# Bump amplitudes destabilizing_bump scans, smallest first.
+BUMP_AMPLITUDES = np.round(np.arange(0.05, 1.0001, 0.05), 10)
 
 
 @dataclass
@@ -42,9 +48,6 @@ class PeriodicField:
     @property
     def steps_per_period(self) -> int:
         return self.frames.shape[0] - 1
-
-    def frame(self, k: int) -> np.ndarray:
-        return self.frames[k % self.steps_per_period]
 
     def sup(self) -> float:
         return float(np.max(self.frames))
@@ -84,8 +87,7 @@ def _species_problem(problem: Problem, species: str) -> tuple:
 
 def compute_semitrivial(species: str, problem: Problem,
                         scheme: Optional[SchemeConfig] = None,
-                        tol: float = 1e-8, max_periods: int = 5000,
-                        tail_tol: float = 1e-4,
+                        tol: float = 1e-8,
                         tail_margin: float = 10.0,
                         seed_scale: float = 1.0) -> PeriodicField:
     """Attracting periodic state of one species alone, found by long-run
@@ -118,10 +120,11 @@ def compute_semitrivial(species: str, problem: Problem,
     seed = np.full(work.grid.n, seed_scale * orbit.values[0])
     (w,), _, delta = fixed_point(
         lambda f: (stepper.run_period(*with_absent(f[0]))[slot],),
-        (seed,), tol, max_periods)
+        (seed,), tol, RESIDENT_MAX_PERIODS)
     if delta >= tol:
         raise ConvergenceError(
-            f"resident state not periodic after {max_periods} periods",
+            "resident state not periodic after "
+            f"{RESIDENT_MAX_PERIODS} periods",
             diagnostics={"last_delta": delta})
 
     work_frames = np.empty((spp + 1, work.grid.n))
@@ -141,7 +144,7 @@ def compute_semitrivial(species: str, problem: Problem,
         raise NumericalGuardError("domain too small for the tail check")
     t_frames = np.arange(spp + 1) * stepper.dt
     tail_err = float(np.max(np.abs(frames[:, tail] - orbit.value(t_frames)[:, None])))
-    if tail_err > tail_tol:
+    if tail_err > TAIL_TOL:
         raise NumericalGuardError(
             f"resident tail misses the homogeneous orbit by {tail_err:.2e} "
             "(domain too small)")
@@ -178,8 +181,7 @@ def _invasion_coefficient(problem: Problem, target: str):
 def linearized_radius(target: str, problem: Problem,
                       resident: PeriodicField,
                       scheme: Optional[SchemeConfig] = None,
-                      tol: float = 1e-6,
-                      max_periods: int = 2000) -> StabilityVerdict:
+                      tol: float = 1e-6) -> StabilityVerdict:
     """Growth exponent of the invader linearized at the resident state
     (target 'u' = state with only species u present), the principal
     spectrum point of the scalar period map.  The resident state enters the
@@ -200,9 +202,9 @@ def linearized_radius(target: str, problem: Problem,
                           baseline=base, bump=growth.bump,
                           kernel=problem.kernel)
         if growth.bump is not None:
-            res, _ = principal_spectrum_point_widened(p, tol, max_periods)
+            res, _ = principal_spectrum_point_widened(p, tol)
         else:
-            res = principal_spectrum_point(p, tol, max_periods)
+            res = principal_spectrum_point(p, tol)
     else:
         spp = resident.steps_per_period
         dt = resident.dt
@@ -215,7 +217,7 @@ def linearized_radius(target: str, problem: Problem,
         p = LinearProblem(0.0, problem.kind, problem.grid, period,
                           coef_table=table, kernel=problem.kernel,
                           steps_per_period=spp)
-        res = principal_spectrum_point(p, tol, max_periods)
+        res = principal_spectrum_point(p, tol)
 
     radius = float(np.exp(res.lam * period))
     return StabilityVerdict(res.lam, res.lam_lo, res.lam_hi, radius,
@@ -246,11 +248,9 @@ class DestabilizationResult:
 
 def destabilizing_bump(cs: CoefficientSet, kind: str = "random",
                        kernel_spec: Optional[tuple[str, float]] = None,
-                       amplitudes: Optional[np.ndarray] = None,
                        widths: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0),
-                       h: float = 0.1, pad: float = 25.0,
-                       tol: float = 1e-6,
-                       max_periods: int = 2000) -> DestabilizationResult:
+                       h: float = 0.1, pad: float = 25.0
+                       ) -> DestabilizationResult:
     """Find the smallest-amplitude compact growth bump on the v-species that
     flips the stable homogeneous resident (u alone) to linearly unstable.
 
@@ -262,8 +262,6 @@ def destabilizing_bump(cs: CoefficientSet, kind: str = "random",
     if cs.max_support_radius() > 0.0:
         raise PreconditionError(
             "the base coefficient set must be spatially homogeneous")
-    if amplitudes is None:
-        amplitudes = np.round(np.arange(0.05, 1.0001, 0.05), 10)
     u_orbit = logistic_orbit(cs.a1.baseline, cs.b1.baseline)
     base = _CompositeBaseline(cs.a2.baseline, cs.b2.baseline, u_orbit)
     mean_resid = periodic_mean(base, cs.period)
@@ -274,7 +272,7 @@ def destabilizing_bump(cs: CoefficientSet, kind: str = "random",
     threshold = -mean_resid
 
     scanned = []
-    for amp in amplitudes:
+    for amp in BUMP_AMPLITUDES:
         for width in widths:
             bump = SpatialBump.square(float(amp), float(width))
             span = width / 2.0 + pad
@@ -284,11 +282,11 @@ def destabilizing_bump(cs: CoefficientSet, kind: str = "random",
                       if kind == "nonlocal" else None)
             p = LinearProblem(0.0, kind, grid, cs.period, baseline=0.0,
                               bump=bump, kernel=kernel)
-            verdict = radius_threshold_test(p, threshold, max_periods=200)
+            verdict = radius_threshold_test(p, threshold)
             scanned.append((float(amp), float(width), verdict))
             if verdict == "below":
                 continue
-            res, _ = principal_spectrum_point_widened(p, tol, max_periods)
+            res, _ = principal_spectrum_point_widened(p)
             if res.lam <= threshold:
                 scanned[-1] = (float(amp), float(width), "confirmed-below")
                 continue

@@ -41,6 +41,12 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_PERIODS = 2000
 MIN_STEPS_PER_PERIOD = 256
 POWER_STEPS = 10
+# The widened-domain check: grid widening factor and the largest exponent
+# shift it accepts.
+WIDEN_FACTOR = 1.5
+WIDEN_SHIFT_TOL = 1e-4
+# Power steps radius_threshold_test takes before it returns "undecided".
+THRESHOLD_TEST_PERIODS = 200
 
 
 @dataclass
@@ -291,42 +297,39 @@ def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL,
                           maps)
 
 
-def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL,
-                                     max_periods: int = DEFAULT_MAX_PERIODS,
-                                     widen: float = 1.5,
-                                     shift_tol: float = 1e-4
+def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL
                                      ) -> tuple[SpectrumResult, float]:
     """Domain-adequacy guarded exponent for localized coefficients: recompute
-    on a widened grid and fail if the exponent shifts more than shift_tol."""
-    res = principal_spectrum_point(p, tol, max_periods)
-    wide = LinearProblem(p.mu, p.kind, p.grid.widened(widen), p.period,
+    on a grid WIDEN_FACTOR times wider and fail if the exponent shifts more
+    than WIDEN_SHIFT_TOL."""
+    res = principal_spectrum_point(p, tol)
+    wide = LinearProblem(p.mu, p.kind, p.grid.widened(WIDEN_FACTOR), p.period,
                          p.baseline, p.bump, p.kernel, None,
                          p.steps_per_period)
-    res_wide = principal_spectrum_point(wide, tol, max_periods)
+    res_wide = principal_spectrum_point(wide, tol)
     shift = abs(res_wide.lam - res.lam)
-    if shift > shift_tol:
+    if shift > WIDEN_SHIFT_TOL:
         raise NumericalGuardError(
             f"domain too small: exponent shifts by {shift:.2e} when widened")
     return res, shift
 
 
-def radius_threshold_test(p: LinearProblem, lam_threshold: float,
-                          max_periods: int = 300) -> str:
+def radius_threshold_test(p: LinearProblem, lam_threshold: float) -> str:
     """Decide whether the growth exponent lies above or below a threshold
-    without full power-iteration convergence, using the positive-operator
-    ratio sandwich min(Pu/u) <= radius <= max(Pu/u) for strictly positive
-    iterates.  Returns "above", "below", or "undecided"."""
+    without full convergence: power iterates of the constant field, at most
+    THRESHOLD_TEST_PERIODS of them, each with its Collatz-Wielandt bracket
+    (valid because the iterates stay strictly positive).  Returns "above",
+    "below", or "undecided"."""
     stepper = _LinearStepper(p)
-    target = np.exp(lam_threshold * p.period)
     u = np.ones(p.grid.n)
-    for _ in range(max_periods):
+    for _ in range(THRESHOLD_TEST_PERIODS):
         pu = stepper.run_period(u)
         if np.any(pu <= 0.0) or not np.isfinite(pu).all():
             raise NumericalGuardError("iterate left the positive cone")
-        ratio = pu / u
-        if float(np.min(ratio)) > target:
+        lo, hi = _cw_bracket(u, pu, p.period)
+        if lo > lam_threshold:
             return "above"
-        if float(np.max(ratio)) < target:
+        if hi < lam_threshold:
             return "below"
         u = pu / float(np.max(pu))
     return "undecided"

@@ -28,6 +28,18 @@ from .simulator import (MagnitudeFrontObserver, PairFrontObserver, Problem,
 from .spectrum import homogeneous_growth_exponent
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Dispersion minimizer: points of the coarse unimodality scan and the
+# golden-section interval width it stops at.
+COARSE_POINTS = 256
+XTOL = 1e-8
+# Front fits: periods discarded after the leading edge clears the localized
+# region, the least span the fit window may cover (in periods), and the
+# trailing fraction of the records a fit may use.
+MIN_DISCARD_PERIODS = 20
+MIN_WINDOW_PERIODS = 10
+WINDOW_FRACTION = 0.4
+# How far past the localized region the leading edge must be before a fit.
+CLEARANCE = 50.0
 
 
 @dataclass(frozen=True)
@@ -81,12 +93,12 @@ def _check_invasion_setting(cs: CoefficientSet) -> float:
     return mean_alpha
 
 
-def golden_minimize(f, lo: float, hi: float, xtol: float = 1e-8) -> float:
+def golden_minimize(f, lo: float, hi: float) -> float:
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
+    while b - a > XTOL:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
@@ -100,19 +112,18 @@ def golden_minimize(f, lo: float, hi: float, xtol: float = 1e-8) -> float:
 
 def dispersion_speed(cs: CoefficientSet, kind: str,
                      kernel: Optional[Kernel] = None,
-                     bracket: tuple[float, float] = (1e-2, 8.0),
-                     coarse: int = 256, xtol: float = 1e-8) -> SpeedEstimate:
+                     bracket: tuple[float, float] = (1e-2, 8.0)
+                     ) -> SpeedEstimate:
     """Minimize lambda(mu)/mu over mu > 0 by golden-section search after a
     coarse unimodality scan (grid minimum with a warning when the scan is
     not unimodal)."""
     return minimize_dispersion(_check_invasion_setting(cs), kind, kernel,
-                               bracket, coarse, xtol)
+                               bracket)
 
 
 def minimize_dispersion(mean_alpha: float, kind: str,
                         kernel: Optional[Kernel] = None,
-                        bracket: tuple[float, float] = (1e-2, 8.0),
-                        coarse: int = 256, xtol: float = 1e-8
+                        bracket: tuple[float, float] = (1e-2, 8.0)
                         ) -> SpeedEstimate:
     """The scan and refinement of :func:`dispersion_speed` for a given
     mean invasion rate, which only enters through lambda(mu)."""
@@ -123,15 +134,15 @@ def minimize_dispersion(mean_alpha: float, kind: str,
     lo, hi = bracket
     warning = None
     for _ in range(4):
-        mus = np.linspace(lo, hi, coarse)
+        mus = np.linspace(lo, hi, COARSE_POINTS)
         vals = np.array([speed_of(m) for m in mus])
         i = int(np.argmin(vals))
-        if i < coarse - 1:
+        if i < COARSE_POINTS - 1:
             break
         hi *= 2.0
     if i == 0:
         warning = "minimum at the lower bracket edge"
-    elif i == coarse - 1:
+    elif i == COARSE_POINTS - 1:
         warning = "minimum still at the upper bracket edge after extension"
     diffs = np.diff(vals)
     unimodal = np.all(diffs[:max(i, 1)] <= 1e-12) and np.all(diffs[i:] >= -1e-12)
@@ -140,7 +151,7 @@ def minimize_dispersion(mean_alpha: float, kind: str,
         mu_star = float(mus[i])
     else:
         mu_star = golden_minimize(speed_of, mus[max(i - 1, 0)],
-                                   mus[min(i + 1, coarse - 1)], xtol)
+                                  mus[min(i + 1, COARSE_POINTS - 1)])
     return SpeedEstimate(speed_of(mu_star), "theoretical", mu_star=mu_star,
                          warning=warning)
 
@@ -160,13 +171,10 @@ def dispersion_grid_scan(cs: CoefficientSet, kind: str,
 
 
 def fit_front_speed(times: np.ndarray, positions: np.ndarray, period: float,
-                    kind: str = "empirical-upper",
-                    min_discard_periods: int = 20,
-                    window_fraction: float = 0.4,
-                    mono_tol: Optional[float] = None) -> SpeedEstimate:
+                    kind: str = "empirical-upper") -> SpeedEstimate:
     """Least-squares slope of front position against time over the trailing
-    window (last ``window_fraction`` of the records after discarding at
-    least ``min_discard_periods`` periods)."""
+    window (last WINDOW_FRACTION of the records after discarding at least
+    MIN_DISCARD_PERIODS periods), which must span MIN_WINDOW_PERIODS."""
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
     keep = np.isfinite(positions)
@@ -174,15 +182,16 @@ def fit_front_speed(times: np.ndarray, positions: np.ndarray, period: float,
     if times.size < 4:
         raise PreconditionError("too few finite front positions to fit")
     n = times.size
-    start = max(int(np.ceil((1.0 - window_fraction) * n)),
-                int(np.searchsorted(times, times[0] + min_discard_periods * period)))
+    discard_end = times[0] + MIN_DISCARD_PERIODS * period
+    start = max(int(np.ceil((1.0 - WINDOW_FRACTION) * n)),
+                int(np.searchsorted(times, discard_end)))
     if n - start < 2:
         raise PreconditionError("fit window is empty after the discard rule")
     t, x = times[start:], positions[start:]
-    if (t[-1] - t[0]) < 10.0 * period - 1e-9:
-        raise PreconditionError("fit window must span at least 10 periods")
-    if mono_tol is None:
-        mono_tol = max(1e-9, 0.05 * float(np.median(np.abs(np.diff(x)))) + 1e-9)
+    if (t[-1] - t[0]) < MIN_WINDOW_PERIODS * period - 1e-9:
+        raise PreconditionError(
+            f"fit window must span at least {MIN_WINDOW_PERIODS} periods")
+    mono_tol = max(1e-9, 0.05 * float(np.median(np.abs(np.diff(x)))) + 1e-9)
     drops = np.diff(x) < -mono_tol
     if np.mean(drops) > 0.2:
         raise PreconditionError("front positions are not monotone in the window")
@@ -208,22 +217,36 @@ class SpeedIntervalResult:
 
 
 def speed_interval(problem: Problem, scheme: SchemeConfig, n_periods: int,
-                   x0: float, ramp: float = 2.0,
-                   u_level: Optional[float] = None,
-                   clearance: float = 50.0,
-                   min_discard_periods: int = 20) -> SpeedIntervalResult:
+                   x0: float, ramp: float = 2.0) -> SpeedIntervalResult:
     """Empirical lower and upper spreading estimates from a transformed
     front run: the lower speed tracks the rightmost point where both
     transformed components persist above half their plateau levels, the
     upper speed tracks the leading edge of the combined magnitude.  Fits
     start only after the leading edge has cleared the localized coefficient
-    region by ``clearance`` length units."""
+    region by CLEARANCE length units.
+
+    Before anything is simulated, the clearance time is bounded from below
+    by the distance from ``x0`` to that gate outside the localized region
+    (the region itself counts as crossed at once) over the theoretical
+    speed c0*; a run that would leave fewer periods than a fit needs
+    raises PreconditionError."""
     cs = problem.coefficients
-    _check_invasion_setting(cs.baselines())
+    theo = dispersion_speed(cs.baselines(), problem.kind, problem.kernel)
+    radius = cs.max_support_radius()
+    gate = radius + CLEARANCE
+    outside = max(gate - x0, 0.0) - max(radius - max(x0, -radius), 0.0)
+    clear_periods = outside / theo.value / cs.period
+    if n_periods - clear_periods < MIN_DISCARD_PERIODS + MIN_WINDOW_PERIODS:
+        raise PreconditionError(
+            f"the leading edge needs at least {clear_periods:.1f} periods to "
+            f"clear the localized region by {CLEARANCE:g} at c0* = "
+            f"{theo.value:.5f}, leaving "
+            f"{n_periods - clear_periods:.1f} of {n_periods} periods where a "
+            f"fit needs {MIN_DISCARD_PERIODS + MIN_WINDOW_PERIODS}; run "
+            "longer or move x0")
     u_orbit = logistic_orbit(cs.a1.baseline, cs.b1.baseline)
     v_orbit = logistic_orbit(cs.a2.baseline, cs.c2.baseline)
-    if u_level is None:
-        u_level = 0.5 * float(u_orbit.value(0.0))
+    u_level = 0.5 * float(u_orbit.value(0.0))
     vstar = compute_semitrivial("v", problem, scheme)
     u0, vt0 = make_front_data(problem.grid, u_level, v_orbit, x0, ramp,
                               kernel=problem.kernel)
@@ -238,19 +261,15 @@ def speed_interval(problem: Problem, scheme: SchemeConfig, n_periods: int,
     times = records.times
     edge = records.series[upper_obs.name]
     pair = records.series[lower_obs.name]
-    gate = cs.max_support_radius() + clearance
     cleared = edge >= gate
     if not cleared.any():
         raise PreconditionError(
             "front never cleared the localized region; run longer or move x0")
     sel = slice(int(np.argmax(cleared)), None)
-    theo = dispersion_speed(cs.baselines(), problem.kind, problem.kernel)
     lower = fit_front_speed(times[sel], pair[sel], cs.period,
-                            kind="empirical-lower",
-                            min_discard_periods=min_discard_periods)
+                            kind="empirical-lower")
     upper = fit_front_speed(times[sel], edge[sel], cs.period,
-                            kind="empirical-upper",
-                            min_discard_periods=min_discard_periods)
+                            kind="empirical-upper")
     return SpeedIntervalResult(lower, upper, theo, times,
                                {"lower": pair, "upper": edge})
 

@@ -16,17 +16,29 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientField, CoefficientSet, compute_envelopes
+from .coefficients import (CoefficientField, CoefficientSet, compute_envelopes,
+                           h2_expressions)
 from .dispersal import Grid, Kernel, apply_nonlocal, apply_random
 from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 from .periodic_orbits import (N_TIME_DEFAULT, PeriodicOrbit, cumulative_simpson,
                               logistic_orbit, nonhomogeneous_periodic,
                               periodic_mean)
-from .semitrivial import PeriodicField, compute_semitrivial, linearized_radius
+from .semitrivial import compute_semitrivial, linearized_radius
 from .simulator import (Problem, SchemeConfig, Stepper, SystemState, fixed_point,
                         make_scheme)
 from .spectrum import homogeneous_growth_exponent
 from .spreading import minimize_dispersion
+
+# Time samples of the inflated determinacy margins.
+DETERMINACY_SAMPLES = 1024
+# How far the super-solution's cutoff must clear the localized region.
+REGION_CLEARANCE = 2.0
+# Monotonicity violation monotone_coexistence tolerates after its first
+# period, and the fixed-point tolerance of the residents it starts from.
+MONO_SLACK = 1e-10
+RESIDENT_TOL = 1e-12
+# Floor below which a persistence trial counts as a failure.
+FAILURE_FLOOR = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -51,21 +63,13 @@ def shifted_set(cs: CoefficientSet, eps: float) -> CoefficientSet:
     )
 
 
-def check_shifted_determinacy(cs: CoefficientSet, shifted: CoefficientSet,
-                              samples: int = 1024) -> tuple[float, float]:
+def check_shifted_determinacy(cs: CoefficientSet,
+                              shifted: CoefficientSet) -> tuple[float, float]:
     """Margins of the determinacy condition for the inflated family; the
     resident envelope ratios stay those of the base family."""
-    env0 = compute_envelopes(cs.baselines())
-    enve = compute_envelopes(shifted)
-    t = np.linspace(0.0, cs.period, samples, endpoint=False)
-    a1e = shifted.a1.baseline(t)
-    c1e = shifted.c1.baseline(t)
-    a2e = shifted.a2.baseline(t)
-    b2e = shifted.b2.baseline(t)
-    c2e = shifted.c2.baseline(t)
-    common = a1e - c1e * env0.a2M / env0.c2L - a2e + 2.0 * c2e * env0.a2L / env0.c2M
-    e1 = common - b2e * (env0.a2M / env0.c2L) * (enve.c1M / enve.b1L)
-    e2 = common - b2e * (env0.a2M / env0.c2L) * (enve.c2M / enve.b2L)
+    t = np.linspace(0.0, cs.period, DETERMINACY_SAMPLES, endpoint=False)
+    e1, e2 = h2_expressions(shifted, compute_envelopes(cs.baselines()),
+                            compute_envelopes(shifted), t)
     return float(np.min(e1)), float(np.min(e2))
 
 
@@ -101,8 +105,8 @@ class AnsatzPair:
 
 
 def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
-                      kind: str = "random", kernel: Optional[Kernel] = None,
-                      n_samples: int = N_TIME_DEFAULT) -> AnsatzPair:
+                      kind: str = "random", kernel: Optional[Kernel] = None
+                      ) -> AnsatzPair:
     """First component: phi(t) = exp(int_0^t (alpha - mean alpha)), the
     normalized positive periodic solution of the scalar reduction, with
     lam(mu) = mean alpha.  Second component: the unique periodic solution of
@@ -114,10 +118,10 @@ def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
         raise PreconditionError(
             f"inflated determinacy margins ({m1:.3e}, {m2:.3e}) must be "
             "positive; reduce eps")
-    v0 = logistic_orbit(base.a2.baseline, base.c2.baseline, n_samples)
+    v0 = logistic_orbit(base.a2.baseline, base.c2.baseline)
     period = cs.period
     tilt = homogeneous_growth_exponent(mu, 0.0, kind, kernel)
-    t = np.linspace(0.0, period, n_samples + 1)
+    t = np.linspace(0.0, period, N_TIME_DEFAULT + 1)
     alpha = tilt + sh.a1.baseline(t) - sh.c1.baseline(t) * v0.value(t)
     A = cumulative_simpson(alpha, t)
     lam = float(A[-1] / period)
@@ -132,12 +136,12 @@ def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
     def forcing(tt):
         return sh.b2.baseline(tt) * v0.value(tt) * phi.value(tt)
 
-    mean_alpha_psi = periodic_mean(alpha_psi, period, n_samples)
+    mean_alpha_psi = periodic_mean(alpha_psi, period)
     if mean_alpha_psi >= 0.0:
         raise PreconditionError(
             "the forced component needs a decaying homogeneous part "
             f"(mean {mean_alpha_psi:.3e} >= 0)")
-    psi = nonhomogeneous_periodic(alpha_psi, forcing, period, n_samples)
+    psi = nonhomogeneous_periodic(alpha_psi, forcing, period)
     return AnsatzPair(phi, psi, lam, mu, eps, sh, v0, kind, kernel)
 
 
@@ -191,13 +195,12 @@ def build_supersolution(cs: CoefficientSet, eps: float,
                         kind: str = "random",
                         kernel: Optional[Kernel] = None,
                         K_init: float = 10.0,
-                        region_floor: Optional[float] = None,
-                        initial_data: Optional[tuple[np.ndarray, np.ndarray, Grid]] = None,
-                        resident_fields: Sequence[PeriodicField] = ()
+                        initial_data: Optional[tuple[np.ndarray, np.ndarray, Grid]] = None
                         ) -> SupersolutionSpec:
     """Assemble the super-solution at the minimizing decay rate.  K starts
     at K_init and doubles until the cutoff clears the localized coefficient
-    region (and any given initial data is dominated at t = 0)."""
+    region by REGION_CLEARANCE (and any given initial data is dominated at
+    t = 0)."""
     # The dispersion minimum of the inflated family, with the resident
     # orbit of the base family.
     base = cs.baselines()
@@ -212,9 +215,7 @@ def build_supersolution(cs: CoefficientSet, eps: float,
     mu_star, c_star = theo.mu_star, theo.value
     pair = build_ansatz_pair(cs, eps, mu_star, kind, kernel)
     u0 = logistic_orbit(base.a1.baseline, base.b1.baseline)
-    sups = [u0.sup(), pair.v0.sup()]
-    sups.extend(f.sup() for f in resident_fields)
-    M_star = max(sups)
+    M_star = max(u0.sup(), pair.v0.sup())
     ratio = pair.psi.values / pair.phi.values
     m_star = float(np.min(ratio))
     if m_star <= 0.0:
@@ -223,8 +224,7 @@ def build_supersolution(cs: CoefficientSet, eps: float,
     enve = compute_envelopes(pair.shifted)
     K_star = k * M_star * enve.b2M
 
-    if region_floor is None:
-        region_floor = cs.max_support_radius() + 2.0
+    region_floor = cs.max_support_radius() + REGION_CLEARANCE
     K = K_init
     for _ in range(200):
         spec = SupersolutionSpec(pair, c_star, K, k, M_star, m_star, K_star)
@@ -420,9 +420,7 @@ class CoexistenceResult:
 
 def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None,
                          seed_eps: float = 1e-2, tol: float = 1e-6,
-                         max_periods: int = 3000,
-                         mono_slack: float = 1e-10,
-                         resident_tol: float = 1e-12) -> CoexistenceResult:
+                         max_periods: int = 3000) -> CoexistenceResult:
     """Squeeze a periodic coexistence state between the period-map iterates
     of an upper pair (u-resident, small invader) and a lower pair (small
     invader, v-resident).  Requires both homogeneous residents to be
@@ -436,8 +434,8 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
     recorded here rather than resolved."""
     if scheme is None:
         scheme = make_scheme(problem)
-    ustar = compute_semitrivial("u", problem, scheme, tol=resident_tol)
-    vstar = compute_semitrivial("v", problem, scheme, tol=resident_tol)
+    ustar = compute_semitrivial("u", problem, scheme, tol=RESIDENT_TOL)
+    vstar = compute_semitrivial("v", problem, scheme, tol=RESIDENT_TOL)
     ver_u = linearized_radius("u", problem, ustar)
     ver_v = linearized_radius("v", problem, vstar)
     if not (ver_u.unstable and ver_v.unstable):
@@ -448,7 +446,7 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
     prof_u = ver_v.spectrum.profile
 
     stepper = Stepper(problem, scheme)
-    first_slack = max(mono_slack, 10.0 * max(ustar.residual, vstar.residual))
+    first_slack = max(MONO_SLACK, 10.0 * max(ustar.residual, vstar.residual))
 
     eps = seed_eps
     for _ in range(6):
@@ -465,7 +463,7 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
         up_u, up_v, lo_u, lo_v = fields
         new_up = stepper.run_period(up_u, up_v)
         new_lo = stepper.run_period(lo_u, lo_v)
-        slack = first_slack if period == 0 else mono_slack
+        slack = first_slack if period == 0 else MONO_SLACK
         period += 1
         viol = max(float(np.max(new_up[0] - up_u)),
                    float(np.max(up_v - new_up[1])),
@@ -541,7 +539,6 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
                       n_trials: int = 5, seed: int = 0,
                       mode: str = "auto", settle_tol: float = 1e-6,
                       max_periods: int = 2000,
-                      failure_floor: float = 1e-8,
                       initials: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None
                       ) -> PersistenceReport:
     """Run an ensemble of strictly positive initial states and report the
@@ -586,7 +583,7 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
         else:
             eta = min(float(np.min(u)),
                       float(np.min(vstar.frames[0] - v)))
-        failed = eta < failure_floor
+        failed = eta < FAILURE_FLOOR
         failures += int(failed)
         trials.append(PersistenceTrial(periods, eta, failed,
                                        delta < settle_tol))

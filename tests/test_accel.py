@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from compspread import _accel, bench
+from compspread import _accel
 from compspread.errors import NumericalGuardError, PreconditionError
 
 
@@ -41,15 +41,6 @@ def test_logistic_step_scalar_selflim_matches_field(rng):
     rate = rng.uniform(-0.5, 1.0, 64)
     field = _accel.logistic_step(u, rate, np.full(64, 0.7), 0.01)
     assert np.array_equal(_accel.logistic_step(u, rate, 0.7, 0.01), field)
-
-
-def test_bench_returns_one_row_per_kernel_and_size():
-    rows = bench.run(sizes=(11, 21), kernel_taps=5, repeats=2)
-    kernels = {r["kernel"] for r in rows}
-    assert len(kernels) == 3
-    assert sorted((r["kernel"], r["n"]) for r in rows) == sorted(
-        (k, n) for k in kernels for n in (11, 21))
-    assert all(r["us"] > 0.0 for r in rows)
 
 
 def _logistic_formula(u, rate, selflim, dt):
@@ -95,14 +86,6 @@ def test_tridiag_factor_two_points_solves_or_refuses(r, rng):
                                rtol=1e-12, atol=0.0)
 
 
-def test_bench_steps_returns_one_row_per_kind_and_size():
-    rows = bench.run_steps(sizes=(41, 61), repeats=2)
-    assert sorted((r["kernel"], r["n"]) for r in rows) == sorted(
-        (f"split step ({kind})", n) for kind in ("random", "nonlocal")
-        for n in (41, 61))
-    assert all(r["us"] > 0.0 for r in rows)
-
-
 @pytest.mark.parametrize("n", [2, 3, 301, 4001])
 @pytest.mark.parametrize("r", [0.25, 0.5])
 def test_crank_nicolson_matches_dense_product(n, r, rng):
@@ -137,11 +120,3 @@ def test_correlate_ext_is_bitwise_the_concatenated_form(n, taps, rng):
     padded = np.concatenate((np.full(m, u[0]), u, np.full(m, u[-1])))
     assert np.array_equal(_accel.correlate_ext(u, w),
                           np.correlate(padded, w, mode="valid"))
-
-
-def test_bench_linear_periods_returns_one_row_per_case():
-    cases = (("random", 21), ("nonlocal", 31))
-    rows = bench.run_linear_periods(sizes=cases, repeats=1)
-    assert [(r["kernel"], r["n"]) for r in rows] == [
-        (f"linear period map ({kind})", n) for kind, n in cases]
-    assert all(r["us"] > 0.0 for r in rows)

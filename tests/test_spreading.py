@@ -118,6 +118,32 @@ def test_speed_interval_homogeneous_reduction(canonical_set):
     assert result.upper.r_squared > 0.999
 
 
+def test_speed_interval_fails_fast_without_a_fit_window(monkeypatch):
+    # The fixed nonlocal interval run of the benchmark's fronts workload: at
+    # c0* ~ 0.80 the leading edge needs about 84.5 of the 100 periods to
+    # clear the localized region, fewer than the 30 a fit needs remain, and
+    # no front is simulated.
+    from compspread import spreading
+    from compspread.config import parse_config
+
+    def front_run(*args, **kwargs):
+        raise AssertionError("the front run was started")
+
+    monkeypatch.setattr(spreading, "run_transformed", front_run)
+    coeffs = {name: {"constant": value} for name, value in
+              zip(("b1", "c1", "a2", "b2", "c2"), (1.0, 0.5, 0.4, 0.5, 1.0))}
+    coeffs["a1"] = {"harmonic": {"mean": 1.0, "amplitude": 0.1, "phase": 0.0},
+                    "bump": {"amplitude": 0.3, "width": 4.0, "ramp": 0.5}}
+    cfg = parse_config({
+        "coefficients": {"period": 1.0, **coeffs},
+        "grid": {"x_min": -40.0, "x_max": 260.0, "n": 3001},
+        "kernel": {"shape": "uniform", "radius": 1.0},
+        "scheme": {"steps_per_period": 200},
+        "scenario": {"name": "interval"}})
+    with pytest.raises(PreconditionError, match="leaving 15.5 of 100 periods"):
+        speed_interval(cfg.problem(), cfg.scheme, 100, -20.0, 2.0)
+
+
 def test_theta_sensitivity_of_front_fits(canonical_set):
     # the front is steep: fitted slopes barely depend on the level
     from compspread.periodic_orbits import logistic_orbit
