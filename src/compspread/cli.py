@@ -191,7 +191,7 @@ def cmd_destabilize(cfg: RunConfig, out_dir: Path, args) -> int:
     if cfg.kernel is not None:
         kernel_spec = (cfg.kernel.shape, cfg.kernel.nominal_radius)
     result = destabilizing_bump(
-        cfg.coefficients, kind=cfg.kind, kernel_spec=kernel_spec,
+        cfg.coefficients, kernel_spec=kernel_spec,
         widths=tuple(sc.get("widths", (1.0, 2.0, 4.0, 8.0))),
         h=float(sc.get("h", 0.1)), pad=float(sc.get("pad", 25.0)))
     writer = ResultWriter(out_dir, cfg)
@@ -220,8 +220,7 @@ def cmd_verify_super(cfg: RunConfig, out_dir: Path, args) -> int:
     res_phi, res_psi = ansatz_equation_residual(spec)
     times = np.linspace(0.0, cfg.coefficients.period,
                         int(sc.get("time_samples", 17)))
-    report = supersolution_residual(spec, cfg.grid, times,
-                                    kernel=cfg.kernel)
+    report = supersolution_residual(spec, cfg.grid, times)
     writer = ResultWriter(out_dir, cfg)
     if "json" in cfg.output_formats:
         write_json(writer.path("verify.json"), {

@@ -79,8 +79,6 @@ class PeriodicScalar:
         val = np.interp(tau, knots[:, 0], knots[:, 1])
         return val if t.ndim else float(val)
 
-    value = __call__
-
     def shifted(self, delta: float) -> "PeriodicScalar":
         """The same descriptor with ``delta`` added everywhere."""
         if self.kind == "constant":
@@ -144,8 +142,6 @@ class SpatialBump:
             prof = np.clip((self.plateau + self.ramp - ax) / self.ramp, 0.0, 1.0)
         val = self.amplitude * prof
         return val if x.ndim else float(val)
-
-    value = __call__
 
 
 @dataclass(frozen=True)

@@ -98,14 +98,12 @@ def parse_kernel(d: dict, grid: Grid) -> Kernel:
     return Kernel.build(str(d["shape"]), float(d["radius"]), grid.h)
 
 
-def parse_scheme(d: dict, period: float, kind: str) -> SchemeConfig:
-    _require_keys(d, {"dt", "steps_per_period", "mode", "cadence"}, "scheme")
+def parse_scheme(d: dict, period: float) -> SchemeConfig:
+    _require_keys(d, {"dt", "steps_per_period"}, "scheme")
     if ("dt" in d) == ("steps_per_period" in d):
         raise ConfigError("scheme needs exactly one of dt or steps_per_period")
-    dt = float(d["dt"]) if "dt" in d else period / int(d["steps_per_period"])
-    mode = d.get("mode", "diffusion-implicit" if kind == "random" else "explicit")
-    cadence = int(d["cadence"]) if "cadence" in d else None
-    return SchemeConfig(dt, kind, mode, cadence)
+    return SchemeConfig(float(d["dt"]) if "dt" in d
+                        else period / int(d["steps_per_period"]))
 
 
 @dataclass
@@ -147,8 +145,7 @@ def parse_config(raw: dict) -> RunConfig:
         if grid is None:
             raise ConfigError("kernel requires a grid section")
         kernel = parse_kernel(raw["kernel"], grid)
-    kind = "nonlocal" if kernel is not None else "random"
-    scheme = (parse_scheme(raw["scheme"], cs.period, kind)
+    scheme = (parse_scheme(raw["scheme"], cs.period)
               if "scheme" in raw else None)
     scenario = raw.get("scenario", {})
     if not isinstance(scenario, dict) or "name" not in scenario:

@@ -37,9 +37,6 @@ class PeriodicOrbit:
         tau = np.mod(t, self.period)
         return np.interp(tau, self.times, self.values)
 
-    def mean(self) -> float:
-        return float(np.mean(self.values[:-1]))
-
     def sup(self) -> float:
         return float(np.max(self.values))
 

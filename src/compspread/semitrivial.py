@@ -246,13 +246,15 @@ class DestabilizationResult:
     scanned: list
 
 
-def destabilizing_bump(cs: CoefficientSet, kind: str = "random",
+def destabilizing_bump(cs: CoefficientSet,
                        kernel_spec: Optional[tuple[str, float]] = None,
                        widths: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0),
                        h: float = 0.1, pad: float = 25.0
                        ) -> DestabilizationResult:
     """Find the smallest-amplitude compact growth bump on the v-species that
     flips the stable homogeneous resident (u alone) to linearly unstable.
+    The search uses nonlocal dispersal with the kernel (shape, radius) when
+    kernel_spec is given, random dispersal otherwise.
 
     Requires the homogeneous invasion exponent mean(a2 - b2*u_orbit) to be
     negative; the bump must contribute a growth exponent exceeding its
@@ -270,6 +272,7 @@ def destabilizing_bump(cs: CoefficientSet, kind: str = "random",
             "homogeneous resident is already unstable "
             f"(mean invasion exponent {mean_resid:.3e} >= 0)")
     threshold = -mean_resid
+    kind = "random" if kernel_spec is None else "nonlocal"
 
     scanned = []
     for amp in BUMP_AMPLITUDES:
@@ -278,8 +281,8 @@ def destabilizing_bump(cs: CoefficientSet, kind: str = "random",
             span = width / 2.0 + pad
             m = int(np.ceil(span / h))
             grid = Grid(-m * h, m * h, 2 * m + 1)
-            kernel = (Kernel.build(kernel_spec[0], kernel_spec[1], grid.h)
-                      if kind == "nonlocal" else None)
+            kernel = (None if kernel_spec is None
+                      else Kernel.build(kernel_spec[0], kernel_spec[1], grid.h))
             p = LinearProblem(0.0, kind, grid, cs.period, baseline=0.0,
                               bump=bump, kernel=kernel)
             verdict = radius_threshold_test(p, threshold)

@@ -29,9 +29,6 @@ class SystemState:
     u: np.ndarray
     v: np.ndarray
 
-    def copy(self) -> "SystemState":
-        return SystemState(self.t, self.u.copy(), self.v.copy())
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -68,13 +65,10 @@ def _field_sup(fld) -> float:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Step size and stepping mode; dt must divide the period exactly so
-    period maps are well defined."""
+    """Step size; dt must divide the period exactly so period maps are
+    well defined.  The problem's kernel decides the dispersal substep."""
 
     dt: float
-    kind: str
-    mode: str = "diffusion-implicit"
-    cadence: Optional[int] = None
 
     def steps_per_period(self, period: float) -> int:
         spp = period / self.dt
@@ -83,43 +77,26 @@ class SchemeConfig:
         return int(round(spp))
 
     def validate(self, problem: Problem) -> None:
-        if self.kind not in ("random", "nonlocal"):
-            raise ConfigError(f"unknown dispersal kind {self.kind!r}")
-        if self.mode not in ("explicit", "diffusion-implicit"):
-            raise ConfigError(f"unknown stepping mode {self.mode!r}")
         self.steps_per_period(problem.coefficients.period)
-        if self.kind == "random":
-            h2 = problem.grid.h ** 2
-            bound = 0.5 * h2 if self.mode == "explicit" else h2
+        if problem.kernel is None:
+            bound = problem.grid.h ** 2
             if self.dt > bound * (1.0 + 1e-12):
                 raise NumericalGuardError(
                     f"dt={self.dt:.4g} exceeds the monotone bound "
-                    f"{bound:.4g} for {self.mode} random dispersal")
-        else:
-            if self.mode != "explicit":
-                raise ConfigError("nonlocal dispersal uses the explicit mode")
-            if problem.kernel is None:
-                raise ConfigError("nonlocal scheme requires a kernel")
-            if self.dt > 0.5 + 1e-12:
-                raise NumericalGuardError(
-                    f"dt={self.dt:.4g} exceeds the nonlocal bound 0.5")
+                    f"{bound:.4g} for random dispersal")
+        elif self.dt > 0.5 + 1e-12:
+            raise NumericalGuardError(
+                f"dt={self.dt:.4g} exceeds the nonlocal bound 0.5")
 
 
-def make_scheme(problem: Problem, steps_per_period: Optional[int] = None,
-                mode: Optional[str] = None,
-                cadence: Optional[int] = None) -> SchemeConfig:
+def make_scheme(problem: Problem,
+                steps_per_period: Optional[int] = None) -> SchemeConfig:
     """Choose a period-dividing dt within the stability bounds."""
     period = problem.coefficients.period
-    kind = problem.kind
-    if mode is None:
-        mode = "diffusion-implicit" if kind == "random" else "explicit"
     if steps_per_period is None:
-        if kind == "random":
-            bound = problem.grid.h ** 2 * (0.5 if mode == "explicit" else 1.0)
-        else:
-            bound = 0.5
+        bound = problem.grid.h ** 2 if problem.kernel is None else 0.5
         steps_per_period = max(8, int(np.ceil(period / bound)))
-    scheme = SchemeConfig(period / steps_per_period, kind, mode, cadence)
+    scheme = SchemeConfig(period / steps_per_period)
     scheme.validate(problem)
     return scheme
 
@@ -138,7 +115,6 @@ class Stepper:
     def __init__(self, problem: Problem, scheme: SchemeConfig):
         scheme.validate(problem)
         self.problem = problem
-        self.scheme = scheme
         self.dt = scheme.dt
         self.period = problem.coefficients.period
         self.spp = scheme.steps_per_period(self.period)
@@ -151,13 +127,9 @@ class Stepper:
         self._phase_coefs = list(zip(*(
             fields[name].baseline(t_mid).tolist()
             for name in _COEFFS)))
-        if scheme.kind == "random":
-            self._inv_h2 = 1.0 / self.grid.h ** 2
-            if scheme.mode == "diffusion-implicit":
-                self._r = 0.5 * self.dt * self._inv_h2
-                self._cn = _accel.TridiagFactor(self.grid.n, self._r)
-            else:
-                self._cn = None
+        if problem.kernel is None:
+            self._r = 0.5 * self.dt * (1.0 / self.grid.h ** 2)
+            self._cn = _accel.TridiagFactor(self.grid.n, self._r)
         else:
             self._weights = problem.kernel.weights * problem.kernel.h
 
@@ -177,10 +149,8 @@ class Stepper:
         return periods * self.period + phase * self.period / self.spp
 
     def _disperse(self, w: np.ndarray) -> np.ndarray:
-        if self.scheme.kind == "random":
-            if self._cn is not None:
-                return self._cn.solve(_accel.cn_explicit_half(w, self._r))
-            return w + self.dt * _accel.second_diff(w, self._inv_h2)
+        if self.problem.kernel is None:
+            return self._cn.solve(_accel.cn_explicit_half(w, self._r))
         # w + dt*(K*w - w), operation for operation, in place.
         out = _accel.correlate_ext(w, self._weights)
         out -= w
@@ -269,7 +239,7 @@ def step(state: SystemState, problem: Problem,
 # ---------------------------------------------------------------------------
 
 class Observer:
-    """Samples one scalar from the state at the recording cadence."""
+    """Samples one scalar from the state at each period end."""
 
     name = "observer"
 
@@ -355,7 +325,6 @@ class MagnitudeFrontObserver(Observer):
 class RunRecords:
     times: np.ndarray
     series: dict[str, np.ndarray]
-    period_marks: np.ndarray
     period_delta: np.ndarray
 
     def to_csv(self, path) -> None:
@@ -369,44 +338,39 @@ def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
                     observers: Sequence[Observer], advance: Callable
                     ) -> tuple[SystemState, RunRecords]:
     """Advance n whole periods with advance(u, v, k), which takes the
-    fields from lattice index k to k + 1; sample observers at the cadence
-    (default once per period) and record period marks and period-to-period
-    sup deltas.  Every sampled and every period-end state is checked for
-    nonfinite values first."""
+    fields from lattice index k to k + 1.  At each period end the state is
+    checked for nonfinite values, the observers sample it and the sup
+    change from the previous period end is recorded."""
     spp = stepper.spp
-    cadence = stepper.scheme.cadence or spp
     times: list[float] = []
     series: dict[str, list[float]] = {obs.name: [] for obs in observers}
-    marks: list[float] = []
     deltas: list[float] = []
-    prev_mark: Optional[tuple[np.ndarray, np.ndarray]] = None
-    k0 = stepper.step_index(state.t)
-    for j in range(1, n_periods * spp + 1):
-        u, v = advance(state.u, state.v, k0 + j - 1)
-        state = SystemState(stepper.time_at(k0 + j), u, v)
-        sample, mark = j % cadence == 0, j % spp == 0
-        if sample or mark:
-            _guard_finite(u, v, state.t, stepper.grid)
-        if sample:
-            times.append(state.t)
-            for obs in observers:
-                series[obs.name].append(obs.sample(state))
-        if mark:
-            marks.append(state.t)
-            if prev_mark is not None:
-                deltas.append(_sup_change((u, v), prev_mark))
-            prev_mark = (u, v)
+    k = stepper.step_index(state.t)
+    for p in range(n_periods):
+        u, v = state.u, state.v
+        for _ in range(spp):
+            u, v = advance(u, v, k)
+            k += 1
+        t = stepper.time_at(k)
+        _guard_finite(u, v, t, stepper.grid)
+        if p:
+            deltas.append(_sup_change((u, v), (state.u, state.v)))
+        state = SystemState(t, u, v)
+        times.append(t)
+        for obs in observers:
+            series[obs.name].append(obs.sample(state))
     records = RunRecords(np.asarray(times),
-                         {k: np.asarray(v) for k, v in series.items()},
-                         np.asarray(marks), np.asarray(deltas))
+                         {name: np.asarray(vals)
+                          for name, vals in series.items()},
+                         np.asarray(deltas))
     return state, records
 
 
 def run_periods(state: SystemState, problem: Problem, scheme: SchemeConfig,
                 n_periods: int, observers: Sequence[Observer] = ()
                 ) -> tuple[SystemState, RunRecords]:
-    """Advance n whole periods, sampling observers at the cadence (default
-    once per period) and recording period-to-period sup deltas."""
+    """Advance n whole periods, sampling observers once per period and
+    recording period-to-period sup deltas."""
     stepper = Stepper(problem, scheme)
     return _record_periods(
         stepper, state, n_periods, observers,

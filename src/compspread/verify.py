@@ -120,29 +120,22 @@ def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
             "positive; reduce eps")
     v0 = logistic_orbit(base.a2.baseline, base.c2.baseline)
     period = cs.period
-    tilt = homogeneous_growth_exponent(mu, 0.0, kind, kernel)
+    # phi, psi and lam are filled in as they are solved for: alpha_phi
+    # needs none of them, alpha_psi needs lam and forcing needs phi.
+    pair = AnsatzPair(None, None, 0.0, mu, eps, sh, v0, kind, kernel)
     t = np.linspace(0.0, period, N_TIME_DEFAULT + 1)
-    alpha = tilt + sh.a1.baseline(t) - sh.c1.baseline(t) * v0.value(t)
-    A = cumulative_simpson(alpha, t)
-    lam = float(A[-1] / period)
-    phi_vals = np.exp(A - lam * t)
-    phi = PeriodicOrbit(period, t, phi_vals,
-                        abs(phi_vals[-1] - phi_vals[0]))
-
-    def alpha_psi(tt):
-        return (tilt - lam + sh.a2.baseline(tt)
-                - 2.0 * sh.c2.baseline(tt) * v0.value(tt))
-
-    def forcing(tt):
-        return sh.b2.baseline(tt) * v0.value(tt) * phi.value(tt)
-
-    mean_alpha_psi = periodic_mean(alpha_psi, period)
+    A = cumulative_simpson(pair.alpha_phi(t), t)
+    pair.lam = float(A[-1] / period)
+    phi_vals = np.exp(A - pair.lam * t)
+    pair.phi = PeriodicOrbit(period, t, phi_vals,
+                             abs(phi_vals[-1] - phi_vals[0]))
+    mean_alpha_psi = periodic_mean(pair.alpha_psi, period)
     if mean_alpha_psi >= 0.0:
         raise PreconditionError(
             "the forced component needs a decaying homogeneous part "
             f"(mean {mean_alpha_psi:.3e} >= 0)")
-    psi = nonhomogeneous_periodic(alpha_psi, forcing, period)
-    return AnsatzPair(phi, psi, lam, mu, eps, sh, v0, kind, kernel)
+    pair.psi = nonhomogeneous_periodic(pair.alpha_psi, pair.forcing, period)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +308,6 @@ class ResidualReport:
 
 def supersolution_residual(spec: SupersolutionSpec, grid: Grid,
                            times: np.ndarray, dt: float = 0.0,
-                           kernel: Optional[Kernel] = None,
                            region: str = "ahead") -> ResidualReport:
     """Evaluate both super-solution residuals pointwise on the moving region
     x >= xi(t; K) (time derivatives analytic from the ansatz equations, the
@@ -327,10 +319,9 @@ def supersolution_residual(spec: SupersolutionSpec, grid: Grid,
     x = grid.x
     mu, lam, c = spec.mu, spec.lam, spec.c
     h = grid.h
-    kern = kernel if kernel is not None else pair.kernel
     interior = np.ones(grid.n, dtype=bool)
     if pair.kind == "nonlocal":
-        m = kern.half_width
+        m = pair.kernel.half_width
         interior[:m] = interior[-m:] = False
     else:
         interior[0] = interior[-1] = False
@@ -349,8 +340,8 @@ def supersolution_residual(spec: SupersolutionSpec, grid: Grid,
         vt = vp * (mu * c + pair.alpha_psi(t)) \
             + spec.K * pair.forcing(t) * spec.envelope(t, x)
         if pair.kind == "nonlocal":
-            Au = apply_nonlocal(up, grid, kern)
-            Av = apply_nonlocal(vp, grid, kern)
+            Au = apply_nonlocal(up, grid, pair.kernel)
+            Av = apply_nonlocal(vp, grid, pair.kernel)
         else:
             Au = apply_random(up, grid)
             Av = apply_random(vp, grid)

@@ -80,6 +80,18 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [{"mode": "explicit"}, {"cadence": 10}])
+def test_scheme_takes_only_a_step_size(tmp_path, capsys, extra):
+    # The kernel section decides the dispersal substep and observers
+    # sample once per period, so the scheme section has no other key.
+    bad = _speed_config()
+    bad["scheme"] = {"steps_per_period": 100, **extra}
+    cfg = _write_config(tmp_path, bad)
+    assert main(["speed", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
 def test_hypothesis_failure_is_exit_3(tmp_path, capsys):
     cfg_dict = _speed_config()
     cfg_dict["coefficients"] = dict(CANONICAL, a1={"constant": 0.1})

@@ -146,6 +146,14 @@ def test_monotonicity_chain_for_nonnegative_bumps(canonical_set):
         assert verdict.lam >= -0.1 - 1e-5
 
 
+def test_destabilizing_bump_search_nonlocal(canonical_set):
+    # a kernel spec alone selects the nonlocal search
+    result = destabilizing_bump(canonical_set, kernel_spec=("uniform", 1.0))
+    assert result.bump.amplitude == pytest.approx(0.15)
+    assert 2 * result.bump.plateau == pytest.approx(4.0)
+    assert result.lam_total > 0.0
+
+
 def test_destabilize_requires_stable_start(weak_set):
     with pytest.raises(PreconditionError):
         destabilizing_bump(weak_set)  # already unstable: mean = 1 - 0.5/2 > 0

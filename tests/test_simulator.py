@@ -75,23 +75,9 @@ def test_run_zero_periods_returns_input(canonical_set):
 
 def test_dt_must_divide_period(canonical_set):
     problem = _tiny_problem(canonical_set)
-    scheme = SchemeConfig(dt=0.03, kind="random")
+    scheme = SchemeConfig(dt=0.03)
     with pytest.raises(ConfigError):
         scheme.validate(problem)
-
-
-def test_explicit_stability_bound(canonical_set):
-    problem = Problem(canonical_set, Grid(-1.0, 1.0, 101))  # h = 0.02
-    with pytest.raises(NumericalGuardError):
-        SchemeConfig(dt=0.01, kind="random", mode="explicit").validate(problem)
-
-
-def test_nonlocal_requires_explicit(canonical_set):
-    g = Grid(-5.0, 5.0, 101)
-    problem = Problem(canonical_set, g, Kernel.build("uniform", 1.0, g.h))
-    with pytest.raises(ConfigError):
-        SchemeConfig(dt=0.1, kind="nonlocal",
-                     mode="diffusion-implicit").validate(problem)
 
 
 def test_blowup_guard(canonical_set):
@@ -310,11 +296,11 @@ def test_period_marks_are_exact_multiples_of_the_period():
     scheme = make_scheme(problem, steps_per_period=30)
     state = SystemState(0.0, np.full(11, 0.5), np.full(11, 0.2))
     end, rec = run_periods(state, problem, scheme, 7)
-    assert np.array_equal(rec.period_marks, np.arange(1, 8) * period)
+    assert np.array_equal(rec.times, np.arange(1, 8) * period)
     assert end.t == 7 * period
     frames = np.full((30, 11), 0.4)
     _, rec = run_transformed(end, problem, scheme, frames, 3)
-    assert np.array_equal(rec.period_marks, np.arange(8, 11) * period)
+    assert np.array_equal(rec.times, np.arange(8, 11) * period)
 
 
 @pytest.mark.parametrize("kind", ["random", "nonlocal"])
