@@ -1,12 +1,14 @@
 """Configuration-driven command line: every computation as a subcommand.
 
 Exit codes: 0 success, 2 configuration error, 3 precondition (hypothesis)
-failure, 4 convergence failure, 5 numerical guard.
+failure, 4 convergence failure, 5 numerical guard.  On exit codes 2-5 the
+error is also written to ``error.json`` in the output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -15,7 +17,7 @@ import numpy as np
 
 from .config import (ResultWriter, RunConfig, load_config, parse_config,
                      write_csv, write_json, write_svg_polyline)
-from .errors import CompspreadError, ConfigError
+from .errors import CompspreadError, ConfigError, ConvergenceError
 from .presets import preset_config
 from .simulator import (FrontObserver, SystemState, make_scheme, ramp_profile,
                         run_periods, snapshot_to_csv)
@@ -349,6 +351,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_safe(obj):
+    """obj as plain JSON values: numpy scalars and arrays become Python
+    numbers and lists, tuples become lists, and a nonfinite float becomes
+    its name ("inf", "nan")."""
+    if isinstance(obj, dict):
+        return {str(k): _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    return str(obj)
+
+
+def _write_error(out_dir: Path, exc: CompspreadError) -> None:
+    """error.json in out_dir: the error's type, message and exit code, and
+    a ConvergenceError's diagnostics.  It is not a result file, so no
+    manifest lists it."""
+    record = {"type": type(exc).__name__, "message": str(exc),
+              "exit_code": exc.exit_code}
+    if isinstance(exc, ConvergenceError):
+        record["diagnostics"] = _json_safe(exc.diagnostics)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "error.json", record)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -360,6 +393,8 @@ def main(argv=None) -> int:
         return handler(cfg, args.out, args)
     except CompspreadError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        if 2 <= exc.exit_code <= 5:
+            _write_error(args.out, exc)
         return exc.exit_code
 
 

@@ -92,7 +92,9 @@ def compute_semitrivial(species: str, problem: Problem,
                         seed_scale: float = 1.0) -> PeriodicField:
     """Attracting periodic state of one species alone, found by long-run
     integration from the homogeneous orbit level until the period map is
-    stationary.  Spatially homogeneous coefficients take a scalar fast
+    stationary.  The absent competitor is an identically zero field, which
+    :meth:`Stepper.step_arrays` passes through without dispersing or
+    reacting it.  Spatially homogeneous coefficients take a scalar fast
     path; the stored frames always use the scheme's step lattice."""
     if species not in _SPECIES_COEFFS:
         raise PreconditionError("species must be 'u' or 'v'")

@@ -161,17 +161,26 @@ class Stepper:
     def step_arrays(self, u: np.ndarray, v: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray]:
         """(u, v) one step after time t, which must lie on the step
-        lattice.  The inputs are never modified."""
+        lattice.  The inputs are never modified.
+
+        A species with no nonzero entry skips both substeps and comes
+        back as fresh +0.0 zeros: linear dispersal maps 0 to 0 and
+        logistic_step(0, ...) is 0*e^x/(1 + 0), so the result is the
+        stepped one, except where e^x would overflow and turn 0 into NaN.
+        A NaN field counts as live and is stepped."""
         base = self._phase_coefs[self.step_index(t) % self.spp]
-        u = self._disperse(u)
-        v = self._disperse(v)
+        live_u, live_v = u.any(), v.any()
+        u = self._disperse(u) if live_u else np.zeros(u.shape)
+        v = self._disperse(v) if live_v else np.zeros(v.shape)
         a1, b1, c1, a2, b2, c2 = (
             c + bump for c, bump in zip(base, self._bumps))
         # Frozen-competitor rates use the post-dispersal fields of both
         # species, keeping the update symmetric and order-preserving.  A
         # spatially constant b1 or c2 stays a scalar and broadcasts.
-        u_new = _accel.logistic_step(u, a1 - c1 * v, b1, self.dt)
-        v_new = _accel.logistic_step(v, a2 - b2 * u, c2, self.dt)
+        u_new = (_accel.logistic_step(u, a1 - c1 * v, b1, self.dt)
+                 if live_u else u)
+        v_new = (_accel.logistic_step(v, a2 - b2 * u, c2, self.dt)
+                 if live_v else v)
         return u_new, v_new
 
     def period_steps(self, u: np.ndarray, v: np.ndarray):

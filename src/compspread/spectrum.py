@@ -75,6 +75,8 @@ class LinearProblem:
             raise PreconditionError(f"unknown dispersal kind {self.kind!r}")
         if self.kind == "nonlocal" and self.kernel is None:
             raise PreconditionError("nonlocal dispersal requires a kernel")
+        if self.kind == "random" and self.kernel is not None:
+            raise PreconditionError("random dispersal takes no kernel")
         if self.mu < 0.0:
             raise PreconditionError("tilt must be nonnegative")
         if self.mu > 0.0 and (self.bump is not None or self.coef_table is not None):
@@ -369,6 +371,8 @@ def homogeneous_growth_exponent(mu: float, mean_a: float, kind: str,
     """Closed-form exponent for x-independent coefficients: only the mean of
     the coefficient and the tilt scalar enter."""
     if kind == "random":
+        if kernel is not None:
+            raise PreconditionError("random dispersal takes no kernel")
         return mu * mu + mean_a
     if kernel is None:
         raise PreconditionError("nonlocal exponent requires a kernel")

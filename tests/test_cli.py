@@ -102,6 +102,66 @@ def test_hypothesis_failure_is_exit_3(tmp_path, capsys):
     assert "invasion" in err or "exclusion" in err
 
 
+def test_precondition_failure_writes_error_json(tmp_path):
+    # The nonlocal interval run of the benchmark's fronts workload stops
+    # before simulating; the output directory does not exist beforehand.
+    coeffs = dict(CANONICAL, a1={
+        "harmonic": {"mean": 1.0, "amplitude": 0.1, "phase": 0.0},
+        "bump": {"amplitude": 0.3, "width": 4.0, "ramp": 0.5}})
+    cfg = _write_config(tmp_path, {
+        "coefficients": coeffs,
+        "grid": {"x_min": -40.0, "x_max": 260.0, "n": 3001},
+        "kernel": {"shape": "uniform", "radius": 1.0},
+        "scheme": {"steps_per_period": 200},
+        "scenario": {"name": "interval", "periods": 100, "x0": -20.0,
+                     "ramp": 2.0},
+        "output": {"formats": ["csv", "json"]}})
+    out = tmp_path / "new" / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "PreconditionError"
+    assert record["exit_code"] == 3
+    assert "leaving 15.5 of 100 periods" in record["message"]
+    assert "diagnostics" not in record
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+def test_convergence_failure_writes_diagnostics(tmp_path):
+    out = tmp_path / "o"
+    assert main(["coexist", "--preset", "thm41-coexistence", "--periods", "1",
+                 "--out", str(out)]) == 4
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConvergenceError"
+    assert record["exit_code"] == 4
+    assert "did not converge in 1 periods" in record["message"]
+    assert record["diagnostics"]["wrap"] > 1e-6
+
+
+def test_error_json_diagnostics_are_plain_json(tmp_path, monkeypatch):
+    from compspread import cli
+    from compspread.errors import ConvergenceError
+
+    def fail(cfg, out_dir, args):
+        raise ConvergenceError("no luck", diagnostics={
+            "last": np.array([[0.5, np.inf]]), "count": np.int64(3),
+            "lam": np.float32(0.25), "delta": np.nan,
+            "scanned": [(0.1, 2.0, "below")]})
+
+    monkeypatch.setitem(cli._HANDLERS, "speed", fail)
+    out = tmp_path / "o"
+    assert main(["speed", "--preset", "continuity-sweep", "--out",
+                 str(out)]) == 4
+
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    record = json.loads((out / "error.json").read_text(),
+                        parse_constant=reject)
+    assert record["diagnostics"] == {
+        "last": [[0.5, "inf"]], "count": 3, "lam": 0.25, "delta": "nan",
+        "scanned": [[0.1, 2.0, "below"]]}
+
+
 def test_unknown_preset_is_exit_2(tmp_path):
     assert main(["speed", "--preset", "no-such-preset", "--out",
                  str(tmp_path / "o")]) == 2

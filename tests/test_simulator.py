@@ -373,3 +373,90 @@ def test_nonfinite_mid_period_is_a_guard_error(loop, canonical_set, weak_set,
             run_transformed(state, problem, scheme, np.full((30, 11), 0.4), 2)
         else:
             compute_semitrivial("u", problem, scheme)
+
+
+# --- an identically zero species skips its substeps ---------------------------
+
+def _one_species_problem(kind, canonical_set):
+    grid = Grid(-5.0, 5.0, 101)
+    kernel = Kernel.build("uniform", 1.0, grid.h) if kind == "nonlocal" else None
+    return Problem(_harmonic_bump_set(canonical_set), grid, kernel)
+
+
+@pytest.mark.parametrize("zero", ["u", "v"])
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_zero_species_matches_stepping_both_fields(kind, zero, canonical_set,
+                                                   rng):
+    problem = _one_species_problem(kind, canonical_set)
+    scheme = make_scheme(problem)
+    stepper = Stepper(problem, scheme)
+    live = rng.uniform(0.1, 1.0, problem.grid.n)
+    absent = np.zeros(problem.grid.n)
+    u0, v0 = (live, absent) if zero == "v" else (absent, live)
+    u, v = ru, rv = u0, v0
+    for k in range(2 * stepper.spp):
+        u, v = stepper.step_arrays(u, v, stepper.time_at(k))
+        ru, rv = _reference_step(stepper, problem, ru, rv, k)
+    assert np.array_equal(u, ru) and np.array_equal(v, rv)
+    end, _ = run_periods(SystemState(0.0, u0, v0), problem, scheme, 2)
+    assert np.array_equal(end.u, ru) and np.array_equal(end.v, rv)
+    assert not (end.u if zero == "u" else end.v).any()
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_zero_species_comes_back_as_positive_zeros(kind, canonical_set, rng):
+    problem = _one_species_problem(kind, canonical_set)
+    stepper = Stepper(problem, make_scheme(problem))
+    u = rng.uniform(0.1, 1.0, problem.grid.n)
+    v = np.full(problem.grid.n, -0.0)
+    u_new, v_new = stepper.step_arrays(u, v, 0.0)
+    assert not v_new.any() and not np.signbit(v_new).any()
+    assert np.signbit(v).all()  # the input is left as it was
+    ru, rv = _reference_step(stepper, problem, u, v, 0)
+    assert np.array_equal(u_new, ru) and np.array_equal(v_new, rv)
+
+
+@pytest.mark.parametrize("edge", [0, -1])
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_single_nonzero_edge_entry_is_stepped(kind, edge, canonical_set, rng):
+    problem = _one_species_problem(kind, canonical_set)
+    stepper = Stepper(problem, make_scheme(problem))
+    u = rng.uniform(0.1, 1.0, problem.grid.n)
+    v = np.zeros(problem.grid.n)
+    v[edge] = 0.3
+    u_new, v_new = stepper.step_arrays(u, v, 0.0)
+    ru, rv = _reference_step(stepper, problem, u, v, 0)
+    assert np.array_equal(u_new, ru) and np.array_equal(v_new, rv)
+    assert np.count_nonzero(v_new) > 1  # dispersal spread the entry
+
+
+def test_nan_competitor_of_a_zero_species_trips_the_guard(canonical_set):
+    problem = _tiny_problem(canonical_set)
+    scheme = make_scheme(problem, steps_per_period=30)
+    v = np.zeros(11)
+    v[5] = np.nan
+    state = SystemState(0.0, np.zeros(11), v)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalGuardError, match="nonfinite"):
+            run_periods(state, problem, scheme, 1)
+
+
+def test_zero_species_makes_no_kernel_calls(canonical_set, monkeypatch, rng):
+    calls = {"logistic_step": 0, "cn_explicit_half": 0}
+    for name in calls:
+        real = getattr(_accel, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(_accel, name, counted)
+    problem = _one_species_problem("random", canonical_set)
+    scheme = make_scheme(problem, steps_per_period=100)
+    state = SystemState(0.0, rng.uniform(0.1, 1.0, problem.grid.n),
+                        np.zeros(problem.grid.n))
+    run_periods(state, problem, scheme, 2)
+    # One reaction and one dispersal per step: only u's.
+    assert calls == {"logistic_step": 200, "cn_explicit_half": 200}
+    run_periods(SystemState(0.0, state.u, state.u), problem, scheme, 1)
+    assert calls == {"logistic_step": 400, "cn_explicit_half": 400}

@@ -196,6 +196,20 @@ def test_nonlocal_requires_kernel():
         LinearProblem(0.0, "nonlocal", GRID, 1.0, baseline=0.5)
 
 
+def test_random_dispersal_rejects_a_kernel():
+    # A kernel beside kind "random" used to be ignored: tilt_scalar() gave
+    # mu^2 = 1.0 where the nonlocal problem gives 0.1762.
+    k = Kernel.build("uniform", 1.0, GRID.h)
+    with pytest.raises(PreconditionError, match="takes no kernel"):
+        LinearProblem(1.0, "random", GRID, 1.0, baseline=0.5, kernel=k)
+
+
+def test_random_growth_exponent_rejects_a_kernel():
+    k = Kernel.build("uniform", 1.0, GRID.h)
+    with pytest.raises(PreconditionError, match="takes no kernel"):
+        homogeneous_growth_exponent(1.0, 0.8, "random", k)
+
+
 def test_stability_bound_violation_signals():
     p = LinearProblem(0.0, "random", GRID, 1.0, baseline=0.5,
                       steps_per_period=4)
