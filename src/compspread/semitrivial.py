@@ -227,6 +227,18 @@ def linearized_radius(target: str, problem: Problem,
                             res)
 
 
+def far_field_exponent(target: str, problem: Problem,
+                       resident: PeriodicField) -> float:
+    """Growth exponent of the invader where every bump has vanished and the
+    resident sits on its homogeneous orbit: the period mean of
+    growth - suppress * orbit (dispersal conserves constants)."""
+    growth, suppress = _invasion_coefficient(problem, target)
+    return periodic_mean(
+        _CompositeBaseline(growth.baseline, suppress.baseline,
+                           resident.homogeneous_orbit),
+        problem.coefficients.period)
+
+
 class _CompositeBaseline:
     """growth(t) - suppress(t) * orbit(t), callable on scalars and arrays."""
 

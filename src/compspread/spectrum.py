@@ -4,12 +4,23 @@ The growth exponent is ln(spectral radius of the one-period solution
 operator P)/T.  P is entrywise nonnegative, so for every positive field u
 the Collatz-Wielandt ratios bound it: min(Pu/u) <= rho(P) <= max(Pu/u).
 :func:`principal_spectrum_point` reports the exponent with that bracket,
-[lam_lo, lam_hi].  One map of the constant field closes the bracket to
-rounding for spatially homogeneous problems.  Otherwise ARPACK's Arnoldi
-method (loaded only then) gives the dominant Ritz pair, the bracket comes
-from |Re v|, and at most POWER_STEPS power steps narrow it while it is
-wider than the caller's ``tol``; a bracket left wider is reported, not
-forced shut.
+[lam_lo, lam_hi], by one of three routes:
+
+- One map of the constant field closes the bracket to rounding for
+  spatially homogeneous problems.
+- A separable coefficient, a scalar baseline a(t) plus a bump(x), makes
+  the period map exp(dt*sum a_k) * S^spp with one fixed step S = E D E,
+  E = exp(dt/2*bump) (Hess, *Periodic-Parabolic Boundary Value Problems
+  and Positivity*, 1991).  Shifted inverse iteration on the pencil
+  D y = sigma E^-2 y, one tridiagonal (random) or banded (nonlocal)
+  solve per iteration, gives the dominant eigenpair, and one period map
+  of v = E^-1 y certifies it.
+- A per-step coefficient table takes ARPACK's Arnoldi method (loaded
+  only then); the bracket comes from |Re v|.
+
+After either eigensolver, at most POWER_STEPS power steps narrow the
+bracket while it is wider than the caller's ``tol``; a bracket left wider
+is reported, not forced shut.
 
 The evolution scheme is a symmetrized split step: half an exact reaction
 exponential, one dispersal substep, half an exact reaction exponential.
@@ -28,6 +39,7 @@ kernel quadrature limits their accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,8 +57,10 @@ POWER_STEPS = 10
 # shift it accepts.
 WIDEN_FACTOR = 1.5
 WIDEN_SHIFT_TOL = 1e-4
-# Power steps radius_threshold_test takes before it returns "undecided".
-THRESHOLD_TEST_PERIODS = 200
+# Shifted inverse iterations the one-step pencil may take, and the
+# relative width of the one-step bracket at which it has settled.
+PENCIL_ITERATIONS = 30
+PENCIL_SETTLE = 1e-14
 
 
 @dataclass
@@ -118,16 +132,23 @@ class LinearProblem:
             raise PreconditionError("coefficient table shape must be (steps, n)")
         return spp
 
-    def reaction_coefficient(self, step: int, spp: int) -> np.ndarray | float:
-        """Reaction coefficient at the substep midpoint, tilt included."""
-        tilt = self.tilt_scalar()
-        if self.coef_table is not None:
-            return self.coef_table[step] + tilt
+    @cached_property
+    def bump_profile(self) -> np.ndarray:
+        """The bump sampled on the grid, evaluated once per problem."""
+        return self.bump(self.grid.x)
+
+    def phase_baseline(self, step: int, spp: int):
+        """Baseline at the substep midpoint, tilt included."""
         t_mid = (step + 0.5) * self.period / spp
         base = self.baseline(t_mid) if callable(self.baseline) else float(self.baseline)
-        if self.bump is None:
-            return base + tilt
-        return base + tilt + self.bump(self.grid.x)
+        return base + self.tilt_scalar()
+
+    def reaction_coefficient(self, step: int, spp: int) -> np.ndarray | float:
+        """Reaction coefficient at the substep midpoint, tilt included."""
+        if self.coef_table is not None:
+            return self.coef_table[step] + self.tilt_scalar()
+        base = self.phase_baseline(step, spp)
+        return base if self.bump is None else base + self.bump_profile
 
 
 @dataclass
@@ -168,10 +189,17 @@ class _LinearStepper:
             self._beta = self.dt * (1.0 - dm)
             self._gamma = 0.5 * self.dt * self.dt
         # The coefficient repeats every period: tabulate the half-step
-        # reaction exponentials once per phase.
-        self._half = [np.exp((0.5 * self.dt)
-                             * p.reaction_coefficient(k, self.spp))
-                      for k in range(self.spp)]
+        # reaction exponentials once per phase.  ``base`` holds the
+        # baseline of each phase when the coefficient is baseline + bump.
+        self.base = None
+        if p.coef_table is None:
+            self.base = [p.phase_baseline(k, self.spp) for k in range(self.spp)]
+            coefs = (self.base if p.bump is None
+                     else [b + p.bump_profile for b in self.base])
+        else:
+            coefs = [p.reaction_coefficient(k, self.spp)
+                     for k in range(self.spp)]
+        self._half = [np.exp((0.5 * self.dt) * a) for a in coefs]
 
     def _dispersal(self, u: np.ndarray) -> np.ndarray:
         if self.p.kind == "random":
@@ -185,6 +213,65 @@ class _LinearStepper:
         out += cu
         out += np.multiply(u, self._alpha, out=cu)
         return out
+
+    @property
+    def separable(self) -> bool:
+        """The coefficient is a scalar baseline(t) plus a bump(x) at every
+        phase, so the period map is a scalar times the power S^spp of one
+        fixed step S = E D E, E = exp(dt/2*bump)."""
+        return (self.p.bump is not None and self.base is not None
+                and all(np.ndim(b) == 0 for b in self.base))
+
+    def _dispersal_band(self) -> np.ndarray:
+        """The nonlocal substep D = alpha*I + beta*C + gamma*C^2 in LAPACK
+        band storage (``ab[bw + i - j, j] = D[i, j]``, bandwidth bw = 2m),
+        probed column class by column class through :meth:`_dispersal`."""
+        bw = self._weights.size - 1
+        width = 2 * bw + 1
+        rows = np.arange(self.n)
+        ab = np.zeros((width, self.n))
+        for r in range(min(width, self.n)):
+            probe = np.zeros(self.n)
+            probe[r::width] = 1.0
+            col = rows + (r - rows + bw) % width - bw
+            ok = (col >= 0) & (col < self.n)
+            ab[bw + rows[ok] - col[ok], col[ok]] = self._dispersal(probe)[ok]
+        return ab
+
+    def pencil_solver(self, b: np.ndarray) -> Callable:
+        """``solve(s, y)``: x with (D - s*diag(b)) x = b*y for the dispersal
+        substep D, or None when the shifted matrix is singular."""
+        if self.p.kind == "random":
+            from scipy.linalg.lapack import dgtsv
+            # D = M^-1 N with M = I - rL and N = I + rL, so the system is
+            # the tridiagonal (N - s*M*diag(b)) x = M (b*y).
+            r = 0.5 * self.dt / self.p.grid.h ** 2
+
+            def solve(s, y):
+                by = b * y
+                rhs = by - r * _accel.second_diff(by, 1.0)
+                upper = r + (s * r) * b[1:]
+                upper[0] *= 2.0
+                lower = r + (s * r) * b[:-1]
+                lower[-1] *= 2.0
+                diag = (1.0 - 2.0 * r) - (s * (1.0 + 2.0 * r)) * b
+                x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)[3:]
+                return x if info == 0 else None
+            return solve
+
+        from scipy.linalg import LinAlgError, solve_banded
+        ab = self._dispersal_band()
+        bw = (ab.shape[0] - 1) // 2
+
+        def solve(s, y):
+            shifted = ab.copy()
+            shifted[bw] -= s * b
+            try:
+                return solve_banded((bw, bw), shifted, b * y, overwrite_ab=True,
+                                    overwrite_b=True, check_finite=False)
+            except LinAlgError:
+                return None
+        return solve
 
     def step(self, u: np.ndarray, k: int) -> np.ndarray:
         half = self._half[k]
@@ -218,6 +305,10 @@ class _PeriodBudget(Exception):
     """Raised inside the period map once ``max_periods`` maps are spent."""
 
 
+class _NoEigenpair(Exception):
+    """ARPACK returned no converged Ritz pair."""
+
+
 def _cw_bracket(u: np.ndarray, pu: np.ndarray,
                 period: float) -> tuple[float, float]:
     """Collatz-Wielandt bracket [log min(Pu/u), log max(Pu/u)]/T of the
@@ -229,20 +320,74 @@ def _cw_bracket(u: np.ndarray, pu: np.ndarray,
                 float(np.log(np.max(ratio))) / period)
 
 
-def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL,
-                             max_periods: int = DEFAULT_MAX_PERIODS
-                             ) -> SpectrumResult:
-    """Growth exponent ln(rho(P))/T of the period map P with a
-    Collatz-Wielandt bracket [lam_lo, lam_hi] around it.
+def _pencil_eigenpair(stepper: _LinearStepper, lam_hi: float,
+                      u: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+    """Dominant eigenpair of the step S = E D E of a separable problem.
 
-    One map of the constant field settles every problem whose bracket is
-    already at most ``tol`` wide (all spatially homogeneous ones).
-    Otherwise ARPACK's implicitly restarted Arnoldi method finds the
-    dominant Ritz pair from v0 = P1, the bracket is formed from |Re v|,
-    and at most POWER_STEPS power steps narrow it while it is wider than
-    ``tol``.  A bracket left wider is still a bound and is reported as
-    it is.  ``lam`` is the Ritz value clipped into the bracket; every
-    period map, ARPACK's included, counts against ``max_periods``."""
+    With y = E v, S v = sigma v is the pencil D y = sigma B y, B = E^-2.
+    Shifted inverse iteration starts from y = E u at s = exp((lam_hi*T -
+    dt*sum a_k)/spp) >= sigma_1 (lam_hi bounds the exponent from above).
+    Each next shift is the one-step Collatz-Wielandt upper bound
+    max(Dy/By) >= sigma_1 of the positive iterate, so s*B - D stays an
+    M-matrix: its solves add terms of one sign, and the eigenvector's
+    tails come out to relative, not absolute, accuracy.  The iteration
+    has settled when the one-step bracket [min, max](Dy/By) is
+    PENCIL_SETTLE-narrow.  Returns the exponent of the Rayleigh quotient
+    (dt*sum a_k + spp*log sigma)/T and v (max 1), or None when an iterate
+    is not strictly positive or the iteration does not settle."""
+    p = stepper.p
+    drift = stepper.dt * float(np.sum(stepper.base))
+    half = np.exp((0.5 * stepper.dt) * p.bump_profile)
+    b = np.exp(-stepper.dt * p.bump_profile)
+    solve = stepper.pencil_solver(b)
+    s = float(np.exp((lam_hi * p.period - drift) / stepper.spp))
+    y = half * u
+    for _ in range(PENCIL_ITERATIONS):
+        x = solve(s, y)
+        if x is None:
+            return None
+        y = x / x[np.argmax(np.abs(x))]
+        if not np.all(y > 0.0):
+            return None
+        dy = stepper._dispersal(y)
+        by = b * y
+        ratio = dy / by
+        s = float(np.max(ratio))
+        if s - float(np.min(ratio)) <= PENCIL_SETTLE * s:
+            break
+    else:
+        return None
+    sigma = float(y @ dy) / float(y @ by)
+    v = y / half
+    v /= np.max(v)
+    return (drift + stepper.spp * float(np.log(sigma))) / p.period, v
+
+
+def _arnoldi_eigenpair(period_map: Callable, u: np.ndarray, tol: float,
+                       period: float) -> tuple[float, np.ndarray]:
+    """Dominant Ritz pair of the period map by ARPACK from v0 = u: the
+    exponent (-inf when the Ritz value is not positive) and |Re v| (max
+    1), mapped once more if it has exact zeros."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+    n = u.size
+    op = LinearOperator((n, n), matvec=period_map, dtype=float)
+    try:
+        theta, vecs = eigs(op, k=1, which="LM", v0=u, tol=tol)
+    except ArpackNoConvergence as exc:
+        raise _NoEigenpair from exc
+    theta = complex(theta[0]).real
+    u = np.abs(vecs[:, 0].real)
+    u /= np.max(u)
+    if not np.all(u > 0.0):
+        u = period_map(u)
+        u /= np.max(u)
+    return (float(np.log(theta)) / period if theta > 0.0 else -np.inf), u
+
+
+def _principal_point(p: LinearProblem, tol: float, max_periods: int,
+                     decided: Optional[Callable] = None) -> SpectrumResult:
+    """:func:`principal_spectrum_point`, stopping also as soon as
+    ``decided(lam_lo, lam_hi)`` holds."""
     if tol <= 0.0:
         raise PreconditionError("tolerance must be positive")
     if max_periods < 1:
@@ -261,42 +406,56 @@ def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL,
                 f"period map produced a nonfinite value at map {maps}")
         return pu
 
+    def settled(lo: float, hi: float) -> bool:
+        return hi - lo <= tol or (decided is not None and decided(lo, hi))
+
     u = np.ones(p.grid.n)
     pu = period_map(u)
     if not np.max(pu) > 0.0:
         raise NumericalGuardError(
             "the period map annihilates the constant field")
     lo, hi = _cw_bracket(u, pu, p.period)
-    if hi - lo <= tol:
+    if settled(lo, hi):
         return SpectrumResult(hi, lo, hi, pu / np.max(pu), maps)
 
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-    op = LinearOperator((p.grid.n, p.grid.n), matvec=period_map, dtype=float)
     try:
-        theta, vecs = eigs(op, k=1, which="LM", v0=pu / np.max(pu), tol=tol)
-        theta = complex(theta[0])
-        u = np.abs(vecs[:, 0].real)
-        u /= np.max(u)
-        if not np.all(u > 0.0):
-            u = period_map(u)
-            u /= np.max(u)
+        u = pu / np.max(pu)
+        pair = _pencil_eigenpair(stepper, hi, u) if stepper.separable else None
+        ritz, u = pair or _arnoldi_eigenpair(period_map, u, tol, p.period)
         pu = period_map(u)
         lo, hi = _cw_bracket(u, pu, p.period)
-    except (ArpackNoConvergence, _PeriodBudget) as exc:
+    except (_NoEigenpair, _PeriodBudget) as exc:
         raise ConvergenceError(
             f"no certified principal eigenpair within {max_periods} period "
             f"maps ({type(exc).__name__})",
             diagnostics={"periods": maps, "lam_lo": lo, "lam_hi": hi}) from exc
     for _ in range(POWER_STEPS):
-        if hi - lo <= tol or maps >= max_periods:
+        if settled(lo, hi) or maps >= max_periods:
             break
         u = pu / np.max(pu)
         pu = period_map(u)
         lo, hi = _cw_bracket(u, pu, p.period)
-    ritz = (float(np.log(theta.real)) / p.period if theta.real > 0.0
-            else lo)
     return SpectrumResult(min(max(ritz, lo), hi), lo, hi, pu / np.max(pu),
                           maps)
+
+
+def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL,
+                             max_periods: int = DEFAULT_MAX_PERIODS
+                             ) -> SpectrumResult:
+    """Growth exponent ln(rho(P))/T of the period map P with a
+    Collatz-Wielandt bracket [lam_lo, lam_hi] around it.
+
+    One map of the constant field settles every problem whose bracket is
+    already at most ``tol`` wide (all spatially homogeneous ones).
+    Otherwise a separable problem (scalar baseline plus bump) takes the
+    dominant eigenpair of its one-step pencil, and a coefficient table
+    takes ARPACK's dominant Ritz pair from v0 = P1; one more map brackets
+    the exponent from the pair's positive profile, and at most
+    POWER_STEPS power steps narrow the bracket while it is wider than
+    ``tol``.  A bracket left wider is still a bound and is reported as it
+    is.  ``lam`` is the Ritz value clipped into the bracket; every period
+    map, ARPACK's included, counts against ``max_periods``."""
+    return _principal_point(p, tol, max_periods)
 
 
 def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL
@@ -317,23 +476,19 @@ def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL
 
 
 def radius_threshold_test(p: LinearProblem, lam_threshold: float) -> str:
-    """Decide whether the growth exponent lies above or below a threshold
-    without full convergence: power iterates of the constant field, at most
-    THRESHOLD_TEST_PERIODS of them, each with its Collatz-Wielandt bracket
-    (valid because the iterates stay strictly positive).  Returns "above",
-    "below", or "undecided"."""
-    stepper = _LinearStepper(p)
-    u = np.ones(p.grid.n)
-    for _ in range(THRESHOLD_TEST_PERIODS):
-        pu = stepper.run_period(u)
-        if np.any(pu <= 0.0) or not np.isfinite(pu).all():
-            raise NumericalGuardError("iterate left the positive cone")
-        lo, hi = _cw_bracket(u, pu, p.period)
-        if lo > lam_threshold:
-            return "above"
-        if hi < lam_threshold:
-            return "below"
-        u = pu / float(np.max(pu))
+    """Decide whether the growth exponent lies above or below a threshold:
+    from the Collatz-Wielandt bracket of the constant field's first map
+    when it excludes the threshold, otherwise from the bracket of
+    :func:`principal_spectrum_point`'s eigenpair, which stops as soon as
+    its bracket excludes the threshold.  Returns "above", "below", or
+    "undecided"."""
+    res = _principal_point(
+        p, DEFAULT_TOL, DEFAULT_MAX_PERIODS,
+        lambda lo, hi: lo > lam_threshold or hi < lam_threshold)
+    if res.lam_lo > lam_threshold:
+        return "above"
+    if res.lam_hi < lam_threshold:
+        return "below"
     return "undecided"
 
 

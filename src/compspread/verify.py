@@ -23,7 +23,8 @@ from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 from .periodic_orbits import (N_TIME_DEFAULT, PeriodicOrbit, cumulative_simpson,
                               logistic_orbit, nonhomogeneous_periodic,
                               periodic_mean)
-from .semitrivial import compute_semitrivial, linearized_radius
+from .semitrivial import (compute_semitrivial, far_field_exponent,
+                          linearized_radius)
 from .simulator import (Problem, SchemeConfig, Stepper, SystemState, fixed_point,
                         make_scheme)
 from .spectrum import homogeneous_growth_exponent
@@ -39,6 +40,8 @@ MONO_SLACK = 1e-10
 RESIDENT_TOL = 1e-12
 # Floor below which a persistence trial counts as a failure.
 FAILURE_FLOOR = 1e-8
+# Floor of the invader profiles monotone_coexistence seeds from.
+SEED_FLOOR = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +436,16 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
         raise PreconditionError(
             "both resident states must be linearly unstable "
             f"(radii {ver_u.radius:.6f}, {ver_v.radius:.6f})")
+    # The invaders' eigenvectors decay to 1e-12 and below far from the
+    # bumps, and would take many periods to fill in there.  Where the
+    # invader grows on its own (positive far-field exponent), a seed
+    # floored at SEED_FLOOR is still a sub-solution of its growth.
     prof_v = ver_u.spectrum.profile
     prof_u = ver_v.spectrum.profile
+    if far_field_exponent("u", problem, ustar) > 0.0:
+        prof_v = np.maximum(prof_v, SEED_FLOOR)
+    if far_field_exponent("v", problem, vstar) > 0.0:
+        prof_u = np.maximum(prof_u, SEED_FLOOR)
 
     stepper = Stepper(problem, scheme)
     first_slack = max(MONO_SLACK, 10.0 * max(ustar.residual, vstar.residual))

@@ -362,3 +362,26 @@ def test_homogeneous_spectrum_point_leaves_out_arpack():
             "assert 'scipy.sparse.linalg' not in sys.modules, "
             "'scipy.sparse.linalg imported'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_separable_spectrum_point_leaves_out_arpack():
+    # A baseline-plus-bump problem takes the one-step pencil (a tridiagonal
+    # or banded solve), so scipy.sparse.linalg (ARPACK) stays unloaded.
+    src = str(Path(compspread.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, compspread.cli\n"
+            "from compspread.coefficients import SpatialBump\n"
+            "from compspread.dispersal import Grid, Kernel\n"
+            "from compspread.spectrum import LinearProblem, "
+            "principal_spectrum_point\n"
+            "g = Grid(-10.0, 10.0, 201)\n"
+            "for kind, k in (('random', None), "
+            "('nonlocal', Kernel.build('uniform', 1.0, g.h))):\n"
+            "    res = principal_spectrum_point(LinearProblem("
+            "0.0, kind, g, 1.0, baseline=-0.1, "
+            "bump=SpatialBump(0.5, 1.0, 0.5), kernel=k))\n"
+            "    assert res.periods == 2, res.periods\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules, "
+            "'scipy.sparse.linalg imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

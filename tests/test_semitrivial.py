@@ -7,7 +7,8 @@ from compspread.dispersal import Grid
 from compspread.errors import PreconditionError
 from compspread.periodic_orbits import logistic_orbit
 from compspread.semitrivial import (PeriodicField, compute_semitrivial,
-                                    destabilizing_bump, linearized_radius)
+                                    destabilizing_bump, far_field_exponent,
+                                    linearized_radius)
 from compspread.simulator import Problem
 
 
@@ -176,3 +177,13 @@ def test_periodic_field_csv(canonical_problem, tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "t,x,value"
     assert len(text) > 2
+
+
+def test_far_field_exponent_of_constant_residents(weak_set):
+    # Weak set: each invader grows at 1 - 0.5 * 1 where the other species
+    # sits at its carrying capacity 1.
+    problem = Problem(weak_set, Grid(-10.0, 10.0, 101))
+    for target in ("u", "v"):
+        resident = compute_semitrivial(target, problem)
+        assert far_field_exponent(target, problem, resident) == \
+            pytest.approx(0.5, abs=1e-12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from compspread import spectrum
 from compspread.coefficients import PeriodicScalar, SpatialBump
 from compspread.dispersal import Grid, Kernel
 from compspread.errors import (ConvergenceError, NumericalGuardError,
@@ -177,6 +178,35 @@ def test_widened_domain_check():
     assert res.lam > 0.1
 
 
+# Verdicts of the 200-map power screen that radius_threshold_test ran
+# before it shared principal_spectrum_point's solver, at threshold 0.1 on
+# Grid(-12, 12, 241): (kind, amplitude, width) -> verdict.
+SCREEN_VERDICTS = {
+    ("random", 0.15, 1.0): "below", ("random", 0.15, 2.0): "below",
+    ("random", 0.15, 4.0): "below", ("random", 0.3, 1.0): "below",
+    ("random", 0.3, 2.0): "below", ("random", 0.3, 4.0): "above",
+    ("random", 0.45, 1.0): "below", ("random", 0.45, 2.0): "above",
+    ("random", 0.45, 4.0): "above", ("random", 0.6, 1.0): "below",
+    ("random", 0.6, 2.0): "above", ("random", 0.6, 4.0): "above",
+    ("nonlocal", 0.15, 1.0): "below", ("nonlocal", 0.15, 2.0): "below",
+    ("nonlocal", 0.15, 4.0): "above", ("nonlocal", 0.3, 1.0): "above",
+    ("nonlocal", 0.3, 2.0): "above", ("nonlocal", 0.3, 4.0): "above",
+    ("nonlocal", 0.45, 1.0): "above", ("nonlocal", 0.45, 2.0): "above",
+    ("nonlocal", 0.45, 4.0): "above", ("nonlocal", 0.6, 1.0): "above",
+    ("nonlocal", 0.6, 2.0): "above", ("nonlocal", 0.6, 4.0): "above",
+}
+
+
+def test_radius_threshold_verdicts_unchanged():
+    g = Grid(-12.0, 12.0, 241)
+    kernel = Kernel.build("uniform", 1.0, g.h)
+    for (kind, amp, width), verdict in SCREEN_VERDICTS.items():
+        p = LinearProblem(0.0, kind, g, 1.0, baseline=0.0,
+                          bump=SpatialBump.square(amp, width),
+                          kernel=kernel if kind == "nonlocal" else None)
+        assert radius_threshold_test(p, 0.1) == verdict, (kind, amp, width)
+
+
 def test_radius_threshold_sandwich():
     g = Grid(-25.0, 25.0, 501)
     p = LinearProblem(0.0, "random", g, 1.0, baseline=0.0,
@@ -325,6 +355,53 @@ def test_bracket_contains_dense_exponent(kind):
     assert res.periods > 1
 
 
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_separable_bracket_closes_in_two_maps(kind):
+    # Baseline plus bump: the one-step pencil gives the eigenpair, and one
+    # certifying map closes the bracket around the dense exponent.
+    g = Grid(-10.0, 10.0, 201)
+    kernel = Kernel.build("uniform", 1.0, g.h) if kind == "nonlocal" else None
+    p = LinearProblem(0.0, kind, g, 1.0,
+                      baseline=PeriodicScalar.harmonic(-0.2, 0.3, 0.4),
+                      bump=SpatialBump(0.5, 1.5, 0.5), kernel=kernel)
+    res = principal_spectrum_point(p)
+    ref = _dense_exponent(p)
+    assert res.lam_lo - 1e-12 <= ref <= res.lam_hi + 1e-12
+    assert res.residual <= 1e-10
+    assert res.periods == 2
+
+
+def test_unsettled_pencil_falls_back_to_arpack(monkeypatch):
+    p = LinearProblem(0.0, "random", Grid(-10.0, 10.0, 201), 1.0,
+                      baseline=-0.1, bump=SpatialBump(0.5, 1.5, 0.5))
+    pencil = principal_spectrum_point(p)
+    monkeypatch.setattr(spectrum, "PENCIL_ITERATIONS", 1)
+    arpack = principal_spectrum_point(p)
+    assert arpack.periods > 2
+    assert abs(arpack.lam - pencil.lam) <= 1e-10
+
+
+def test_uniform_kernel_square_bump_brackets_shut():
+    # A square bump under the uniform kernel: the eigenvector's tails fall
+    # to 1e-11 at the grid edge, where ARPACK's Ritz vector left the
+    # bracket [0.0295, 0.1903] around 0.18740.
+    g = Grid(-25.6, 25.6, 513)
+    p = LinearProblem(0.0, "nonlocal", g, 1.0, baseline=0.0,
+                      bump=SpatialBump.square(0.3, 2.0),
+                      kernel=Kernel.build("uniform", 1.0, g.h))
+    res = principal_spectrum_point(p, tol=1e-8)
+    assert res.residual <= 1e-10
+    assert res.lam == pytest.approx(0.18740, abs=1e-5)
+
+
+def test_one_period_budget_on_a_separable_problem_raises():
+    p = LinearProblem(0.0, "random", GRID, 1.0, baseline=-0.1,
+                      bump=SpatialBump(0.5, 1.0, 0.5))
+    with pytest.raises(ConvergenceError) as info:
+        principal_spectrum_point(p, max_periods=1)
+    assert info.value.diagnostics["periods"] == 1
+
+
 @pytest.mark.parametrize("case", ["homogeneous", "tilted-random",
                                   "tilted-nonlocal"])
 def test_homogeneous_problems_take_one_period_map(case):
@@ -346,8 +423,10 @@ def test_homogeneous_problems_take_one_period_map(case):
 
 
 def test_too_few_periods_for_arpack_raise_convergence_error():
-    p = LinearProblem(0.0, "random", GRID, 1.0, baseline=-0.1,
-                      bump=SpatialBump(0.5, 1.0, 0.5))
+    # A coefficient table takes ARPACK, which needs more than 5 maps.
+    row = -0.1 + SpatialBump(0.5, 1.0, 0.5)(GRID.x)
+    p = LinearProblem(0.0, "random", GRID, 1.0,
+                      coef_table=np.tile(row, (MIN_STEPS_PER_PERIOD, 1)))
     with pytest.raises(ConvergenceError) as info:
         principal_spectrum_point(p, max_periods=5)
     diag = info.value.diagnostics

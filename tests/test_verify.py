@@ -203,6 +203,19 @@ def test_monotone_coexistence_with_bump(weak_set):
     assert result.ordered
 
 
+def test_monotone_coexistence_with_a_stable_invader_far_field():
+    # Away from its growth bump u cannot invade the v-resident (far-field
+    # exponent 1 - 1.05 < 0), so its seed keeps the eigenvector's tails: a
+    # seed floored there would shrink and break monotonicity at once.
+    cs = constant_set(1.0, 1.0, 1.05, 1.0, 0.5, 1.0).with_bump_on(
+        "a1", SpatialBump(0.3, 1.5, 0.5))
+    problem = Problem(cs, Grid(-30.0, 30.0, 301))
+    result = monotone_coexistence(problem, make_scheme(problem,
+                                                       steps_per_period=32))
+    assert result.max_monotonicity_violation <= 1e-10
+    assert result.ordered
+
+
 def test_monotone_coexistence_requires_double_instability(canonical_set):
     problem = Problem(canonical_set, Grid(-10.0, 10.0, 101))
     with pytest.raises(PreconditionError):
