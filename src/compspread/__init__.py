@@ -5,9 +5,7 @@ from .coefficients import (CoefficientField, CoefficientSet, EnvelopeTable,
                            HypothesisVerdict, PeriodicScalar, SpatialBump,
                            check_h0, check_h1, check_h2, check_lv_determinacy,
                            compute_envelopes, constant_set)
-from .dispersal import (Grid, Kernel, apply_nonlocal, apply_random,
-                        apply_tilted_nonlocal, apply_tilted_random,
-                        kernel_moment)
+from .dispersal import Grid, Kernel, apply_dispersal, kernel_moment
 from .errors import (CompspreadError, ConfigError, ConvergenceError,
                      NumericalGuardError, PreconditionError)
 from .periodic_orbits import (PeriodicOrbit, coexistence_homogeneous,

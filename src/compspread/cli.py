@@ -56,8 +56,8 @@ def _speed_estimate_dict(est: SpeedEstimate) -> dict:
 
 def _dispersion_rows(cfg: RunConfig, bracket, points: int):
     mus = np.linspace(bracket[0], bracket[1], points)
-    mus, lams = dispersion_curve(cfg.coefficients.baselines(), cfg.kind,
-                                 cfg.kernel, mus)
+    mus, lams = dispersion_curve(cfg.coefficients.baselines(), cfg.kernel,
+                                 mus)
     return [(mu, lam, lam / mu) for mu, lam in zip(mus, lams)]
 
 
@@ -76,9 +76,9 @@ def cmd_speed(cfg: RunConfig, out_dir: Path, args) -> int:
     bracket = tuple(sc.get("bracket", (1e-2, 8.0)))
     base = cfg.coefficients.baselines()
     if args.mu_grid_only:
-        est = dispersion_grid_scan(base, cfg.kind, cfg.kernel, bracket)
+        est = dispersion_grid_scan(base, cfg.kernel, bracket)
     else:
-        est = dispersion_speed(base, cfg.kind, cfg.kernel, bracket)
+        est = dispersion_speed(base, cfg.kernel, bracket)
     writer = ResultWriter(out_dir, cfg)
     _emit_dispersion(writer, cfg, _dispersion_rows(cfg, bracket,
                                                    int(sc.get("mu_points", 200))))
@@ -216,7 +216,7 @@ def cmd_verify_super(cfg: RunConfig, out_dir: Path, args) -> int:
     eps = float(sc.get("eps", 0.05))
     if cfg.grid is None:
         raise ConfigError("verify-super needs a grid section")
-    spec = build_supersolution(cfg.coefficients, eps, cfg.kind, cfg.kernel,
+    spec = build_supersolution(cfg.coefficients, eps, cfg.kernel,
                                K_init=float(sc.get("K", 10.0)))
     ineq = check_ansatz_inequalities(spec)
     res_phi, res_psi = ansatz_equation_residual(spec)
@@ -302,7 +302,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, args) -> int:
               f"c0* = {first['theoretical']['value']:.5f}")
         return 0
     eps_list = tuple(float(e) for e in sc.get("eps", (0.2, 0.1, 0.05)))
-    table = continuity_sweep(cfg.coefficients, cfg.kind, cfg.kernel, eps_list,
+    table = continuity_sweep(cfg.coefficients, cfg.kernel, eps_list,
                              sc.get("field", "a1"))
     if "csv" in cfg.output_formats:
         write_csv(writer.path("sweep.csv"),

@@ -119,10 +119,6 @@ class RunConfig:
     seed: int
     raw: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def kind(self) -> str:
-        return "nonlocal" if self.kernel is not None else "random"
-
     def problem(self) -> Problem:
         if self.grid is None:
             raise ConfigError("this scenario needs a grid section")

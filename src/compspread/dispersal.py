@@ -64,6 +64,13 @@ class Kernel:
     h: float
     weights: np.ndarray
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return ((self.shape, self.nominal_radius, self.h)
+                == (other.shape, other.nominal_radius, other.h)
+                and np.array_equal(self.weights, other.weights))
+
     @property
     def half_width(self) -> int:
         return (self.weights.size - 1) // 2
@@ -121,43 +128,32 @@ def kernel_moment(kernel: Kernel, mu: float) -> float:
     return kernel.h * float(np.sum(kernel.tilted_weights(mu)))
 
 
-def _check_kernel_grid(kernel: Kernel, grid: Grid) -> None:
-    if abs(kernel.h - grid.h) > 1e-9 * grid.h:
+def check_kernel_spacing(kernel: Optional[Kernel], grid: Grid) -> None:
+    """A kernel must be sampled at its grid's spacing."""
+    if kernel is not None and abs(kernel.h - grid.h) > 1e-9 * grid.h:
         raise ConfigError("kernel sampling spacing must match the grid")
+
+
+def _check_kernel_grid(kernel: Kernel, grid: Grid) -> None:
+    check_kernel_spacing(kernel, grid)
     if kernel.support_radius >= 0.5 * (grid.x_max - grid.x_min):
         raise PreconditionError("kernel support exceeds half the domain")
 
 
-def apply_random(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order central difference with reflecting ghost values."""
-    return _accel.second_diff(u, 1.0 / grid.h ** 2)
-
-
-def apply_nonlocal(u: np.ndarray, grid: Grid, kernel: Kernel) -> np.ndarray:
-    """Convolution minus identity, boundary values extended as constants."""
-    _check_kernel_grid(kernel, grid)
-    return _accel.correlate_ext(u, kernel.weights * kernel.h) - u
-
-
-def apply_tilted_random(u: np.ndarray, grid: Grid, mu: float) -> np.ndarray:
-    """Exponentially tilted Laplacian: second difference plus mu^2 * u."""
+def apply_dispersal(u: np.ndarray, grid: Grid, kernel: Optional[Kernel] = None,
+                    mu: float = 0.0) -> np.ndarray:
+    """The dispersal operator, exponentially tilted by mu >= 0.  Without a
+    kernel: the second difference with reflecting ghost values, plus
+    mu^2 * u.  With one: convolution against exp(-mu*z)*kernel minus
+    identity, boundary values extended as constants."""
     if mu < 0.0:
         raise PreconditionError("tilt must be nonnegative")
-    out = apply_random(u, grid)
-    if mu == 0.0:
-        return out
-    return out + (mu * mu) * u
-
-
-def apply_tilted_nonlocal(u: np.ndarray, grid: Grid, kernel: Kernel,
-                          mu: float) -> np.ndarray:
-    """Convolution against exp(-mu*z)*kernel minus identity."""
-    if mu < 0.0:
-        raise PreconditionError("tilt must be nonnegative")
-    if mu == 0.0:
-        return apply_nonlocal(u, grid, kernel)
+    if kernel is None:
+        out = _accel.second_diff(u, 1.0 / grid.h ** 2)
+        return out + (mu * mu) * u if mu > 0.0 else out
     _check_kernel_grid(kernel, grid)
-    return _accel.correlate_ext(u, kernel.tilted_weights(mu) * kernel.h) - u
+    w = kernel.tilted_weights(mu) if mu > 0.0 else kernel.weights
+    return _accel.correlate_ext(u, w * kernel.h) - u
 
 
 def boundary_margin(grid: Grid, kernel: Optional[Kernel]) -> float:

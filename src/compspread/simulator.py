@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _accel
 from .coefficients import CoefficientSet
-from .dispersal import Grid, Kernel, boundary_margin
+from .dispersal import Grid, Kernel, boundary_margin, check_kernel_spacing
 from .errors import ConfigError, NumericalGuardError, PreconditionError
 from .periodic_orbits import PeriodicOrbit
 
@@ -38,8 +38,12 @@ class Problem:
     grid: Grid
     kernel: Optional[Kernel] = None
 
+    def __post_init__(self):
+        check_kernel_spacing(self.kernel, self.grid)
+
     @property
     def kind(self) -> str:
+        """The ``kind`` argument :class:`LinearProblem` takes."""
         return "nonlocal" if self.kernel is not None else "random"
 
     def bump_arrays(self) -> dict[str, np.ndarray | float]:

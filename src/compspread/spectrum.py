@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _accel
 from .coefficients import PeriodicScalar, SpatialBump
-from .dispersal import Grid, Kernel, kernel_moment
+from .dispersal import Grid, Kernel, check_kernel_spacing, kernel_moment
 from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 
 DEFAULT_TOL = 1e-6
@@ -67,7 +67,9 @@ PENCIL_SETTLE = 1e-14
 class LinearProblem:
     """u_t = A(mu) u + a(t, x) u on a truncated grid.
 
-    The reaction coefficient is either ``baseline(t) + bump(x)`` or an
+    The kernel names the dispersal A: convolution minus identity with one,
+    the Laplacian without (``kind`` must agree with it).  The reaction
+    coefficient is either ``baseline(t) + bump(x)`` or an
     explicit per-step table of midpoint values (shape: steps x n).  A
     positive tilt is only admitted for spatially homogeneous coefficients,
     where the tilted operators act on x-constant profiles exactly as
@@ -91,6 +93,7 @@ class LinearProblem:
             raise PreconditionError("nonlocal dispersal requires a kernel")
         if self.kind == "random" and self.kernel is not None:
             raise PreconditionError("random dispersal takes no kernel")
+        check_kernel_spacing(self.kernel, self.grid)
         if self.mu < 0.0:
             raise PreconditionError("tilt must be nonnegative")
         if self.mu > 0.0 and (self.bump is not None or self.coef_table is not None):
@@ -101,12 +104,10 @@ class LinearProblem:
     def tilt_scalar(self) -> float:
         if self.mu == 0.0:
             return 0.0
-        if self.kind == "random":
-            return self.mu * self.mu
-        return kernel_moment(self.kernel, self.mu) - 1.0
+        return homogeneous_growth_exponent(self.mu, 0.0, self.kernel)
 
     def _auto_steps(self) -> int:
-        if self.kind == "random":
+        if self.kernel is None:
             # Crank-Nicolson stays order-preserving for dt <= h^2.
             need = int(np.ceil(self.period / self.grid.h ** 2))
         else:
@@ -117,7 +118,7 @@ class LinearProblem:
     def resolved_steps(self) -> int:
         spp = self.steps_per_period or self._auto_steps()
         dt = self.period / spp
-        if self.kind == "random":
+        if self.kernel is None:
             if dt > self.grid.h ** 2 * (1.0 + 1e-12):
                 raise NumericalGuardError(
                     f"dt={dt:.3e} violates the order-preservation bound "
@@ -175,7 +176,7 @@ class _LinearStepper:
         self.spp = p.resolved_steps()
         self.dt = p.period / self.spp
         self.n = p.grid.n
-        if p.kind == "random":
+        if p.kernel is None:
             self._factor = _accel.TridiagFactor(
                 self.n, 0.5 * self.dt / p.grid.h ** 2)
         else:
@@ -190,19 +191,26 @@ class _LinearStepper:
             self._gamma = 0.5 * self.dt * self.dt
         # The coefficient repeats every period: tabulate the half-step
         # reaction exponentials once per phase.  ``base`` holds the
-        # baseline of each phase when the coefficient is baseline + bump.
+        # baseline of each phase when the coefficient is baseline + bump;
+        # phases with one scalar baseline share one table.
         self.base = None
         if p.coef_table is None:
             self.base = [p.phase_baseline(k, self.spp) for k in range(self.spp)]
-            coefs = (self.base if p.bump is None
-                     else [b + p.bump_profile for b in self.base])
+            tables = {}
+            self._half = []
+            for b in self.base:
+                key = b if np.ndim(b) == 0 else object()  # arrays: never shared
+                if key not in tables:
+                    a = b if p.bump is None else b + p.bump_profile
+                    tables[key] = np.exp((0.5 * self.dt) * a)
+                self._half.append(tables[key])
         else:
-            coefs = [p.reaction_coefficient(k, self.spp)
-                     for k in range(self.spp)]
-        self._half = [np.exp((0.5 * self.dt) * a) for a in coefs]
+            self._half = [np.exp((0.5 * self.dt)
+                                 * p.reaction_coefficient(k, self.spp))
+                          for k in range(self.spp)]
 
     def _dispersal(self, u: np.ndarray) -> np.ndarray:
-        if self.p.kind == "random":
+        if self.p.kernel is None:
             return self._factor.crank_nicolson(u)
         # alpha*u + beta*Cu + gamma*C(Cu): every coefficient is
         # nonnegative for dt*m <= 1.
@@ -241,7 +249,7 @@ class _LinearStepper:
     def pencil_solver(self, b: np.ndarray) -> Callable:
         """``solve(s, y)``: x with (D - s*diag(b)) x = b*y for the dispersal
         substep D, or None when the shifted matrix is singular."""
-        if self.p.kind == "random":
+        if self.p.kernel is None:
             from scipy.linalg.lapack import dgtsv
             # D = M^-1 N with M = I - rL and N = I + rL, so the system is
             # the tridiagonal (N - s*M*diag(b)) x = M (b*y).
@@ -505,8 +513,8 @@ def spectrum_monotonicity_check(p1: LinearProblem, p2: LinearProblem,
     """Check that a pointwise-larger coefficient yields a growth exponent at
     least as large (within tol).  The ordering is checked on the step
     lattice both period maps use."""
-    if (p1.mu, p1.kind) != (p2.mu, p2.kind) or p1.grid != p2.grid:
-        raise PreconditionError("problems must share tilt, kind, and grid")
+    if p1.mu != p2.mu or p1.kernel != p2.kernel or p1.grid != p2.grid:
+        raise PreconditionError("problems must share tilt, kernel, and grid")
     spp = p1.resolved_steps()
     if (p1.period, spp) != (p2.period, p2.resolved_steps()):
         raise PreconditionError("problems must share the step lattice")
@@ -521,14 +529,10 @@ def spectrum_monotonicity_check(p1: LinearProblem, p2: LinearProblem,
     return MonotonicityVerdict(r1.lam <= r2.lam + tol, r1.lam, r2.lam, gap)
 
 
-def homogeneous_growth_exponent(mu: float, mean_a: float, kind: str,
+def homogeneous_growth_exponent(mu: float, mean_a: float,
                                 kernel: Optional[Kernel] = None) -> float:
     """Closed-form exponent for x-independent coefficients: only the mean of
-    the coefficient and the tilt scalar enter."""
-    if kind == "random":
-        if kernel is not None:
-            raise PreconditionError("random dispersal takes no kernel")
-        return mu * mu + mean_a
-    if kernel is None:
-        raise PreconditionError("nonlocal exponent requires a kernel")
-    return kernel_moment(kernel, mu) - 1.0 + mean_a
+    the coefficient and the tilt scalar enter, mu^2 for the Laplacian and
+    the tilted kernel mass minus one for a kernel."""
+    tilt = mu * mu if kernel is None else kernel_moment(kernel, mu) - 1.0
+    return tilt + mean_a

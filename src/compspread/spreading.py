@@ -64,14 +64,11 @@ def invasion_mean_rate(cs: CoefficientSet) -> float:
     return periodic_mean(lambda t: a1(t) - c1(t) * v0.value(t), cs.period)
 
 
-def dispersion_curve(cs: CoefficientSet, kind: str,
-                     kernel: Optional[Kernel] = None,
-                     mu: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def dispersion_curve(cs: CoefficientSet, kernel: Optional[Kernel],
+                     mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu, lambda(mu)) samples of the dispersion relation."""
     mean_alpha = invasion_mean_rate(cs)
-    if mu is None:
-        mu = np.linspace(0.05, 4.0, 80)
-    lam = np.array([homogeneous_growth_exponent(m, mean_alpha, kind, kernel)
+    lam = np.array([homogeneous_growth_exponent(m, mean_alpha, kernel)
                     for m in mu])
     return mu, lam
 
@@ -110,26 +107,23 @@ def golden_minimize(f, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def dispersion_speed(cs: CoefficientSet, kind: str,
-                     kernel: Optional[Kernel] = None,
+def dispersion_speed(cs: CoefficientSet, kernel: Optional[Kernel] = None,
                      bracket: tuple[float, float] = (1e-2, 8.0)
                      ) -> SpeedEstimate:
     """Minimize lambda(mu)/mu over mu > 0 by golden-section search after a
     coarse unimodality scan (grid minimum with a warning when the scan is
     not unimodal)."""
-    return minimize_dispersion(_check_invasion_setting(cs), kind, kernel,
-                               bracket)
+    return minimize_dispersion(_check_invasion_setting(cs), kernel, bracket)
 
 
-def minimize_dispersion(mean_alpha: float, kind: str,
-                        kernel: Optional[Kernel] = None,
+def minimize_dispersion(mean_alpha: float, kernel: Optional[Kernel] = None,
                         bracket: tuple[float, float] = (1e-2, 8.0)
                         ) -> SpeedEstimate:
     """The scan and refinement of :func:`dispersion_speed` for a given
     mean invasion rate, which only enters through lambda(mu)."""
 
     def speed_of(mu: float) -> float:
-        return homogeneous_growth_exponent(mu, mean_alpha, kind, kernel) / mu
+        return homogeneous_growth_exponent(mu, mean_alpha, kernel) / mu
 
     lo, hi = bracket
     warning = None
@@ -156,14 +150,13 @@ def minimize_dispersion(mean_alpha: float, kind: str,
                          warning=warning)
 
 
-def dispersion_grid_scan(cs: CoefficientSet, kind: str,
-                         kernel: Optional[Kernel] = None,
+def dispersion_grid_scan(cs: CoefficientSet, kernel: Optional[Kernel] = None,
                          bracket: tuple[float, float] = (1e-2, 8.0),
                          spacing: float = 1e-3) -> SpeedEstimate:
     """Brute-force scan of the dispersion curve at fixed mu spacing."""
     mean_alpha = _check_invasion_setting(cs)
     mus = np.arange(bracket[0], bracket[1] + spacing, spacing)
-    lam = np.array([homogeneous_growth_exponent(m, mean_alpha, kind, kernel)
+    lam = np.array([homogeneous_growth_exponent(m, mean_alpha, kernel)
                     for m in mus])
     vals = lam / mus
     i = int(np.argmin(vals))
@@ -231,7 +224,7 @@ def speed_interval(problem: Problem, scheme: SchemeConfig, n_periods: int,
     speed c0*; a run that would leave fewer periods than a fit needs
     raises PreconditionError."""
     cs = problem.coefficients
-    theo = dispersion_speed(cs.baselines(), problem.kind, problem.kernel)
+    theo = dispersion_speed(cs.baselines(), problem.kernel)
     radius = cs.max_support_radius()
     gate = radius + CLEARANCE
     outside = max(gate - x0, 0.0) - max(radius - max(x0, -radius), 0.0)
@@ -294,14 +287,13 @@ class SweepTable:
                 for r in self.rows]
 
 
-def continuity_sweep(cs: CoefficientSet, kind: str,
-                     kernel: Optional[Kernel] = None,
+def continuity_sweep(cs: CoefficientSet, kernel: Optional[Kernel] = None,
                      eps_list: tuple[float, ...] = (0.2, 0.1, 0.05),
                      field_name: str = "a1") -> SweepTable:
     """Theoretical speeds of uniformly shifted coefficient families,
     reported against the unshifted speed.  Monotone approach of the
     deltas is recorded (expected under the determinacy condition)."""
-    base = dispersion_speed(cs.baselines(), kind, kernel)
+    base = dispersion_speed(cs.baselines(), kernel)
     env = compute_envelopes(cs.baselines())
     h2 = check_h2(cs.baselines(), env).holds
     rows = []
@@ -309,7 +301,7 @@ def continuity_sweep(cs: CoefficientSet, kind: str,
         fld = getattr(cs, field_name)
         shifted = cs.replace_field(
             field_name, CoefficientField(fld.baseline.shifted(eps), None))
-        est = dispersion_speed(shifted.baselines(), kind, kernel)
+        est = dispersion_speed(shifted.baselines(), kernel)
         rows.append(SweepRow(eps, est.value, est.mu_star,
                              est.value - base.value))
     order = np.argsort([-r.eps for r in rows])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import (CoefficientField, CoefficientSet, compute_envelopes,
                            h2_expressions)
-from .dispersal import Grid, Kernel, apply_nonlocal, apply_random
+from .dispersal import Grid, Kernel, apply_dispersal
 from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 from .periodic_orbits import (N_TIME_DEFAULT, PeriodicOrbit, cumulative_simpson,
                               logistic_orbit, nonhomogeneous_periodic,
@@ -79,7 +79,8 @@ def check_shifted_determinacy(cs: CoefficientSet,
 @dataclass
 class AnsatzPair:
     """Positive periodic pair (phi, psi) solving the decay-rate-mu
-    linearization at the invaded state, with the growth exponent lam."""
+    linearization at the invaded state, with the growth exponent lam.
+    The kernel names the dispersal; None is the Laplacian."""
 
     phi: PeriodicOrbit
     psi: PeriodicOrbit
@@ -88,11 +89,10 @@ class AnsatzPair:
     eps: float
     shifted: CoefficientSet
     v0: PeriodicOrbit
-    kind: str
     kernel: Optional[Kernel] = None
 
     def tilt(self) -> float:
-        return homogeneous_growth_exponent(self.mu, 0.0, self.kind, self.kernel)
+        return homogeneous_growth_exponent(self.mu, 0.0, self.kernel)
 
     def alpha_phi(self, t):
         return (self.tilt() + self.shifted.a1.baseline(t)
@@ -108,8 +108,7 @@ class AnsatzPair:
 
 
 def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
-                      kind: str = "random", kernel: Optional[Kernel] = None
-                      ) -> AnsatzPair:
+                      kernel: Optional[Kernel] = None) -> AnsatzPair:
     """First component: phi(t) = exp(int_0^t (alpha - mean alpha)), the
     normalized positive periodic solution of the scalar reduction, with
     lam(mu) = mean alpha.  Second component: the unique periodic solution of
@@ -125,7 +124,7 @@ def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
     period = cs.period
     # phi, psi and lam are filled in as they are solved for: alpha_phi
     # needs none of them, alpha_psi needs lam and forcing needs phi.
-    pair = AnsatzPair(None, None, 0.0, mu, eps, sh, v0, kind, kernel)
+    pair = AnsatzPair(None, None, 0.0, mu, eps, sh, v0, kernel)
     t = np.linspace(0.0, period, N_TIME_DEFAULT + 1)
     A = cumulative_simpson(pair.alpha_phi(t), t)
     pair.lam = float(A[-1] / period)
@@ -188,7 +187,6 @@ class SupersolutionSpec:
 
 
 def build_supersolution(cs: CoefficientSet, eps: float,
-                        kind: str = "random",
                         kernel: Optional[Kernel] = None,
                         K_init: float = 10.0,
                         initial_data: Optional[tuple[np.ndarray, np.ndarray, Grid]] = None
@@ -207,9 +205,9 @@ def build_supersolution(cs: CoefficientSet, eps: float,
         cs.period)
     if mean_alpha <= 0.0:
         raise PreconditionError("mean invasion rate must be positive")
-    theo = minimize_dispersion(mean_alpha, kind, kernel)
+    theo = minimize_dispersion(mean_alpha, kernel)
     mu_star, c_star = theo.mu_star, theo.value
-    pair = build_ansatz_pair(cs, eps, mu_star, kind, kernel)
+    pair = build_ansatz_pair(cs, eps, mu_star, kernel)
     u0 = logistic_orbit(base.a1.baseline, base.b1.baseline)
     M_star = max(u0.sup(), pair.v0.sup())
     ratio = pair.psi.values / pair.phi.values
@@ -323,11 +321,8 @@ def supersolution_residual(spec: SupersolutionSpec, grid: Grid,
     mu, lam, c = spec.mu, spec.lam, spec.c
     h = grid.h
     interior = np.ones(grid.n, dtype=bool)
-    if pair.kind == "nonlocal":
-        m = pair.kernel.half_width
-        interior[:m] = interior[-m:] = False
-    else:
-        interior[0] = interior[-1] = False
+    m = 1 if pair.kernel is None else pair.kernel.half_width
+    interior[:m] = interior[-m:] = False
 
     min_u, min_v = np.inf, np.inf
     min_u_slacked, min_v_slacked = np.inf, np.inf
@@ -342,12 +337,8 @@ def supersolution_residual(spec: SupersolutionSpec, grid: Grid,
         ut = up * (mu * c - lam + pair.alpha_phi(t))
         vt = vp * (mu * c + pair.alpha_psi(t)) \
             + spec.K * pair.forcing(t) * spec.envelope(t, x)
-        if pair.kind == "nonlocal":
-            Au = apply_nonlocal(up, grid, pair.kernel)
-            Av = apply_nonlocal(vp, grid, pair.kernel)
-        else:
-            Au = apply_random(up, grid)
-            Av = apply_random(vp, grid)
+        Au = apply_dispersal(up, grid, pair.kernel)
+        Av = apply_dispersal(vp, grid, pair.kernel)
         g1v = spec.g1(vp)
         v0t = pair.v0.value(t)
         F = up * (sh.a1.baseline(t) - sh.b1.baseline(t) * up

@@ -83,8 +83,8 @@ def test_criterion_02_tilted_analytic_laws():
 
 
 def test_criterion_03_dispersion_speed_closed_form():
-    est = dispersion_speed(CANONICAL, "random")
-    scan = dispersion_grid_scan(CANONICAL, "random", spacing=1e-3)
+    est = dispersion_speed(CANONICAL)
+    scan = dispersion_grid_scan(CANONICAL, spacing=1e-3)
     err_c = abs(est.value - C0)
     err_mu = abs(est.mu_star - MU0)
     rel = abs(est.value - scan.value) / est.value
@@ -153,7 +153,7 @@ def test_criterion_07_localized_boost_does_not_speed_spreading():
 
 
 def test_criterion_08_speed_continuity_sweep():
-    table = continuity_sweep(CANONICAL, "random", eps_list=(0.2, 0.1, 0.05))
+    table = continuity_sweep(CANONICAL, eps_list=(0.2, 0.1, 0.05))
     worst = max(abs(r.speed - 2.0 * np.sqrt(0.8 + r.eps)) for r in table.rows)
     _report(8, "uniform growth shifts move the speed continuously",
             worst < 1e-4 and table.monotone,
@@ -258,8 +258,7 @@ def test_criterion_12_supersolution_machinery():
     u_orb = logistic_orbit(CANONICAL.a1.baseline, CANONICAL.b1.baseline)
     v_orb = logistic_orbit(CANONICAL.a2.baseline, CANONICAL.c2.baseline)
     u0, vt0 = make_front_data(grid, 0.5 * u_orb.value(0), v_orb, -20.0, 2.0)
-    spec = build_supersolution(CANONICAL, 0.05, "random",
-                               initial_data=(u0, vt0, grid))
+    spec = build_supersolution(CANONICAL, 0.05, initial_data=(u0, vt0, grid))
     res_phi, res_psi = ansatz_equation_residual(spec)
     ineq = check_ansatz_inequalities(spec)
     times = np.linspace(0.0, 1.0, 9)

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from compspread.dispersal import (Grid, Kernel, apply_nonlocal, apply_random,
-                                  apply_tilted_nonlocal, apply_tilted_random,
-                                  kernel_moment)
+from compspread.dispersal import Grid, Kernel, apply_dispersal, kernel_moment
 from compspread.errors import ConfigError, PreconditionError
 
 
@@ -45,13 +43,13 @@ def test_kernel_radius_must_align():
 
 
 def test_random_constant_is_zero(grid):
-    out = apply_random(np.full(grid.n, 3.7), grid)
+    out = apply_dispersal(np.full(grid.n, 3.7), grid)
     assert np.all(out == 0.0)
 
 
 def test_random_exact_on_quadratics(grid):
     u = grid.x ** 2
-    out = apply_random(u, grid)
+    out = apply_dispersal(u, grid)
     assert np.allclose(out[1:-1], 2.0, atol=1e-9)
 
 
@@ -60,20 +58,20 @@ def test_random_second_order_convergence():
     for n in (201, 401):
         g = Grid(-1.0, 1.0, n)
         u = np.sin(np.pi * g.x)
-        out = apply_random(u, g)
+        out = apply_dispersal(u, g)
         exact = -np.pi ** 2 * u
         errs.append(np.max(np.abs(out - exact)[1:-1]))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
 
 def test_nonlocal_constant_is_zero(grid, uniform_kernel):
-    out = apply_nonlocal(np.full(grid.n, 2.5), grid, uniform_kernel)
+    out = apply_dispersal(np.full(grid.n, 2.5), grid, uniform_kernel)
     assert np.max(np.abs(out)) < 1e-12
 
 
 def test_nonlocal_moves_mass_outward(grid, uniform_kernel):
     u = (np.abs(grid.x) <= 2.0).astype(float)
-    out = apply_nonlocal(u, grid, uniform_kernel)
+    out = apply_dispersal(u, grid, uniform_kernel)
     just_outside = (np.abs(grid.x) > 2.1) & (np.abs(grid.x) < 2.8)
     edge_inside = (np.abs(grid.x) > 1.2) & (np.abs(grid.x) < 1.95)
     assert np.all(out[just_outside] > 0)
@@ -84,7 +82,7 @@ def test_nonlocal_exponential_moment():
     g = Grid(-6.0, 6.0, 1201)  # h = 0.01 keeps the quadrature under 1e-6
     k = Kernel.build("uniform", 1.0, g.h)
     u = np.exp(0.1 * g.x)
-    out = apply_nonlocal(u, g, k)
+    out = apply_dispersal(u, g, k)
     interior = np.abs(g.x) < 4.0
     expected = (np.sinh(0.1) / 0.1 - 1.0) * u
     assert np.max(np.abs(out - expected)[interior]) < 1e-6
@@ -94,38 +92,38 @@ def test_nonlocal_support_guard():
     g = Grid(-1.0, 1.0, 41)
     k = Kernel.build("uniform", 1.5, g.h)
     with pytest.raises(PreconditionError):
-        apply_nonlocal(np.ones(g.n), g, k)
+        apply_dispersal(np.ones(g.n), g, k)
 
 
 def test_tilted_random_zero_tilt_bitwise(grid, rng):
     u = rng.uniform(0.0, 2.0, grid.n)
-    assert np.array_equal(apply_tilted_random(u, grid, 0.0),
-                          apply_random(u, grid))
+    assert np.array_equal(apply_dispersal(u, grid, mu=0.0),
+                          apply_dispersal(u, grid))
 
 
 def test_tilted_random_constants(grid):
     c = np.full(grid.n, 3.0)
-    assert np.allclose(apply_tilted_random(c, grid, 1.0), 3.0)
-    assert np.allclose(apply_tilted_random(c, grid, 0.5), 0.75)
+    assert np.allclose(apply_dispersal(c, grid, mu=1.0), 3.0)
+    assert np.allclose(apply_dispersal(c, grid, mu=0.5), 0.75)
 
 
 def test_tilted_nonlocal_zero_tilt_bitwise(grid, uniform_kernel, rng):
     u = rng.uniform(0.0, 2.0, grid.n)
-    assert np.array_equal(apply_tilted_nonlocal(u, grid, uniform_kernel, 0.0),
-                          apply_nonlocal(u, grid, uniform_kernel))
+    assert np.array_equal(apply_dispersal(u, grid, uniform_kernel, 0.0),
+                          apply_dispersal(u, grid, uniform_kernel))
 
 
 def test_tilted_nonlocal_uniform_constant():
     g = Grid(-6.0, 6.0, 1201)
     k = Kernel.build("uniform", 1.0, g.h)
-    out = apply_tilted_nonlocal(np.ones(g.n), g, k, 1.0)
+    out = apply_dispersal(np.ones(g.n), g, k, 1.0)
     assert np.allclose(out, np.sinh(1.0) - 1.0, atol=5e-5)
 
 
 def test_tilted_nonlocal_triangle_constant():
     g = Grid(-6.0, 6.0, 1201)
     k = Kernel.build("triangle", 1.0, g.h)
-    out = apply_tilted_nonlocal(np.ones(g.n), g, k, 1.0)
+    out = apply_dispersal(np.ones(g.n), g, k, 1.0)
     expected = 2.0 * (np.cosh(1.0) - 1.0) - 1.0
     assert np.allclose(out, expected, atol=5e-5)
 
@@ -149,23 +147,23 @@ def test_kernel_moment_symmetry(uniform_kernel):
 def test_mass_neutrality(grid, uniform_kernel, rng):
     # fields flat near the boundary: interior sums are conserved
     u = 1.0 + np.exp(-grid.x ** 2)
-    for out in (apply_random(u, grid),
-                apply_nonlocal(u, grid, uniform_kernel)):
+    for out in (apply_dispersal(u, grid),
+                apply_dispersal(u, grid, uniform_kernel)):
         assert abs(np.sum(out) * grid.h) < 1e-8
 
 
 def test_positivity_one_explicit_step(grid, uniform_kernel, rng):
     u = rng.uniform(0.0, 1.0, grid.n)
     dt_random = grid.h ** 2 / 2
-    stepped = u + dt_random * apply_random(u, grid)
+    stepped = u + dt_random * apply_dispersal(u, grid)
     assert np.all(stepped >= 0)
-    stepped_nl = u + 0.5 * apply_nonlocal(u, grid, uniform_kernel)
+    stepped_nl = u + 0.5 * apply_dispersal(u, grid, uniform_kernel)
     assert np.all(stepped_nl >= -1e-15)
 
 
 def test_reflection_symmetry(grid, uniform_kernel):
     u = np.cosh(grid.x / 4.0)  # even profile
-    for op in (lambda w: apply_random(w, grid),
-               lambda w: apply_nonlocal(w, grid, uniform_kernel)):
+    for op in (lambda w: apply_dispersal(w, grid),
+               lambda w: apply_dispersal(w, grid, uniform_kernel)):
         out = op(u)
         assert np.allclose(out, out[::-1], atol=1e-12)

@@ -73,6 +73,12 @@ def test_run_zero_periods_returns_input(canonical_set):
     assert rec.times.size == 0
 
 
+def test_kernel_sampled_at_another_spacing_is_rejected(canonical_set):
+    grid = Grid(-20.0, 20.0, 401)
+    with pytest.raises(ConfigError, match="spacing"):
+        Problem(canonical_set, grid, Kernel.build("uniform", 1.0, 0.05))
+
+
 def test_dt_must_divide_period(canonical_set):
     problem = _tiny_problem(canonical_set)
     scheme = SchemeConfig(dt=0.03)

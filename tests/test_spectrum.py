@@ -4,8 +4,8 @@ import pytest
 from compspread import spectrum
 from compspread.coefficients import PeriodicScalar, SpatialBump
 from compspread.dispersal import Grid, Kernel
-from compspread.errors import (ConvergenceError, NumericalGuardError,
-                               PreconditionError)
+from compspread.errors import (ConfigError, ConvergenceError,
+                               NumericalGuardError, PreconditionError)
 from compspread.spectrum import (MIN_STEPS_PER_PERIOD, LinearProblem,
                                  _LinearStepper, evolve_linear,
                                  homogeneous_growth_exponent,
@@ -132,6 +132,40 @@ def test_monotonicity_rejects_unordered_tables():
         spectrum_monotonicity_check(p1, p2)
 
 
+def test_monotonicity_rejects_different_kernels():
+    # Equal coefficients under a radius-1 uniform and a radius-2 triangle
+    # kernel are different problems, not an ordered pair.
+    g = Grid(-20.0, 20.0, 401)
+    p1 = LinearProblem(0.0, "nonlocal", g, 1.0, baseline=-0.1,
+                       bump=SpatialBump(0.4, 2.0, 0.0),
+                       kernel=Kernel.build("uniform", 1.0, g.h))
+    p2 = LinearProblem(0.0, "nonlocal", g, 1.0, baseline=-0.1,
+                       bump=SpatialBump(0.4, 2.0, 0.0),
+                       kernel=Kernel.build("triangle", 2.0, g.h))
+    with pytest.raises(PreconditionError, match="kernel"):
+        spectrum_monotonicity_check(p1, p2)
+
+
+def test_monotonicity_accepts_equal_kernels_built_apart():
+    g = Grid(-10.0, 10.0, 201)
+    p1 = LinearProblem(0.0, "nonlocal", g, 1.0, baseline=0.1,
+                       kernel=Kernel.build("uniform", 1.0, g.h))
+    p2 = LinearProblem(0.0, "nonlocal", g, 1.0, baseline=0.2,
+                       kernel=Kernel.build("uniform", 1.0, g.h))
+    v = spectrum_monotonicity_check(p1, p2)
+    assert v.gap == pytest.approx(0.1, abs=1e-5)
+
+
+def test_kernel_sampled_at_another_spacing_is_rejected():
+    # Stepped on this h = 0.1 grid, a radius-1 kernel sampled at h = 0.05
+    # gives lambda = 0.3603 where the matched kernel gives 0.4441.
+    g = Grid(-20.0, 20.0, 401)
+    with pytest.raises(ConfigError, match="spacing"):
+        LinearProblem(0.0, "nonlocal", g, 1.0, baseline=0.0,
+                      bump=SpatialBump(0.5, 2.0, 0.0),
+                      kernel=Kernel.build("uniform", 1.0, 0.05))
+
+
 def test_monotonicity_rejects_different_step_lattices():
     p1 = LinearProblem(0.0, "random", GRID, 1.0, baseline=0.1,
                        steps_per_period=128)
@@ -234,12 +268,6 @@ def test_random_dispersal_rejects_a_kernel():
         LinearProblem(1.0, "random", GRID, 1.0, baseline=0.5, kernel=k)
 
 
-def test_random_growth_exponent_rejects_a_kernel():
-    k = Kernel.build("uniform", 1.0, GRID.h)
-    with pytest.raises(PreconditionError, match="takes no kernel"):
-        homogeneous_growth_exponent(1.0, 0.8, "random", k)
-
-
 def test_stability_bound_violation_signals():
     p = LinearProblem(0.0, "random", GRID, 1.0, baseline=0.5,
                       steps_per_period=4)
@@ -248,9 +276,9 @@ def test_stability_bound_violation_signals():
 
 
 def test_growth_exponent_closed_forms():
-    assert homogeneous_growth_exponent(2.0, 0.8, "random") == pytest.approx(4.8)
+    assert homogeneous_growth_exponent(2.0, 0.8) == pytest.approx(4.8)
     k = Kernel.build("uniform", 1.0, 0.01)
-    lam = homogeneous_growth_exponent(1.0, 0.8, "nonlocal", k)
+    lam = homogeneous_growth_exponent(1.0, 0.8, k)
     assert lam == pytest.approx(np.sinh(1.0) - 1.0 + 0.8, abs=1e-4)
 
 
@@ -264,11 +292,15 @@ def _reference_period(stepper, u):
     return u
 
 
-@pytest.mark.parametrize("case", ["harmonic-bump", "table", "tilted"])
+@pytest.mark.parametrize("case", ["harmonic-bump", "constant-bump", "table",
+                                  "tilted"])
 def test_tabulated_period_map_matches_per_step_coefficients(case, rng):
     if case == "harmonic-bump":
         p = LinearProblem(0.0, "random", GRID, 1.0,
                           baseline=PeriodicScalar.harmonic(0.2, 0.3, 0.4),
+                          bump=SpatialBump(0.5, 1.0, 0.5))
+    elif case == "constant-bump":
+        p = LinearProblem(0.0, "random", GRID, 1.0, baseline=-0.1,
                           bump=SpatialBump(0.5, 1.0, 0.5))
     elif case == "table":
         table = rng.uniform(-0.5, 0.5, (MIN_STEPS_PER_PERIOD, GRID.n))
@@ -281,6 +313,9 @@ def test_tabulated_period_map_matches_per_step_coefficients(case, rng):
     u0 = rng.uniform(0.1, 1.0, GRID.n)
     assert np.array_equal(stepper.run_period(u0),
                           _reference_period(stepper, u0))
+    if case == "constant-bump":
+        # every phase shares the one half-step table of its baseline
+        assert len({id(half) for half in stepper._half}) == 1
 
 
 def _dense_correlation(weights, n):
@@ -415,7 +450,7 @@ def test_homogeneous_problems_take_one_period_map(case):
         k = Kernel.build("uniform", 1.0, GRID.h)
         p = LinearProblem(0.5, "nonlocal", GRID, 1.0,
                           baseline=PeriodicScalar.harmonic(0.1, 0.2), kernel=k)
-        exact = homogeneous_growth_exponent(0.5, 0.1, "nonlocal", k)
+        exact = homogeneous_growth_exponent(0.5, 0.1, k)
     res = principal_spectrum_point(p)
     assert res.periods == 1
     assert res.residual <= 1e-6

@@ -22,7 +22,7 @@ def test_invasion_mean_rate_canonical(canonical_set):
 
 
 def test_dispersion_speed_canonical_closed_form(canonical_set):
-    est = dispersion_speed(canonical_set, "random")
+    est = dispersion_speed(canonical_set)
     assert est.value == pytest.approx(C0_CANONICAL, abs=1e-6)
     assert est.mu_star == pytest.approx(MU_CANONICAL, abs=1e-6)
     assert est.warning is None
@@ -32,21 +32,21 @@ def test_dispersion_speed_depends_only_on_the_mean(canonical_set):
     # amplitude small enough to keep the envelope hypotheses intact
     periodic = canonical_set.replace_field("a1", CoefficientField(
         PeriodicScalar.harmonic(1.0, 0.15, 0.7, 1.0)))
-    est = dispersion_speed(periodic, "random")
+    est = dispersion_speed(periodic)
     assert est.value == pytest.approx(C0_CANONICAL, abs=1e-5)
 
 
 def test_dispersion_speed_nonlocal_vs_frozen_scan(canonical_set):
     grid = Grid(-4.0, 4.0, 1601)
     kernel = Kernel.build("uniform", 1.0, grid.h)
-    est = dispersion_speed(canonical_set, "nonlocal", kernel)
+    est = dispersion_speed(canonical_set, kernel)
     assert est.value == pytest.approx(C0_NONLOCAL_UNIFORM, abs=1e-5)
     assert est.mu_star == pytest.approx(MU_NONLOCAL_UNIFORM, abs=1e-3)
 
 
 def test_grid_scan_matches_golden_section(canonical_set):
-    est = dispersion_speed(canonical_set, "random")
-    scan = dispersion_grid_scan(canonical_set, "random", spacing=1e-3)
+    est = dispersion_speed(canonical_set)
+    scan = dispersion_grid_scan(canonical_set, spacing=1e-3)
     assert abs(scan.value - est.value) / est.value < 1e-4
 
 
@@ -54,12 +54,11 @@ def test_dispersion_requires_invasion_setting():
     # reversed dominance: the envelope condition fails
     cs = constant_set(0.4, 1.0, 0.5, 1.0, 0.5, 1.0)
     with pytest.raises(PreconditionError):
-        dispersion_speed(cs, "random")
+        dispersion_speed(cs)
 
 
 def test_continuity_sweep_growth_shifts(canonical_set):
-    table = continuity_sweep(canonical_set, "random",
-                             eps_list=(0.2, 0.1, 0.05))
+    table = continuity_sweep(canonical_set, eps_list=(0.2, 0.1, 0.05))
     assert table.h2_holds
     assert table.monotone
     for row in table.rows:
@@ -70,7 +69,7 @@ def test_continuity_sweep_growth_shifts(canonical_set):
 def test_continuity_sweep_competition_shifts(canonical_set):
     # shifting the competition coefficient lowers the speed through the
     # resident level 0.4
-    table = continuity_sweep(canonical_set, "random",
+    table = continuity_sweep(canonical_set,
                              eps_list=(0.2, 0.1, 0.05), field_name="c1")
     for row in table.rows:
         assert row.speed == pytest.approx(2.0 * np.sqrt(0.8 - 0.4 * row.eps),
@@ -79,7 +78,7 @@ def test_continuity_sweep_competition_shifts(canonical_set):
 
 
 def test_continuity_sweep_zero_shift_is_identity(canonical_set):
-    table = continuity_sweep(canonical_set, "random", eps_list=(0.0,))
+    table = continuity_sweep(canonical_set, eps_list=(0.0,))
     assert table.rows[0].delta_from_base == pytest.approx(0.0, abs=1e-10)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from compspread.coefficients import (CoefficientField, PeriodicScalar,
                                      SpatialBump, constant_set)
-from compspread.dispersal import Grid
+from compspread.dispersal import Grid, Kernel
 from compspread.errors import PreconditionError
 from compspread.periodic_orbits import logistic_orbit
 from compspread.semitrivial import compute_semitrivial
@@ -66,7 +66,7 @@ def test_ansatz_periodic_coefficient_same_mean(canonical_set):
 
 
 def test_ansatz_equations_satisfied(canonical_set):
-    spec = build_supersolution(canonical_set, 0.05, "random")
+    spec = build_supersolution(canonical_set, 0.05)
     res_phi, res_psi = ansatz_equation_residual(spec)
     assert res_phi < 1e-8
     assert res_psi < 1e-8
@@ -75,7 +75,7 @@ def test_ansatz_equations_satisfied(canonical_set):
 def test_ansatz_equations_satisfied_periodic_case(canonical_set):
     periodic = canonical_set.replace_field("a1", CoefficientField(
         PeriodicScalar.harmonic(1.0, 0.15, 0.3, 1.0)))
-    spec = build_supersolution(periodic, 0.05, "random")
+    spec = build_supersolution(periodic, 0.05)
     res_phi, res_psi = ansatz_equation_residual(spec)
     assert res_phi < 1e-8
     assert res_psi < 1e-8
@@ -91,7 +91,7 @@ def test_ansatz_rejects_eps_breaking_determinacy():
 # --- inequalities -----------------------------------------------------------
 
 def test_inequalities_hold_with_margin(canonical_set):
-    spec = build_supersolution(canonical_set, 0.01, "random")
+    spec = build_supersolution(canonical_set, 0.01)
     rep = check_ansatz_inequalities(spec)
     assert rep.holds
     # psi/phi = 1/6 sits far below b1/c1 = 0.99/0.49
@@ -102,7 +102,7 @@ def test_inequality_margins_shrink_with_determinacy_margin():
     margins = []
     for c1 in (0.5, 0.8, 1.1):
         cs = constant_set(1.0, 1.0, c1, 0.4, 0.5, 1.0)
-        spec = build_supersolution(cs, 0.01, "random")
+        spec = build_supersolution(cs, 0.01)
         rep = check_ansatz_inequalities(spec)
         margins.append(min(rep.margins))
     assert margins[0] > margins[1] > margins[2]
@@ -113,7 +113,7 @@ def test_inequality_margins_shrink_with_determinacy_margin():
 @pytest.fixture(scope="module")
 def canonical_spec():
     cs = constant_set(1.0, 1.0, 0.5, 0.4, 0.5, 1.0)
-    return build_supersolution(cs, 0.05, "random")
+    return build_supersolution(cs, 0.05)
 
 
 def test_supersolution_residual_passes(canonical_spec):
@@ -150,6 +150,22 @@ def test_doubling_K_shifts_cutoff_not_verdict(canonical_spec):
     assert supersolution_residual(spec2, grid, times, dt=0.005).passed
 
 
+def test_nonlocal_supersolution_values_are_pinned():
+    # The nonlocal path with a uniform kernel: decay rate, speed, amplitude
+    # and residuals, pinned to the last bit.
+    grid = Grid(-20.0, 60.0, 801)
+    kernel = Kernel.build("uniform", 1.0, grid.h)
+    cs = constant_set(1.0, 1.0, 0.5, 0.4, 0.5, 1.0)
+    spec = build_supersolution(cs, 0.05, kernel)
+    assert spec.mu == 1.8173660851024125
+    assert spec.c == 0.838244669605977
+    assert spec.K == 320.0
+    report = supersolution_residual(spec, grid, np.linspace(0.0, 1.0, 5))
+    assert report.passed
+    assert report.points_checked == 2817
+    assert report.min_residual_v == 0.3522249442572189
+
+
 def test_cutoff_matches_defining_level(canonical_spec):
     for t in (0.0, 0.3, 0.9):
         x = canonical_spec.xi(t)
@@ -165,7 +181,7 @@ def test_front_stays_below_supersolution(canonical_set):
     u_orb = logistic_orbit(canonical_set.a1.baseline, canonical_set.b1.baseline)
     v_orb = logistic_orbit(canonical_set.a2.baseline, canonical_set.c2.baseline)
     u0, vt0 = make_front_data(grid, 0.5 * u_orb.value(0), v_orb, -20.0, 2.0)
-    spec = build_supersolution(canonical_set, 0.05, "random",
+    spec = build_supersolution(canonical_set, 0.05,
                                initial_data=(u0, vt0, grid))
     state = SystemState(0.0, u0, vt0)
     snapshots = []
