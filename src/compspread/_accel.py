@@ -51,9 +51,19 @@ def second_diff(u, inv_h2):
 
 
 def correlate_ext(u, weights):
-    """sum_k weights[k+m]*u[j+k] with constant extension of the edges."""
+    """sum_k weights[k+m]*u[j+k] with constant extension of the edges.  A
+    (K, n) batch is correlated row by row through one padded buffer."""
     m = (weights.size - 1) // 2
-    padded = np.empty(u.size + 2 * m)
+    padded = np.empty(u.shape[-1] + 2 * m)
+    if u.ndim == 1:
+        return _correlate_padded(u, weights, padded, m)
+    out = np.empty(u.shape)
+    for row, dst in zip(u, out):
+        dst[:] = _correlate_padded(row, weights, padded, m)
+    return out
+
+
+def _correlate_padded(u, weights, padded, m):
     padded[:m] = u[0]
     padded[m:m + u.size] = u
     padded[m + u.size:] = u[-1]
@@ -91,8 +101,16 @@ class TridiagFactor:
         self._d = d
         self._e = e
 
-    def solve(self, rhs):
-        b = np.array(rhs, dtype=float)
+    def solve(self, rhs, overwrite_rhs=False):
+        """x with (I - rL) x = rhs, for one field of shape (n,) or a (K, n)
+        batch of independent rows.  rhs is left unchanged unless
+        overwrite_rhs, which lets a float C-contiguous rhs become x.
+
+        The solve works on the transpose: a C-contiguous (K, n) batch is an
+        (n, K) Fortran array, whose columns ``dpttrs`` solves one by one
+        with the same recurrence, so each row comes out bitwise as if it
+        were solved alone.  A field of shape (n,) is its own transpose."""
+        b = (rhs if overwrite_rhs else np.array(rhs, dtype=float)).T
         b[0] *= _HALF_SQRT2
         b[-1] *= _HALF_SQRT2
         x, info = dpttrs(self._d, self._e, b, overwrite_b=1)
@@ -101,7 +119,7 @@ class TridiagFactor:
                 f"tridiagonal solve failed (dpttrs info={info})")
         x[0] /= _HALF_SQRT2
         x[-1] /= _HALF_SQRT2
-        return x
+        return x.T
 
     def crank_nicolson(self, u):
         """(I - rL)^-1 (I + rL) u = 2 (I - rL)^-1 u - u.  With G = (I - rL)^-1
@@ -114,9 +132,23 @@ class TridiagFactor:
 
 
 def cn_explicit_half(u, r):
-    """(I + r*L) u for the reflecting-boundary Laplacian."""
-    out = np.empty_like(u)
-    out[1:-1] = u[1:-1] + r * (u[:-2] - 2.0 * u[1:-1] + u[2:])
-    out[0] = u[0] + 2.0 * r * (u[1] - u[0])
-    out[-1] = u[-1] + 2.0 * r * (u[-2] - u[-1])
+    """(I + r*L) u for the reflecting-boundary Laplacian, row by row for a
+    (K, n) batch."""
+    out = np.empty(u.shape)
+    # u[1:-1] + r*(u[:-2] - 2*u[1:-1] + u[2:]), operation for operation, in
+    # place over the flattened rows; the first and last entry of each row,
+    # where one row meets the next, are rewritten below.
+    flat, flat_out = (u, out) if u.ndim == 1 else (u.reshape(-1),
+                                                   out.reshape(-1))
+    mid = flat_out[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=mid)
+    np.subtract(flat[:-2], mid, out=mid)
+    mid += flat[2:]
+    mid *= r
+    mid += flat[1:-1]
+    # Transposed, index 0 is the first entry of every row (a scalar for a
+    # single field).
+    ut, ot = u.T, out.T
+    ot[0] = ut[0] + 2.0 * r * (ut[1] - ut[0])
+    ot[-1] = ut[-1] + 2.0 * r * (ut[-2] - ut[-1])
     return out

@@ -154,7 +154,8 @@ class Stepper:
 
     def _disperse(self, w: np.ndarray) -> np.ndarray:
         if self.problem.kernel is None:
-            return self._cn.solve(_accel.cn_explicit_half(w, self._r))
+            return self._cn.solve(_accel.cn_explicit_half(w, self._r),
+                                  overwrite_rhs=True)
         # w + dt*(K*w - w), operation for operation, in place.
         out = _accel.correlate_ext(w, self._weights)
         out -= w
@@ -165,13 +166,16 @@ class Stepper:
     def step_arrays(self, u: np.ndarray, v: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray]:
         """(u, v) one step after time t, which must lie on the step
-        lattice.  The inputs are never modified.
+        lattice.  The inputs are never modified.  Fields of shape (K, n)
+        step K independent trajectories at once, each row bitwise as if
+        stepped alone.
 
         A species with no nonzero entry skips both substeps and comes
         back as fresh +0.0 zeros: linear dispersal maps 0 to 0 and
         logistic_step(0, ...) is 0*e^x/(1 + 0), so the result is the
         stepped one, except where e^x would overflow and turn 0 into NaN.
-        A NaN field counts as live and is stepped."""
+        A NaN field counts as live and is stepped.  In a batch the skip
+        needs every row of the species to be zero."""
         base = self._phase_coefs[self.step_index(t) % self.spp]
         live_u, live_v = u.any(), v.any()
         u = self._disperse(u) if live_u else np.zeros(u.shape)
@@ -200,19 +204,24 @@ class Stepper:
 
     def run_period(self, u: np.ndarray,
                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, v) one whole period after phase 0: the period map."""
+        """(u, v) one whole period after phase 0: the period map, of one
+        trajectory or of a (K, n) batch."""
         for u, v in self.period_steps(u, v):
             pass
         return u, v
 
 
 def _guard_finite(u: np.ndarray, v: np.ndarray, t: float, grid: Grid) -> None:
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        bad_u = np.flatnonzero(~np.isfinite(u))
-        bad_v = np.flatnonzero(~np.isfinite(v))
-        j = int(bad_u[0]) if bad_u.size else int(bad_v[0])
-        raise NumericalGuardError(
-            f"nonfinite value at t={t:.6g}, x={grid.x[j]:.6g} (index {j})")
+    """NumericalGuardError naming the first nonfinite grid point of u, else
+    of v, and its row when the fields are a (K, n) batch."""
+    finite_u = np.isfinite(u)
+    if finite_u.all() and np.isfinite(v).all():
+        return
+    bad = ~finite_u if not finite_u.all() else ~np.isfinite(v)
+    *row, j = np.argwhere(bad)[0].tolist()
+    at = f"row {row[0]}, " if row else ""
+    raise NumericalGuardError(
+        f"nonfinite value at t={t:.6g}, {at}x={grid.x[j]:.6g} (index {j})")
 
 
 def _sup_change(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> float:

@@ -451,28 +451,28 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
     max_violation = 0.0
     period = 0
 
+    # Row 0 of each field is the upper pair (u-resident, small invader),
+    # row 1 the lower pair (small invader, v-resident); one batch steps
+    # both.
     def one_period(fields):
         nonlocal max_violation, period
-        up_u, up_v, lo_u, lo_v = fields
-        new_up = stepper.run_period(up_u, up_v)
-        new_lo = stepper.run_period(lo_u, lo_v)
+        u, v = fields
+        new_u, new_v = stepper.run_period(u, v)
         slack = first_slack if period == 0 else MONO_SLACK
         period += 1
-        viol = max(float(np.max(new_up[0] - up_u)),
-                   float(np.max(up_v - new_up[1])),
-                   float(np.max(lo_u - new_lo[0])),
-                   float(np.max(new_lo[1] - lo_v)))
+        viol = max(float(np.max(new_u[0] - u[0])),
+                   float(np.max(v[0] - new_v[0])),
+                   float(np.max(u[1] - new_u[1])),
+                   float(np.max(new_v[1] - v[1])))
         max_violation = max(max_violation, viol)
         if viol > slack:
             raise NumericalGuardError(
                 f"monotonicity violated by {viol:.3e} at period {period}")
-        return (*new_up, *new_lo)
+        return new_u, new_v
 
-    # Upper pair (u-resident, small invader), lower pair (small invader,
-    # v-resident).
-    seeds = (ustar.frames[0].copy(), eps * prof_v,
-             eps * prof_u, vstar.frames[0].copy())
-    (up_u, up_v, lo_u, lo_v), periods, wrap = fixed_point(
+    seeds = (np.stack((ustar.frames[0], eps * prof_u)),
+             np.stack((eps * prof_v, vstar.frames[0])))
+    ((up_u, lo_u), (up_v, lo_v)), periods, wrap = fixed_point(
         one_period, seeds, tol, max_periods)
     if wrap >= tol:
         raise ConvergenceError(
@@ -490,14 +490,17 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
 @dataclass
 class PersistenceTrial:
     """One ensemble member: the period it stopped at, its floor, whether
-    the floor is below the failure floor, and whether its last period
+    the floor is below the failure floor, whether its last period
     changed the fields by less than the settle tolerance (an unsettled
-    floor is a transient, not a persistence floor)."""
+    floor is a transient, not a persistence floor), and its fields
+    there."""
 
     settled_period: int
     eta: float
     failed: bool
     settled: bool
+    u: np.ndarray = field(repr=False, default=None)
+    v: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass
@@ -520,12 +523,35 @@ class PersistenceReport:
                            for t in self.trials]}
 
 
-def _random_positive_field(rng, n: int, x: np.ndarray, level: float) -> np.ndarray:
+def _random_positive_field(rng, x: np.ndarray, level: float) -> np.ndarray:
     modes = 1.0 + 0.4 * sum(
         rng.uniform(-1.0, 1.0) * np.sin(2.0 * np.pi * k * (x - x[0])
                                         / (x[-1] - x[0]) + rng.uniform(0, 7))
         for k in range(1, 4))
     return level * np.clip(modes, 0.2, None)
+
+
+def _check_initials(initials, n: int, mode: str
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The given initial pairs as float arrays; PreconditionError unless
+    each is two finite arrays of shape (n,) with u strictly positive and v
+    strictly positive, or, in one-sided mode, identically zero (the
+    invader-only start)."""
+    ensemble = []
+    for i, (u0, v0) in enumerate(initials):
+        u0, v0 = np.array(u0, dtype=float), np.array(v0, dtype=float)
+        for name, w in (("u", u0), ("v", v0)):
+            if w.shape != (n,) or not np.isfinite(w).all():
+                raise PreconditionError(
+                    f"initial {name} of trial {i} must be a finite array of "
+                    f"shape ({n},), got shape {w.shape}")
+        if not (np.all(u0 > 0.0) and (np.all(v0 > 0.0) or (
+                mode == "one-sided" and not v0.any()))):
+            raise PreconditionError(
+                f"initial state of trial {i} must be strictly positive (in "
+                "one-sided mode v may also be identically zero)")
+        ensemble.append((u0, v0))
+    return ensemble
 
 
 def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
@@ -537,7 +563,12 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
     """Run an ensemble of strictly positive initial states and report the
     empirical uniform floor after settling: in two-sided mode the floor of
     both species, in one-sided (resident-exclusion) mode the floor of the
-    invader and of the gap to the v-resident."""
+    invader and of the gap to the v-resident.  In one-sided mode a given
+    initial v may also be identically zero.
+
+    The trials are stepped as one (K, n) batch.  Each trial leaves the
+    batch at the period whose sup change falls below settle_tol, or at
+    max_periods, so every trial ends as if iterated alone."""
     if scheme is None:
         scheme = make_scheme(problem)
     ustar = compute_semitrivial("u", problem, scheme, tol=1e-10)
@@ -560,25 +591,38 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
     v_level = vstar.homogeneous_orbit.values[0] if vstar.homogeneous_orbit else 1.0
 
     if initials is not None:
-        ensemble = [(np.array(u0, dtype=float), np.array(v0, dtype=float))
-                    for u0, v0 in initials]
+        ensemble = _check_initials(initials, problem.grid.n, mode)
     else:
-        ensemble = [( _random_positive_field(rng, problem.grid.n, x, 0.6 * u_level),
-                      _random_positive_field(rng, problem.grid.n, x, 0.6 * v_level))
+        ensemble = [(_random_positive_field(rng, x, 0.6 * u_level),
+                     _random_positive_field(rng, x, 0.6 * v_level))
                     for _ in range(n_trials)]
-    trials = []
-    failures = 0
-    for u, v in ensemble:
-        (u, v), periods, delta = fixed_point(
-            lambda f: stepper.run_period(*f), (u, v), settle_tol, max_periods)
-        if mode == "two-sided":
-            eta = min(float(np.min(u)), float(np.min(v)))
-        else:
-            eta = min(float(np.min(u)),
-                      float(np.min(vstar.frames[0] - v)))
-        failed = eta < FAILURE_FLOOR
-        failures += int(failed)
-        trials.append(PersistenceTrial(periods, eta, failed,
-                                       delta < settle_tol))
+    if not ensemble:
+        raise PreconditionError("persistence needs at least one trial")
+    trials: list[Optional[PersistenceTrial]] = [None] * len(ensemble)
+    # slot[i] is the ensemble index of batch row i.
+    slot = np.arange(len(ensemble))
+    u = np.stack([u0 for u0, _ in ensemble])
+    v = np.stack([v0 for _, v0 in ensemble])
+    delta = np.full(len(ensemble), np.inf)
+    periods = 0
+    while True:
+        leave = (delta < settle_tol) | (periods >= max_periods)
+        for i in np.flatnonzero(leave):
+            if mode == "two-sided":
+                eta = min(float(np.min(u[i])), float(np.min(v[i])))
+            else:
+                eta = min(float(np.min(u[i])),
+                          float(np.min(vstar.frames[0] - v[i])))
+            trials[slot[i]] = PersistenceTrial(
+                periods, eta, eta < FAILURE_FLOOR, bool(delta[i] < settle_tol),
+                u[i], v[i])
+        slot, u, v = slot[~leave], u[~leave], v[~leave]
+        if not slot.size:
+            break
+        new_u, new_v = stepper.run_period(u, v)
+        delta = np.maximum(np.max(np.abs(new_u - u), axis=1),
+                           np.max(np.abs(new_v - v), axis=1))
+        u, v = new_u, new_v
+        periods += 1
     return PersistenceReport(mode, min(t.eta for t in trials), trials,
-                             failures)
+                             sum(t.failed for t in trials))

@@ -120,3 +120,48 @@ def test_correlate_ext_is_bitwise_the_concatenated_form(n, taps, rng):
     padded = np.concatenate((np.full(m, u[0]), u, np.full(m, u[-1])))
     assert np.array_equal(_accel.correlate_ext(u, w),
                           np.correlate(padded, w, mode="valid"))
+
+
+# --- (K, n) batches: each row bitwise as if alone ----------------------------
+
+def _written_out_explicit_half(u, r):
+    out = np.empty_like(u)
+    out[1:-1] = u[1:-1] + r * (u[:-2] - 2.0 * u[1:-1] + u[2:])
+    out[0] = u[0] + 2.0 * r * (u[1] - u[0])
+    out[-1] = u[-1] + 2.0 * r * (u[-2] - u[-1])
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 301, 3001])
+def test_cn_explicit_half_is_bitwise_the_written_out_formula(n, rng):
+    u = rng.uniform(0.1, 1.0, n)
+    assert np.array_equal(_accel.cn_explicit_half(u, 0.37),
+                          _written_out_explicit_half(u, 0.37))
+
+
+@pytest.mark.parametrize("n", [2, 3, 301])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_batched_kernels_match_row_by_row(n, k, rng):
+    u = rng.uniform(0.1, 1.0, (k, n))
+    before = u.copy()
+    factor = _accel.TridiagFactor(n, 0.37)
+    w = rng.uniform(0.0, 1.0, 7)
+    batched = (_accel.cn_explicit_half(u, 0.37), factor.solve(u),
+               _accel.correlate_ext(u, w))
+    for i, row in enumerate(u):
+        single = (_written_out_explicit_half(row, 0.37), factor.solve(row),
+                  _accel.correlate_ext(row, w))
+        for got, want in zip(batched, single):
+            assert got.shape == (k, n)
+            assert np.array_equal(got[i], want)
+    assert np.array_equal(u, before)
+
+
+@pytest.mark.parametrize("shape", [(51,), (3, 51)])
+def test_tridiag_factor_solve_may_overwrite_its_rhs(shape, rng):
+    b = rng.uniform(0.1, 1.0, shape)
+    factor = _accel.TridiagFactor(51, 0.5)
+    want = factor.solve(b)
+    x = factor.solve(b, overwrite_rhs=True)
+    assert np.array_equal(x, want)
+    assert np.shares_memory(x, b)

@@ -328,6 +328,51 @@ def test_run_period_matches_step_loop(kind, canonical_set, rng):
         assert np.array_equal(fu, su) and np.array_equal(fv, sv)
 
 
+# --- (K, n) batches of independent trajectories ------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_batch_matches_row_by_row(kind, k, canonical_set, rng):
+    grid = Grid(-5.0, 5.0, 101)
+    kernel = Kernel.build("uniform", 1.0, grid.h) if kind == "nonlocal" else None
+    problem = Problem(_harmonic_bump_set(canonical_set), grid, kernel)
+    stepper = Stepper(problem, make_scheme(problem))
+    u0 = rng.uniform(0.1, 1.0, (k, grid.n))
+    v0 = rng.uniform(0.1, 0.4, (k, grid.n))
+    u0[-1] = 0.0  # a row whose u is identically zero
+    u, v = u0, v0
+    rows = [(u0[i], v0[i]) for i in range(k)]
+    for step_k in range(stepper.spp + 3):
+        t = stepper.time_at(step_k)
+        u, v = stepper.step_arrays(u, v, t)
+        rows = [stepper.step_arrays(ru, rv, t) for ru, rv in rows]
+    for i, (ru, rv) in enumerate(rows):
+        assert np.array_equal(u[i], ru) and np.array_equal(v[i], rv)
+    pu, pv = stepper.run_period(u0, v0)
+    for i in range(k):
+        ru, rv = stepper.run_period(u0[i], v0[i])
+        assert np.array_equal(pu[i], ru) and np.array_equal(pv[i], rv)
+    assert not pu[-1].any() and not np.signbit(pu[-1]).any()
+
+
+def test_nan_in_a_batch_row_names_its_grid_point(canonical_set, monkeypatch):
+    problem = _tiny_problem(canonical_set)
+    stepper = Stepper(problem, make_scheme(problem, steps_per_period=30))
+    real = Stepper.step_arrays
+
+    def poisoned(self, u, v, t):
+        u, v = real(self, u, v, t)
+        if self.step_index(t) == self.spp - 1:
+            u[2, 7] = np.nan  # after the last step, before the guard
+        return u, v
+
+    monkeypatch.setattr(Stepper, "step_arrays", poisoned)
+    x7 = problem.grid.x[7]
+    with pytest.raises(NumericalGuardError,
+                       match=rf"row 2, x={x7:.6g} \(index 7\)"):
+        stepper.run_period(np.full((3, 11), 0.5), np.full((3, 11), 0.2))
+
+
 # --- one finite-value guard for every period loop ----------------------------
 
 def _nan_mid_period(monkeypatch, min_points=0):
@@ -339,7 +384,7 @@ def _nan_mid_period(monkeypatch, min_points=0):
         u, v = real(self, u, v, t)
         if u.size > min_points and \
                 self.step_index(t) % self.spp == self.spp // 2:
-            u[u.size // 2] = np.nan
+            u.reshape(-1)[u.size // 2] = np.nan
         return u, v
 
     monkeypatch.setattr(Stepper, "step_arrays", poisoned)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,45 @@ def test_monotone_coexistence_requires_double_instability(canonical_set):
         monotone_coexistence(problem)
 
 
+def _sha(field):
+    return hashlib.sha256(np.ascontiguousarray(field).tobytes()).hexdigest()
+
+
+def _bumped_weak_problem(weak_set, kind):
+    grid = Grid(-25.0, 25.0, 251)
+    kernel = Kernel.build("uniform", 1.0, grid.h) if kind == "nonlocal" else None
+    problem = Problem(weak_set.with_bump_on("a1", SpatialBump(0.2, 1.5, 0.5)),
+                      grid, kernel)
+    return problem, make_scheme(problem, steps_per_period=32)
+
+
+# Periods, violation, wrap residual and the sha256 of u_upper, v_upper,
+# u_lower, v_lower, pinned to the last bit.
+COEXISTENCE_PINS = {
+    "random": (52, 0.0, 9.885463313485943e-07, (
+        "087e58c7d75f5be7ca06465a33c7ddc6ed1a2099fd28a6c4853715e76a61ad49",
+        "27d650678e7e1c0af1b4fafc97d9039337d43f6fbfaf61fd094f72e4394bc44f",
+        "ba7893b02c73033d5357c8b42aed40668dd5580846ea75b625e55eecaaf8d88a",
+        "a821003b519b3a3c54f6242a9b023abafb814aff9929d1e9b74e9aeab4b51504")),
+    "nonlocal": (59, 0.0, 7.56254057820982e-07, (
+        "3507cd45135e83e5f181be488f280a0b659dcdf28089f62512ac68e16a37a446",
+        "063556e7c3a7b349fba16e170e57dfb3a803ac4e84e0a36df55a29a408f9fb5f",
+        "981b3472df11fe48e090dc4fb317cdc0794bb39b2b47601681bb4732f6e9ad87",
+        "433308040ac37bbdf874ff76f4070981217939799104c34cd662f5eb59b1b3ac")),
+}
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_monotone_coexistence_values_are_pinned(weak_set, kind):
+    result = monotone_coexistence(*_bumped_weak_problem(weak_set, kind))
+    periods, violation, wrap, hashes = COEXISTENCE_PINS[kind]
+    assert result.periods == periods
+    assert result.max_monotonicity_violation == violation
+    assert result.wrap_residual == wrap
+    assert tuple(map(_sha, (*result.upper, *result.lower))) == hashes
+    assert result.ordered
+
+
 # --- persistence ---------------------------------------------------------------
 
 def test_persistence_two_sided_weak(weak_set):
@@ -288,3 +329,73 @@ def test_persistence_reports_unsettled_trials(weak_set, max_periods, settled):
         assert all(abs(t.eta - 2.0 / 3.0) < 1e-3 for t in report.trials)
     else:
         assert all(t.settled_period == 2 for t in report.trials)
+
+
+# (settled_period, eta, settled, sha256 of u, sha256 of v) per trial at
+# seed 5, pinned to the last bit.  The trials settle at different periods,
+# and a cut at 31 periods leaves the first one unsettled.
+PERSISTENCE_PINS = {
+    ("random", 2000): [
+        (34, 0.5926802191345683, True,
+         "eae66eecbbb43ffcb3b308a7d49d526585db568ed8602c5a09e4b6ee0f9c0277",
+         "bda41336b47d0a931c8569074e8cc735df137a34f326f5772fa283c7bf791696"),
+        (31, 0.5926807111312956, True,
+         "c716146634ca6005188db4bf7a26ef283ef946f25976da94ec3a6c77883571c2",
+         "5b668a1d4ae68ae2ef12696f793d3d0b082f6bc270db8f7d8bf7b8e5c10401b6"),
+        (30, 0.5926820984747397, True,
+         "204d8feb5f662dc5e8d8f229354224e1630fa5a87de5da0271af73d9cc6d9136",
+         "836f41583a13b40ac72851a82285ef3a1f59c07a8ea8aaa2ad6f7d39ffc8bcad")],
+    ("random", 31): [
+        (31, 0.5926801449480097, False, "c7f7a3439af106f7",
+         "14c370e1e96c6d6d"),
+        (31, 0.5926807111312956, True, "c716146634ca6005",
+         "5b668a1d4ae68ae2"),
+        (30, 0.5926820984747397, True, "204d8feb5f662dc5",
+         "836f41583a13b40a")],
+    ("nonlocal", 2000): [
+        (35, 0.5494471169710756, True,
+         "0e6c1a7ca0315589e73e3fe21796dcf828a9727edc9d866b3b9665f09d1252ee",
+         "ff6513c4bf759bee46c8561d0648d0cfcea18a9dfe060844e09c375396d71ff2"),
+        (34, 0.549448244842564, True,
+         "90699556dbc1b47f251e123d4c47c4841b2d0378d30473a190b43eb9fbf42dd8",
+         "eaa8d6857c20dea3c7eb1c7dd21b41d4f38e4cc6bd0ab1df0288d4df46fa8235"),
+        (33, 0.5494495680087337, True,
+         "ede6f692bacfbd67d2bd8f149e6a8812dd2349f3c0e157717a769861997d0bd9",
+         "b52a7107ecb2c0ae4a00fa1ed652b5432285bedd2e4530d888f8e0ae3807bf1d")],
+}
+
+
+@pytest.mark.parametrize("kind, max_periods", list(PERSISTENCE_PINS))
+def test_persistence_trials_are_pinned(weak_set, kind, max_periods):
+    report = persistence_probe(*_bumped_weak_problem(weak_set, kind),
+                               n_trials=3, seed=5, max_periods=max_periods)
+    assert report.mode == "two-sided"
+    got = [(t.settled_period, t.eta, t.settled, _sha(t.u), _sha(t.v))
+           for t in report.trials]
+    pins = PERSISTENCE_PINS[kind, max_periods]
+    width = len(pins[0][3])
+    assert [g[:3] + (g[3][:width], g[4][:width]) for g in got] == pins
+    assert report.eta == min(p[1] for p in pins)
+
+
+@pytest.mark.parametrize("case", ["short", "nonfinite", "negative", "zero u",
+                                  "zero v two-sided", "no trials"])
+def test_persistence_rejects_invalid_initials(canonical_set, weak_set, case):
+    cs = weak_set if case == "zero v two-sided" else canonical_set
+    problem = Problem(cs, Grid(-15.0, 15.0, 151))
+    n = problem.grid.n
+    u0, v0 = np.full(n, 0.5), np.full(n, 0.2)
+    if case == "short":
+        u0 = np.full(n - 1, 0.5)
+    elif case == "nonfinite":
+        v0[3] = np.nan
+    elif case == "negative":
+        v0[3] = -0.1
+    elif case == "zero u":
+        u0 = np.zeros(n)
+    elif case == "zero v two-sided":
+        v0 = np.zeros(n)
+    initials = [(np.full(n, 0.5), np.full(n, 0.2)), (u0, v0)]
+    with pytest.raises(PreconditionError):
+        persistence_probe(problem, make_scheme(problem, steps_per_period=32),
+                          initials=[] if case == "no trials" else initials)
