@@ -22,17 +22,19 @@ _HALF_SQRT2 = np.sqrt(0.5)
 def logistic_step(u, rate, selflim, dt):
     """Exact one-step solution of w' = w*(rate - selflim*w) with frozen
     coefficients.  Nonnegative input stays nonnegative for any dt.
-    ``selflim`` may be a scalar or an array matching ``u``."""
-    x = rate * dt
+    ``rate`` and ``selflim`` may be scalars or arrays that broadcast
+    against ``u``, such as one field's rate for a (K, n) batch."""
+    x = np.multiply(rate, dt)
     small = np.abs(x) < _SMALL_EXPONENT
-    if small.any():
+    den = np.multiply(selflim, u)
+    if small.any() or den.shape != x.shape:
         safe_rate = np.where(small, 1.0, rate)
         phi = np.where(small, dt * (1.0 + 0.5 * x), np.expm1(x) / safe_rate)
-        return u * np.exp(x) / (1.0 + selflim * u * phi)
-    # The expression above, operation for operation, in place.
+        return u * np.exp(x) / (1.0 + den * phi)
+    # The expression above, operation for operation, in place: x and den
+    # already have the shape of the result.
     phi = np.expm1(x)
     phi /= rate
-    den = selflim * u
     den *= phi
     den += 1.0
     out = np.exp(x)

@@ -89,9 +89,8 @@ class PeriodicScalar:
         pts = tuple((t, v + delta) for t, v in self.params)
         return PeriodicScalar(self.period, "table", pts)
 
-    def range_exact(self) -> Optional[tuple[float, float]]:
-        """(inf, sup) over one period when the descriptor permits an exact
-        answer; None when only sampling is available."""
+    def range_exact(self) -> tuple[float, float]:
+        """(inf, sup) over one period, exact for every descriptor kind."""
         if self.kind == "constant":
             c = self.params[0]
             return c, c
@@ -251,18 +250,13 @@ class EnvelopeTable:
                 for n in _FIELD_NAMES}
 
 
-def compute_envelopes(cs: CoefficientSet, samples_per_period: int = 256) -> EnvelopeTable:
-    """Baseline envelopes; exact for closed-form descriptors, sampled
-    otherwise."""
-    if samples_per_period < 16:
-        raise ValueError("samples_per_period must be >= 16")
+def compute_envelopes(cs: CoefficientSet) -> EnvelopeTable:
+    """Baseline envelopes, exact for every descriptor kind (a table's
+    extrema sit at its knots)."""
     entries = {}
     for name in _FIELD_NAMES:
-        baseline = getattr(cs, name).baseline
-        rng = baseline.range_exact()
-        if rng is None:
-            rng = baseline.sampled_range(samples_per_period)
-        entries[name + "L"], entries[name + "M"] = rng
+        entries[name + "L"], entries[name + "M"] = (
+            getattr(cs, name).baseline.range_exact())
     return EnvelopeTable(**entries)
 
 

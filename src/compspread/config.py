@@ -213,23 +213,41 @@ def write_svg_polyline(path: Path, xs, ys, title: str) -> None:
 
 
 class ResultWriter:
-    """Collects emitted files and finishes with a manifest embedding the
+    """The one writer of result files.  Each method writes its file, and
+    lists it for the manifest, only when the configuration selected the
+    file's format; :meth:`finish` writes the manifest embedding the
     resolved configuration."""
 
     def __init__(self, out_dir, config: RunConfig):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.config = config
         self.files: list[str] = []
 
-    def path(self, name: str) -> Path:
+    def _path(self, name: str, fmt: str) -> Optional[Path]:
+        if fmt not in self.config.output_formats:
+            return None
         self.files.append(name)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
-    def finish(self) -> Path:
-        manifest = {"config": self.config.raw,
+    def csv(self, name: str, header: list[str], rows) -> None:
+        path = self._path(name, "csv")
+        if path is not None:
+            write_csv(path, header, rows)
+
+    def json(self, name: str, obj) -> None:
+        path = self._path(name, "json")
+        if path is not None:
+            write_json(path, obj)
+
+    def svg(self, name: str, xs, ys, title: str) -> None:
+        path = self._path(name, "svg")
+        if path is not None:
+            write_svg_polyline(path, xs, ys, title)
+
+    def finish(self) -> None:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        write_json(self.out_dir / "manifest.json",
+                   {"config": self.config.raw,
                     "config_sha256": self.config.config_hash(),
-                    "files": sorted(self.files)}
-        out = self.out_dir / "manifest.json"
-        write_json(out, manifest)
-        return out
+                    "files": sorted(self.files)})

@@ -43,14 +43,9 @@ class PeriodicOrbit:
     def inf(self) -> float:
         return float(np.min(self.values))
 
-    def to_csv(self, path, every: int = 1) -> None:
-        rows = np.column_stack((self.times[::every], self.values[::every]))
-        np.savetxt(path, rows, delimiter=",", header="t,value", comments="",
-                   fmt="%.12g")
 
-
-def _time_grid(period: float, n_samples: int) -> np.ndarray:
-    return np.linspace(0.0, period, n_samples + 1)
+def _time_grid(period: float) -> np.ndarray:
+    return np.linspace(0.0, period, N_TIME_DEFAULT + 1)
 
 
 def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -80,10 +75,10 @@ def _closed_orbit(period: float, t, E, values) -> PeriodicOrbit:
     return PeriodicOrbit(period, t, values, resid)
 
 
-def periodic_mean(fn, period: float, n_samples: int = N_TIME_DEFAULT) -> float:
+def periodic_mean(fn, period: float) -> float:
     """Full-period trapezoid mean (spectrally accurate for smooth
     periodic integrands)."""
-    t = np.linspace(0.0, period, n_samples, endpoint=False)
+    t = np.linspace(0.0, period, N_TIME_DEFAULT, endpoint=False)
     return float(np.mean(fn(t)))
 
 
@@ -95,7 +90,6 @@ def _as_callable(coeff):
 
 
 def logistic_periodic(a0, b0, period: float | None = None,
-                      n_samples: int = N_TIME_DEFAULT,
                       seed: float | None = None) -> PeriodicOrbit:
     """Unique positive periodic solution of w' = w*(a0(t) - b0(t)*w), by the
     RK45 time map: a check on the closed form and the route past its domain.
@@ -107,7 +101,7 @@ def logistic_periodic(a0, b0, period: float | None = None,
             raise ValueError("period required when a0 is not a descriptor")
         period = a0.period
     fa, fb = _as_callable(a0), _as_callable(b0)
-    mean_a = periodic_mean(fa, period, n_samples)
+    mean_a = periodic_mean(fa, period)
     if mean_a <= 0.0:
         raise PreconditionError(
             f"mean growth {mean_a:.3e} is not positive; no positive orbit")
@@ -122,7 +116,7 @@ def logistic_periodic(a0, b0, period: float | None = None,
             raise ConvergenceError("period-map integration failed")
         return float(sol.y[0, -1])
 
-    w = seed if seed is not None else max(mean_a / max(periodic_mean(fb, period, n_samples), 1e-12), 1e-6)
+    w = seed if seed is not None else max(mean_a / max(periodic_mean(fb, period), 1e-12), 1e-6)
     for _ in range(MAX_PERIOD_ITERS):
         pw = period_map(w)
         if abs(pw - w) <= 1e-11 * max(abs(w), 1.0):
@@ -134,7 +128,7 @@ def logistic_periodic(a0, b0, period: float | None = None,
         raise ConvergenceError("period map did not converge",
                                diagnostics={"last": w})
 
-    times = _time_grid(period, n_samples)
+    times = _time_grid(period)
     sol = solve_ivp(rhs, (0.0, period), [w], method="RK45",
                     rtol=IVP_RTOL, atol=IVP_ATOL, t_eval=times)
     values = sol.y[0]
@@ -142,20 +136,18 @@ def logistic_periodic(a0, b0, period: float | None = None,
     return PeriodicOrbit(period, times, values, resid)
 
 
-def logistic_orbit(a0: PeriodicScalar, b0: PeriodicScalar,
-                   n_samples: int = N_TIME_DEFAULT) -> PeriodicOrbit:
+def logistic_orbit(a0: PeriodicScalar, b0: PeriodicScalar) -> PeriodicOrbit:
     """The logistic orbit over a0's period, by the closed form (uncached)."""
-    return logistic_closed_form(a0, b0, a0.period, n_samples)
+    return logistic_closed_form(a0, b0, a0.period)
 
 
-def logistic_closed_form(a0, b0, period: float,
-                         n_samples: int = N_TIME_DEFAULT) -> PeriodicOrbit:
+def logistic_closed_form(a0, b0, period: float) -> PeriodicOrbit:
     """w(t) = e^{A(t)} w0 / (1 + w0 * int_0^t b0 e^{A}), A = int_0^t a0, w0
     pinned by periodicity.  Needs mean growth times period in (0, ~709): past
     it e^A overflows, ``NumericalGuardError`` (``logistic_periodic`` handles
-    it).  Simpson's error grows like (a0 * period / n_samples)^4."""
+    it).  Simpson's error grows like (a0 * period / N_TIME_DEFAULT)^4."""
     fa, fb = _as_callable(a0), _as_callable(b0)
-    t = _time_grid(period, n_samples)
+    t = _time_grid(period)
     A = cumulative_simpson(fa(t), t)
     if A[-1] <= 0.0:
         raise PreconditionError("nonpositive mean growth")
@@ -166,8 +158,8 @@ def logistic_closed_form(a0, b0, period: float,
     return _closed_orbit(period, t, A, values)
 
 
-def nonhomogeneous_periodic(alpha, h, period: float | None = None,
-                            n_samples: int = N_TIME_DEFAULT) -> PeriodicOrbit:
+def nonhomogeneous_periodic(alpha, h, period: float | None = None
+                            ) -> PeriodicOrbit:
     """Unique periodic solution of u' = alpha(t) u + h(t) for negative mean
     alpha, by the integrating-factor closed form.  |mean alpha| times period
     above about 709 overflows e^{-int alpha}: ``NumericalGuardError``."""
@@ -176,7 +168,7 @@ def nonhomogeneous_periodic(alpha, h, period: float | None = None,
             raise ValueError("period required when alpha is not a descriptor")
         period = alpha.period
     falpha, fh = _as_callable(alpha), _as_callable(h)
-    t = _time_grid(period, n_samples)
+    t = _time_grid(period)
     B = cumulative_simpson(falpha(t), t)
     if B[-1] >= 0.0:
         raise PreconditionError(
@@ -189,8 +181,7 @@ def nonhomogeneous_periodic(alpha, h, period: float | None = None,
     return _closed_orbit(period, t, B, values)
 
 
-def coexistence_homogeneous(cs: CoefficientSet,
-                            n_samples: int = N_TIME_DEFAULT
+def coexistence_homogeneous(cs: CoefficientSet
                             ) -> tuple[PeriodicOrbit, PeriodicOrbit]:
     """Interior periodic orbit of the homogeneous two-species system, found
     by damped fixed-point iteration of the one-period RK45 map from half the
@@ -222,8 +213,8 @@ def coexistence_homogeneous(cs: CoefficientSet,
             raise ConvergenceError("period-map integration failed")
         return sol.y[:, -1]
 
-    ustar = logistic_orbit(a1, b1, n_samples)
-    vstar = logistic_orbit(a2, c2, n_samples)
+    ustar = logistic_orbit(a1, b1)
+    vstar = logistic_orbit(a2, c2)
     y = np.array([ustar.values[0] / 2.0, vstar.values[0] / 2.0])
     for _ in range(MAX_PERIOD_ITERS):
         py = period_map(y)
@@ -236,7 +227,7 @@ def coexistence_homogeneous(cs: CoefficientSet,
         raise ConvergenceError("coexistence period map did not converge",
                                diagnostics={"last": y.tolist()})
 
-    times = _time_grid(period, n_samples)
+    times = _time_grid(period)
     sol = solve_ivp(rhs, (0.0, period), y, method="RK45",
                     rtol=IVP_RTOL, atol=IVP_ATOL, t_eval=times)
     resid_u = abs(sol.y[0, -1] - sol.y[0, 0]) / max(abs(sol.y[0, 0]), 1e-30)

@@ -55,29 +55,6 @@ class PeriodicField:
     def inf(self) -> float:
         return float(np.min(self.frames))
 
-    def save_npz(self, path) -> None:
-        np.savez_compressed(path, period=self.period, dt=self.dt,
-                            x_min=self.grid.x_min, x_max=self.grid.x_max,
-                            n=self.grid.n, frames=self.frames,
-                            residual=self.residual)
-
-    @staticmethod
-    def load_npz(path) -> "PeriodicField":
-        data = np.load(path)
-        grid = Grid(float(data["x_min"]), float(data["x_max"]), int(data["n"]))
-        return PeriodicField(float(data["period"]), float(data["dt"]), grid,
-                             data["frames"], float(data["residual"]))
-
-    def to_csv(self, path, every_steps: int = 1, every_points: int = 1) -> None:
-        spp = self.steps_per_period
-        with open(path, "w") as fh:
-            fh.write("t,x,value\n")
-            x = self.grid.x
-            for k in range(0, spp + 1, every_steps):
-                t = k * self.dt
-                for j in range(0, self.grid.n, every_points):
-                    fh.write(f"{t:.12g},{x[j]:.12g},{self.frames[k, j]:.12g}\n")
-
 
 def _species_problem(problem: Problem, species: str) -> tuple:
     a_name, b_name = _SPECIES_COEFFS[species]

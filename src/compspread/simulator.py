@@ -349,12 +349,6 @@ class RunRecords:
     series: dict[str, np.ndarray]
     period_delta: np.ndarray
 
-    def to_csv(self, path) -> None:
-        names = sorted(self.series)
-        rows = np.column_stack([self.times] + [self.series[k] for k in names])
-        np.savetxt(path, rows, delimiter=",",
-                   header=",".join(["t"] + names), comments="", fmt="%.12g")
-
 
 def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
                     observers: Sequence[Observer], advance: Callable
@@ -413,19 +407,17 @@ def ramp_profile(x: np.ndarray, x0: float, width: float) -> np.ndarray:
 
 def make_front_data(grid: Grid, u_level: float, v_orbit: PeriodicOrbit,
                     x0: float, ramp: float,
-                    v_level: Optional[float] = None,
                     kernel: Optional[Kernel] = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Front-like initial data in transformed variables: both components sit
     at a positive plateau left of x0 and vanish identically right of
-    x0 + ramp.  The second-component level defaults to half the resident
-    orbit, strictly below it as the front class requires."""
+    x0 + ramp.  The second-component level is half the resident orbit,
+    strictly below it as the front class requires."""
     margin = boundary_margin(grid, kernel)
     if not (grid.x_min + margin <= x0 and x0 + ramp <= grid.x_max - margin):
         raise PreconditionError("front interface violates the domain margins")
     prof = ramp_profile(grid.x, x0, ramp)
-    if v_level is None:
-        v_level = 0.5 * float(v_orbit.value(0.0))
+    v_level = 0.5 * float(v_orbit.value(0.0))
     return u_level * prof, v_level * prof
 
 
@@ -455,8 +447,3 @@ def run_transformed(state: SystemState, problem: Problem, scheme: SchemeConfig,
 
     return _record_periods(stepper, state, n_periods, observers, advance)
 
-
-def snapshot_to_csv(path, grid: Grid, state: SystemState) -> None:
-    rows = np.column_stack((grid.x, state.u, state.v))
-    np.savetxt(path, rows, delimiter=",", header="x,u,v", comments="",
-               fmt="%.12g")

@@ -11,7 +11,7 @@ come from least-squares fits to tracked front positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -205,8 +205,6 @@ class SpeedIntervalResult:
     lower: SpeedEstimate
     upper: SpeedEstimate
     theoretical: SpeedEstimate
-    records_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    records: dict = field(default_factory=dict)
 
 
 def speed_interval(problem: Problem, scheme: SchemeConfig, n_periods: int,
@@ -263,8 +261,7 @@ def speed_interval(problem: Problem, scheme: SchemeConfig, n_periods: int,
                             kind="empirical-lower")
     upper = fit_front_speed(times[sel], edge[sel], cs.period,
                             kind="empirical-upper")
-    return SpeedIntervalResult(lower, upper, theo, times,
-                               {"lower": pair, "upper": edge})
+    return SpeedIntervalResult(lower, upper, theo)
 
 
 @dataclass

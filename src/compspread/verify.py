@@ -568,7 +568,11 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
 
     The trials are stepped as one (K, n) batch.  Each trial leaves the
     batch at the period whose sup change falls below settle_tol, or at
-    max_periods, so every trial ends as if iterated alone."""
+    max_periods, so every trial ends as if iterated alone.  A mode other
+    than auto, two-sided or one-sided raises PreconditionError."""
+    if mode not in ("auto", "two-sided", "one-sided"):
+        raise PreconditionError("persistence mode must be 'auto', "
+                                f"'two-sided' or 'one-sided', not {mode!r}")
     if scheme is None:
         scheme = make_scheme(problem)
     ustar = compute_semitrivial("u", problem, scheme, tol=1e-10)

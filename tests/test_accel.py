@@ -67,6 +67,28 @@ def test_logistic_step_is_bitwise_the_written_out_formula(with_small,
                           _logistic_formula(u, rate, selflim, dt))
 
 
+@pytest.mark.parametrize("with_small", [False, True])
+@pytest.mark.parametrize("batched", ["u", "rate"])
+def test_logistic_step_broadcasts_one_field_against_a_batch(with_small,
+                                                            batched, rng):
+    # Either path, a (K, n) batch against one (n,) field gives each row
+    # bitwise as the single-field call.
+    k, n = 3, 65
+    u = rng.uniform(0.0, 1.5, (k, n) if batched == "u" else n)
+    rate = rng.uniform(-0.5, 1.0, (k, n) if batched == "rate" else n)
+    if with_small:
+        rate[..., ::7] = 0.0
+    selflim = rng.uniform(0.5, 1.5, n)
+    dt = 0.005
+    out = _accel.logistic_step(u, rate, selflim, dt)
+    assert out.shape == (k, n)
+    for i in range(k):
+        row_u = u[i] if batched == "u" else u
+        row_rate = rate[i] if batched == "rate" else rate
+        assert np.array_equal(out[i], _accel.logistic_step(row_u, row_rate,
+                                                           selflim, dt))
+
+
 @pytest.mark.parametrize("r", [0.25, 5.0])
 def test_tridiag_factor_keeps_nonnegative_rhs_nonnegative(r, rng):
     n = 4001

@@ -62,15 +62,6 @@ def test_speed_outputs_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_speed_grid_scan_flag(tmp_path):
-    cfg = _write_config(tmp_path, _speed_config())
-    out = tmp_path / "o"
-    assert main(["speed", "--config", str(cfg), "--out", str(out),
-                 "--mu-grid-only"]) == 0
-    speed = json.loads((out / "speed.json").read_text())
-    assert abs(speed["value"] - 2 * np.sqrt(0.8)) < 1e-3
-
-
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     bad = _speed_config()
     bad["grids"] = {}
@@ -221,6 +212,22 @@ def test_sweep_subcommand(tmp_path):
     assert rows.shape == (3, 4)
     for eps, speed, _, _ in rows:
         assert abs(speed - 2 * np.sqrt(0.8 + eps)) < 1e-4
+
+
+@pytest.mark.parametrize("scenario", [
+    {"name": "sweep", "field": "zz"},
+    {"name": "interval", "intervals": [{"field": "a9", "amplitude": 0.1}]},
+    {"name": "interval", "intervals": [{"field": "a1", "width": 4.0}]},
+], ids=["unknown sweep field", "unknown interval field", "no amplitude"])
+def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
+    cfg = _write_config(tmp_path, {"coefficients": CANONICAL,
+                                   "scenario": scenario})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError"
+    assert sorted(os.listdir(out)) == ["error.json"]
 
 
 def test_persistence_subcommand(tmp_path):

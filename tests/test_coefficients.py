@@ -115,17 +115,11 @@ def test_envelope_refinement_stable(rng):
     cs = constant_set(1, 1, 0.5, 0.4, 0.5, 1).replace_field(
         "b1", CoefficientField(PeriodicScalar.table(
             [(0.0, 1.0), (0.3, 1.2), (0.7, 0.9), (1.0, 1.0)], 1.0)))
-    e1 = compute_envelopes(cs, 256)
-    e2 = compute_envelopes(cs, 512)
+    e1 = compute_envelopes(cs)
     for name, (lo1, hi1) in e1.pairs().items():
-        lo2, hi2 = e2.pairs()[name]
+        lo2, hi2 = getattr(cs, name).baseline.sampled_range(512)
         assert abs(lo1 - lo2) < 1e-3
         assert abs(hi1 - hi2) < 1e-3
-
-
-def test_envelope_minimum_sampling():
-    with pytest.raises(ValueError):
-        compute_envelopes(constant_set(1, 1, 1, 1, 1, 1), 8)
 
 
 # --- hypothesis checks ----------------------------------------------------

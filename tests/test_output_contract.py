@@ -1,0 +1,87 @@
+"""The output contract of the command line: a successful run leaves exactly
+``manifest.json`` and the files its manifest lists, each one of a format
+the configuration selected, and the same configuration gives the same
+bytes."""
+
+import hashlib
+import json
+
+import pytest
+
+from compspread.cli import main
+
+CANONICAL = {
+    "period": 1.0,
+    "a1": {"constant": 1.0},
+    "b1": {"constant": 1.0},
+    "c1": {"constant": 0.5},
+    "a2": {"constant": 0.4},
+    "b2": {"constant": 0.5},
+    "c2": {"constant": 1.0},
+}
+
+CONFIGS = {
+    "speed": {"coefficients": CANONICAL,
+              "scenario": {"name": "speed", "mu_points": 20}},
+    "spectrum": {"coefficients": CANONICAL,
+                 "scenario": {"name": "spectrum", "mu_points": 20}},
+    "verify-super": {"coefficients": CANONICAL,
+                     "grid": {"x_min": -40.0, "x_max": 160.0, "n": 201},
+                     "scenario": {"name": "verify-super", "eps": 0.05,
+                                  "time_samples": 5}},
+}
+
+ALL_FORMATS = ("csv", "json", "svg")
+
+# sha256 of every file of the run with all three formats selected.
+PINNED = {
+    "speed": {
+        "manifest.json":
+        "07f64c65731523436cfefbef5caaea96f163ad8fcbf56cce2350b1c9c185bee1",
+        "dispersion.csv":
+        "286e36a1516deb43b904a1fef909912490abd2700bf7300d70126b063f83bfd3",
+        "dispersion.svg":
+        "f8982f45c107776a2667fbe69030be03248bd7b7710ea5eecd2c6e2df9c63abf",
+        "speed.json":
+        "64d35865b6cd51a6460d0b76490455dd9091a526e3f7ebd4be46aa9954996c59",
+    },
+    "spectrum": {
+        "manifest.json":
+        "fe6e115893adcdebd37726fc04519ec53061aebb78cd7f9f79a37ff9ed8c358b",
+        "dispersion.csv":
+        "20aa1a81620066352f2eb1faec32bb11ff5931097cf2f7e964cbcffac8aa9679",
+        "dispersion.svg":
+        "59984d5dd3fa74c6a8e76c558a79ad678861d252c2fda26804d43ec4ac5d8384",
+    },
+    "verify-super": {
+        "manifest.json":
+        "fcb0aba586c99c67fba8091f1dcd83617af2e6d67d7856c5b58fd6bbb947bbab",
+        "region.csv":
+        "f4c6e6a8a87295d20476423fc6b3f9bba985b635b4ba9cea992b4b8de3facd39",
+        "verify.json":
+        "1dce01e773fff5ff7db362c53166ea35ae703b0ed3518460c9980a95a2cea835",
+    },
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("formats", [("json",), ("csv",), ALL_FORMATS])
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_output_directory_holds_the_manifest_and_its_files(tmp_path, command,
+                                                           formats):
+    cfg = dict(CONFIGS[command], output={"formats": list(formats)})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = manifest["files"]
+    assert files == sorted(set(files))
+    assert {p.name for p in out.iterdir()} == {"manifest.json", *files}
+    assert {name.rsplit(".", 1)[1] for name in files} <= set(formats)
+    if formats == ALL_FORMATS:
+        assert {name: _sha256(out / name)
+                for name in ["manifest.json", *files]} == PINNED[command]

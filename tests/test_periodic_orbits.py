@@ -181,13 +181,3 @@ def test_coexistence_orbit_satisfies_the_system():
         1.0 - 0.5 * u.values[:-1] - v.values[:-1])
     assert np.max(np.abs(res_u)) < 1e-6
     assert np.max(np.abs(res_v)) < 1e-6
-
-
-def test_orbit_csv_roundtrip(tmp_path):
-    orb = logistic_periodic(PeriodicScalar.constant(1.0),
-                            PeriodicScalar.constant(1.0))
-    path = tmp_path / "orbit.csv"
-    orb.to_csv(path, every=256)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape[1] == 2
-    assert np.allclose(rows[:, 1], 1.0, atol=1e-9)

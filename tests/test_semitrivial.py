@@ -6,9 +6,8 @@ from compspread.coefficients import SpatialBump
 from compspread.dispersal import Grid
 from compspread.errors import PreconditionError
 from compspread.periodic_orbits import logistic_orbit
-from compspread.semitrivial import (PeriodicField, compute_semitrivial,
-                                    destabilizing_bump, far_field_exponent,
-                                    linearized_radius)
+from compspread.semitrivial import (compute_semitrivial, destabilizing_bump,
+                                    far_field_exponent, linearized_radius)
 from compspread.simulator import Problem
 
 
@@ -158,25 +157,6 @@ def test_destabilizing_bump_search_nonlocal(canonical_set):
 def test_destabilize_requires_stable_start(weak_set):
     with pytest.raises(PreconditionError):
         destabilizing_bump(weak_set)  # already unstable: mean = 1 - 0.5/2 > 0
-
-
-def test_periodic_field_npz_roundtrip(canonical_problem, tmp_path):
-    vstar = compute_semitrivial("v", canonical_problem)
-    path = tmp_path / "vstar.npz"
-    vstar.save_npz(path)
-    loaded = PeriodicField.load_npz(path)
-    assert np.array_equal(loaded.frames, vstar.frames)
-    assert loaded.grid == canonical_problem.grid
-
-
-def test_periodic_field_csv(canonical_problem, tmp_path):
-    vstar = compute_semitrivial("v", canonical_problem)
-    path = tmp_path / "vstar.csv"
-    vstar.to_csv(path, every_steps=vstar.steps_per_period,
-                 every_points=100)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,x,value"
-    assert len(text) > 2
 
 
 def test_far_field_exponent_of_constant_residents(weak_set):

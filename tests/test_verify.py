@@ -378,6 +378,18 @@ def test_persistence_trials_are_pinned(weak_set, kind, max_periods):
     assert report.eta == min(p[1] for p in pins)
 
 
+def test_persistence_rejects_unknown_mode(canonical_set, monkeypatch):
+    from compspread import verify
+
+    def no_resident(*args, **kwargs):
+        raise AssertionError("a resident was computed")
+
+    monkeypatch.setattr(verify, "compute_semitrivial", no_resident)
+    problem = Problem(canonical_set, Grid(-15.0, 15.0, 151))
+    with pytest.raises(PreconditionError, match="two_sided"):
+        persistence_probe(problem, mode="two_sided")
+
+
 @pytest.mark.parametrize("case", ["short", "nonfinite", "negative", "zero u",
                                   "zero v two-sided", "no trials"])
 def test_persistence_rejects_invalid_initials(canonical_set, weak_set, case):
