@@ -231,11 +231,15 @@ def _bumped_raw(cfg: RunConfig, entry: dict) -> dict:
     name = _coefficient_name(cfg, entry.get("field", "a1"))
     if "amplitude" not in entry:
         raise ConfigError("each scenario.intervals entry needs an amplitude")
+    bump = {"amplitude": entry["amplitude"], "width": entry.get("width", 4.0),
+            "ramp": entry.get("ramp", 0.5)}
+    for key, value in bump.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(
+                f"scenario.intervals {key} must be a number, not {value!r}")
     out = copy.deepcopy(cfg.raw)
     spec = dict(out["coefficients"][name])
-    spec["bump"] = {"amplitude": entry["amplitude"],
-                    "width": entry.get("width", 4.0),
-                    "ramp": entry.get("ramp", 0.5)}
+    spec["bump"] = bump
     out["coefficients"][name] = spec
     return out
 

@@ -15,9 +15,7 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 
 TWO_PI = 2.0 * np.pi
-# Time samples where only sampling can bound a tabular baseline from
-# below, and where the determinacy condition is checked.
-MIN_VALUE_SAMPLES = 1024
+# Time samples where the determinacy condition is checked.
 H2_SAMPLES = 256
 
 
@@ -171,9 +169,7 @@ class CoefficientField:
         return CoefficientField(self.baseline, bump)
 
     def min_value(self) -> float:
-        rng = self.baseline.range_exact()
-        lo = (rng[0] if rng is not None
-              else self.baseline.sampled_range(MIN_VALUE_SAMPLES)[0])
+        lo = self.baseline.range_exact()[0]
         if self.bump is not None:
             lo += min(0.0, self.bump.amplitude)
         return lo

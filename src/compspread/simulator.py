@@ -60,8 +60,7 @@ class Problem:
 
 
 def _field_sup(fld) -> float:
-    rng = fld.baseline.range_exact() or fld.baseline.sampled_range(1024)
-    hi = rng[1]
+    hi = fld.baseline.range_exact()[1]
     if fld.bump is not None:
         hi += max(0.0, fld.bump.amplitude)
     return hi

@@ -4,23 +4,24 @@ The growth exponent is ln(spectral radius of the one-period solution
 operator P)/T.  P is entrywise nonnegative, so for every positive field u
 the Collatz-Wielandt ratios bound it: min(Pu/u) <= rho(P) <= max(Pu/u).
 :func:`principal_spectrum_point` reports the exponent with that bracket,
-[lam_lo, lam_hi], by one of three routes:
+[lam_lo, lam_hi], by one of two routes:
 
-- One map of the constant field closes the bracket to rounding for
-  spatially homogeneous problems.
-- A separable coefficient, a scalar baseline a(t) plus a bump(x), makes
-  the period map exp(dt*sum a_k) * S^spp with one fixed step S = E D E,
-  E = exp(dt/2*bump) (Hess, *Periodic-Parabolic Boundary Value Problems
-  and Positivity*, 1991).  Shifted inverse iteration on the pencil
-  D y = sigma E^-2 y, one tridiagonal (random) or banded (nonlocal)
-  solve per iteration, gives the dominant eigenpair, and one period map
-  of v = E^-1 y certifies it.
-- A per-step coefficient table takes ARPACK's Arnoldi method (loaded
-  only then); the bracket comes from |Re v|.
-
-After either eigensolver, at most POWER_STEPS power steps narrow the
-bracket while it is wider than the caller's ``tol``; a bracket left wider
-is reported, not forced shut.
+- Separable coefficients, a scalar baseline a(t) with or without a
+  bump(x) and no coefficient table, run no period map.  Each step is
+  exp(dt*a_k) times one fixed step S = E D E, E = exp(dt/2*bump), so
+  P = exp(dt*sum a_k) * S^spp and ln rho(P) = dt*sum a_k + spp*ln rho(S)
+  (Hess, *Periodic-Parabolic Boundary Value Problems and Positivity*,
+  1991); the one-step ratios Su/u bracket it.  The constant field's
+  bracket closes to rounding for spatially homogeneous problems.  With a
+  bump, shifted inverse iteration on the pencil D y = sigma E^-2 y, one
+  tridiagonal (random) or banded (nonlocal) solve per iteration, gives
+  the dominant eigenpair, and one more step S of v = E^-1 y certifies it.
+- Coefficient tables, and separable problems whose pencil does not
+  settle, map the constant field once and, unless that bracket already
+  settles, take ARPACK's Arnoldi method (loaded only then); the bracket
+  comes from the next map of |Re v|.  At most POWER_STEPS power steps
+  then narrow it while it is wider than the caller's ``tol``; a bracket
+  left wider is reported, not forced shut.
 
 The evolution scheme is a symmetrized split step: half an exact reaction
 exponential, one dispersal substep, half an exact reaction exponential.
@@ -102,6 +103,12 @@ class LinearProblem:
                 "coefficients")
 
     def tilt_scalar(self) -> float:
+        return self._tilt
+
+    @cached_property
+    def _tilt(self) -> float:
+        """Evaluated once per problem: a kernel's tilted moment is a sum
+        over its weights, and every phase adds the tilt."""
         if self.mu == 0.0:
             return 0.0
         return homogeneous_growth_exponent(self.mu, 0.0, self.kernel)
@@ -156,7 +163,8 @@ class LinearProblem:
 class SpectrumResult:
     """Growth exponent ``lam`` inside its Collatz-Wielandt bracket
     [lam_lo, lam_hi], the dominant profile (max 1) and the number of
-    period maps spent."""
+    period maps spent: 0 on the one-step route of separable problems,
+    which runs none."""
 
     lam: float
     lam_lo: float
@@ -189,25 +197,29 @@ class _LinearStepper:
             self._alpha = 1.0 - dm + 0.5 * dm * dm
             self._beta = self.dt * (1.0 - dm)
             self._gamma = 0.5 * self.dt * self.dt
-        # The coefficient repeats every period: tabulate the half-step
-        # reaction exponentials once per phase.  ``base`` holds the
-        # baseline of each phase when the coefficient is baseline + bump;
-        # phases with one scalar baseline share one table.
-        self.base = None
-        if p.coef_table is None:
-            self.base = [p.phase_baseline(k, self.spp) for k in range(self.spp)]
-            tables = {}
-            self._half = []
-            for b in self.base:
-                key = b if np.ndim(b) == 0 else object()  # arrays: never shared
-                if key not in tables:
-                    a = b if p.bump is None else b + p.bump_profile
-                    tables[key] = np.exp((0.5 * self.dt) * a)
-                self._half.append(tables[key])
-        else:
-            self._half = [np.exp((0.5 * self.dt)
-                                 * p.reaction_coefficient(k, self.spp))
-                          for k in range(self.spp)]
+        # ``base`` holds the baseline of each phase (tilt included) unless
+        # a coefficient table is given.
+        self.base = (None if p.coef_table is not None
+                     else [p.phase_baseline(k, self.spp) for k in range(self.spp)])
+
+    @cached_property
+    def _half(self) -> list:
+        """The half-step reaction exponential of every phase, tabulated on
+        the first period map: the coefficient repeats every period, and
+        phases with one scalar baseline share one table."""
+        p = self.p
+        if self.base is None:
+            return [np.exp((0.5 * self.dt) * p.reaction_coefficient(k, self.spp))
+                    for k in range(self.spp)]
+        tables = {}
+        half = []
+        for b in self.base:
+            key = b if np.ndim(b) == 0 else object()  # arrays: never shared
+            if key not in tables:
+                a = b if p.bump is None else b + p.bump_profile
+                tables[key] = np.exp((0.5 * self.dt) * a)
+            half.append(tables[key])
+        return half
 
     def _dispersal(self, u: np.ndarray) -> np.ndarray:
         if self.p.kernel is None:
@@ -224,11 +236,32 @@ class _LinearStepper:
 
     @property
     def separable(self) -> bool:
-        """The coefficient is a scalar baseline(t) plus a bump(x) at every
-        phase, so the period map is a scalar times the power S^spp of one
-        fixed step S = E D E, E = exp(dt/2*bump)."""
-        return (self.p.bump is not None and self.base is not None
-                and all(np.ndim(b) == 0 for b in self.base))
+        """The baseline is a scalar at every phase and no table is given, so
+        the period map is exp(drift) * S^spp with one fixed step S = E D E,
+        E = exp(dt/2*bump) (E = I without a bump)."""
+        # isinstance first: np.ndim on each of 256 floats took a third of
+        # a one-step solve.
+        return self.base is not None and all(
+            isinstance(b, float) or np.ndim(b) == 0 for b in self.base)
+
+    @cached_property
+    def drift(self) -> float:
+        """dt * sum of the phase baselines: the log of the scalar factor of
+        a separable period map."""
+        return self.dt * float(np.sum(self.base))
+
+    @cached_property
+    def _bump_half(self) -> Optional[np.ndarray]:
+        if self.p.bump is None:
+            return None
+        return np.exp((0.5 * self.dt) * self.p.bump_profile)
+
+    def fixed_step(self, u: np.ndarray) -> np.ndarray:
+        """S u for the fixed step S = E D E of a separable problem."""
+        e = self._bump_half
+        if e is None:
+            return self._dispersal(u)
+        return self._dispersal(u * e) * e
 
     def _dispersal_band(self) -> np.ndarray:
         """The nonlocal substep D = alpha*I + beta*C + gamma*C^2 in LAPACK
@@ -317,15 +350,15 @@ class _NoEigenpair(Exception):
     """ARPACK returned no converged Ritz pair."""
 
 
-def _cw_bracket(u: np.ndarray, pu: np.ndarray,
-                period: float) -> tuple[float, float]:
-    """Collatz-Wielandt bracket [log min(Pu/u), log max(Pu/u)]/T of the
-    growth exponent: valid for every positive u because the period map is
-    entrywise nonnegative."""
+def _cw_bracket(u: np.ndarray, pu: np.ndarray, period: float,
+                drift: float = 0.0, power: int = 1) -> tuple[float, float]:
+    """Collatz-Wielandt bracket [drift + power*log min(Pu/u), drift +
+    power*log max(Pu/u)]/T of the growth exponent of exp(drift)*P^power:
+    valid for every positive u because P is entrywise nonnegative."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = pu / u
-        return (float(np.log(np.min(ratio))) / period,
-                float(np.log(np.max(ratio))) / period)
+        return ((drift + power * float(np.log(np.min(ratio)))) / period,
+                (drift + power * float(np.log(np.max(ratio)))) / period)
 
 
 def _pencil_eigenpair(stepper: _LinearStepper, lam_hi: float,
@@ -344,8 +377,8 @@ def _pencil_eigenpair(stepper: _LinearStepper, lam_hi: float,
     (dt*sum a_k + spp*log sigma)/T and v (max 1), or None when an iterate
     is not strictly positive or the iteration does not settle."""
     p = stepper.p
-    drift = stepper.dt * float(np.sum(stepper.base))
-    half = np.exp((0.5 * stepper.dt) * p.bump_profile)
+    drift = stepper.drift
+    half = stepper._bump_half
     b = np.exp(-stepper.dt * p.bump_profile)
     solve = stepper.pencil_solver(b)
     s = float(np.exp((lam_hi * p.period - drift) / stepper.spp))
@@ -392,6 +425,37 @@ def _arnoldi_eigenpair(period_map: Callable, u: np.ndarray, tol: float,
     return (float(np.log(theta)) / period if theta > 0.0 else -np.inf), u
 
 
+def _one_step_point(stepper: _LinearStepper,
+                    settled: Callable) -> Optional[SpectrumResult]:
+    """The exponent of a separable problem from its fixed step S alone,
+    with no period map: ln rho(P) = drift + spp*ln rho(S), so the one-step
+    Collatz-Wielandt ratios Su/u bracket it.  The constant field's bracket
+    settles every homogeneous problem; a bump takes the pencil's
+    eigenvector v, and Sv/v brackets its Ritz value.  None when that
+    bracket is needed and the pencil does not settle (or there is no
+    bump)."""
+    p = stepper.p
+
+    def bracket(u: np.ndarray) -> tuple[np.ndarray, float, float]:
+        su = stepper.fixed_step(u)
+        if not np.isfinite(su).all():
+            raise NumericalGuardError("the fixed step produced a nonfinite value")
+        return (su, *_cw_bracket(u, su, p.period, stepper.drift, stepper.spp))
+
+    su, lo, hi = bracket(np.ones(p.grid.n))
+    if not np.max(su) > 0.0:
+        raise NumericalGuardError("the fixed step annihilates the constant field")
+    if settled(lo, hi):
+        return SpectrumResult(hi, lo, hi, su / np.max(su), 0)
+    pair = (_pencil_eigenpair(stepper, hi, su / np.max(su))
+            if p.bump is not None else None)
+    if pair is None:
+        return None
+    ritz, v = pair
+    sv, lo, hi = bracket(v)
+    return SpectrumResult(min(max(ritz, lo), hi), lo, hi, sv / np.max(sv), 0)
+
+
 def _principal_point(p: LinearProblem, tol: float, max_periods: int,
                      decided: Optional[Callable] = None) -> SpectrumResult:
     """:func:`principal_spectrum_point`, stopping also as soon as
@@ -400,7 +464,15 @@ def _principal_point(p: LinearProblem, tol: float, max_periods: int,
         raise PreconditionError("tolerance must be positive")
     if max_periods < 1:
         raise PreconditionError("max_periods must be positive")
+
+    def settled(lo: float, hi: float) -> bool:
+        return hi - lo <= tol or (decided is not None and decided(lo, hi))
+
     stepper = _LinearStepper(p)
+    if stepper.separable:
+        res = _one_step_point(stepper, settled)
+        if res is not None:
+            return res
     maps = 0
 
     def period_map(u: np.ndarray) -> np.ndarray:
@@ -414,9 +486,6 @@ def _principal_point(p: LinearProblem, tol: float, max_periods: int,
                 f"period map produced a nonfinite value at map {maps}")
         return pu
 
-    def settled(lo: float, hi: float) -> bool:
-        return hi - lo <= tol or (decided is not None and decided(lo, hi))
-
     u = np.ones(p.grid.n)
     pu = period_map(u)
     if not np.max(pu) > 0.0:
@@ -427,9 +496,7 @@ def _principal_point(p: LinearProblem, tol: float, max_periods: int,
         return SpectrumResult(hi, lo, hi, pu / np.max(pu), maps)
 
     try:
-        u = pu / np.max(pu)
-        pair = _pencil_eigenpair(stepper, hi, u) if stepper.separable else None
-        ritz, u = pair or _arnoldi_eigenpair(period_map, u, tol, p.period)
+        ritz, u = _arnoldi_eigenpair(period_map, pu / np.max(pu), tol, p.period)
         pu = period_map(u)
         lo, hi = _cw_bracket(u, pu, p.period)
     except (_NoEigenpair, _PeriodBudget) as exc:
@@ -453,16 +520,19 @@ def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL,
     """Growth exponent ln(rho(P))/T of the period map P with a
     Collatz-Wielandt bracket [lam_lo, lam_hi] around it.
 
-    One map of the constant field settles every problem whose bracket is
-    already at most ``tol`` wide (all spatially homogeneous ones).
-    Otherwise a separable problem (scalar baseline plus bump) takes the
-    dominant eigenpair of its one-step pencil, and a coefficient table
-    takes ARPACK's dominant Ritz pair from v0 = P1; one more map brackets
-    the exponent from the pair's positive profile, and at most
-    POWER_STEPS power steps narrow the bracket while it is wider than
-    ``tol``.  A bracket left wider is still a bound and is reported as it
-    is.  ``lam`` is the Ritz value clipped into the bracket; every period
-    map, ARPACK's included, counts against ``max_periods``."""
+    A separable problem (scalar baseline, with or without a bump, no
+    table) runs no period map: the one-step bracket of the constant field
+    settles it when at most ``tol`` wide (every spatially homogeneous
+    one); otherwise the one-step pencil's eigenvector v is certified by
+    one more step, and that bracket is reported as it is, about
+    spp*PENCIL_SETTLE/T wide.  A pencil that does not settle, and
+    every coefficient table, take period maps: the constant field's map,
+    ARPACK's dominant Ritz pair from v0 = P1, one map of its positive
+    profile and at most POWER_STEPS power steps while the bracket is
+    wider than ``tol``.  A bracket left wider is still a bound and is
+    reported as it is.  ``lam`` is the Ritz value clipped into the
+    bracket; ``periods`` counts the period maps where they run, ARPACK's
+    included, and every one counts against ``max_periods``."""
     return _principal_point(p, tol, max_periods)
 
 
@@ -485,10 +555,10 @@ def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL
 
 def radius_threshold_test(p: LinearProblem, lam_threshold: float) -> str:
     """Decide whether the growth exponent lies above or below a threshold:
-    from the Collatz-Wielandt bracket of the constant field's first map
-    when it excludes the threshold, otherwise from the bracket of
-    :func:`principal_spectrum_point`'s eigenpair, which stops as soon as
-    its bracket excludes the threshold.  Returns "above", "below", or
+    from the Collatz-Wielandt bracket of the constant field (one step or
+    one map, as :func:`principal_spectrum_point` routes the problem) when
+    it excludes the threshold, otherwise from the bracket of its
+    eigenpair, which stops as soon as its bracket excludes the threshold.  Returns "above", "below", or
     "undecided"."""
     res = _principal_point(
         p, DEFAULT_TOL, DEFAULT_MAX_PERIODS,

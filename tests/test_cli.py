@@ -218,7 +218,9 @@ def test_sweep_subcommand(tmp_path):
     {"name": "sweep", "field": "zz"},
     {"name": "interval", "intervals": [{"field": "a9", "amplitude": 0.1}]},
     {"name": "interval", "intervals": [{"field": "a1", "width": 4.0}]},
-], ids=["unknown sweep field", "unknown interval field", "no amplitude"])
+    {"name": "interval", "intervals": [{"field": "a1", "amplitude": "0.1"}]},
+], ids=["unknown sweep field", "unknown interval field", "no amplitude",
+        "non-numeric amplitude"])
 def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
     cfg = _write_config(tmp_path, {"coefficients": CANONICAL,
                                    "scenario": scenario})
@@ -354,8 +356,8 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 
 def test_homogeneous_spectrum_point_leaves_out_arpack():
-    # A homogeneous problem settles on the constant field's bracket, so
-    # scipy.sparse.linalg (ARPACK) stays unloaded by the CLI and by it.
+    # A homogeneous problem settles on the constant field's one-step
+    # bracket, so scipy.sparse.linalg (ARPACK) stays unloaded by the CLI and by it.
     src = str(Path(compspread.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -365,7 +367,7 @@ def test_homogeneous_spectrum_point_leaves_out_arpack():
             "principal_spectrum_point\n"
             "res = principal_spectrum_point(LinearProblem("
             "0.5, 'random', Grid(-5.0, 5.0, 101), 1.0, baseline=0.8))\n"
-            "assert res.periods == 1, res.periods\n"
+            "assert res.periods == 0, res.periods\n"
             "assert 'scipy.sparse.linalg' not in sys.modules, "
             "'scipy.sparse.linalg imported'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -388,7 +390,7 @@ def test_separable_spectrum_point_leaves_out_arpack():
             "    res = principal_spectrum_point(LinearProblem("
             "0.0, kind, g, 1.0, baseline=-0.1, "
             "bump=SpatialBump(0.5, 1.0, 0.5), kernel=k))\n"
-            "    assert res.periods == 2, res.periods\n"
+            "    assert res.periods == 0, res.periods\n"
             "assert 'scipy.sparse.linalg' not in sys.modules, "
             "'scipy.sparse.linalg imported'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

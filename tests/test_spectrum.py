@@ -376,24 +376,44 @@ def test_plateau_table_problem_matches_dense_exponent():
     assert res.lam_lo <= res.lam <= res.lam_hi
 
 
+def _recorded_steppers(monkeypatch) -> list:
+    """Every _LinearStepper that spectrum builds from now on."""
+    made = []
+
+    class Recording(_LinearStepper):
+        def __init__(self, p):
+            super().__init__(p)
+            made.append(self)
+
+    monkeypatch.setattr(spectrum, "_LinearStepper", Recording)
+    return made
+
+
+def _no_half_step_tables(made: list) -> bool:
+    return len(made) == 1 and "_half" not in vars(made[0])
+
+
 @pytest.mark.parametrize("kind", ["random", "nonlocal"])
-def test_bracket_contains_dense_exponent(kind):
+def test_bracket_contains_dense_exponent(kind, monkeypatch):
     g = Grid(-10.0, 10.0, 201)
     kernel = Kernel.build("uniform", 1.0, g.h) if kind == "nonlocal" else None
     p = LinearProblem(0.0, kind, g, 1.0,
                       baseline=PeriodicScalar.harmonic(-0.2, 0.3, 0.4),
                       bump=SpatialBump(0.5, 1.5, 0.5), kernel=kernel)
+    made = _recorded_steppers(monkeypatch)
     res = principal_spectrum_point(p)
+    assert _no_half_step_tables(made)
     ref = _dense_exponent(p)
     assert res.lam_lo - 1e-11 <= ref <= res.lam_hi + 1e-11
     assert res.lam_lo <= res.lam <= res.lam_hi
-    assert res.periods > 1
+    assert res.periods == 0
 
 
 @pytest.mark.parametrize("kind", ["random", "nonlocal"])
 def test_separable_bracket_closes_in_two_maps(kind):
     # Baseline plus bump: the one-step pencil gives the eigenpair, and one
-    # certifying map closes the bracket around the dense exponent.
+    # more step closes the bracket around the dense exponent; no period
+    # map runs.
     g = Grid(-10.0, 10.0, 201)
     kernel = Kernel.build("uniform", 1.0, g.h) if kind == "nonlocal" else None
     p = LinearProblem(0.0, kind, g, 1.0,
@@ -403,7 +423,7 @@ def test_separable_bracket_closes_in_two_maps(kind):
     ref = _dense_exponent(p)
     assert res.lam_lo - 1e-12 <= ref <= res.lam_hi + 1e-12
     assert res.residual <= 1e-10
-    assert res.periods == 2
+    assert res.periods == 0
 
 
 def test_unsettled_pencil_falls_back_to_arpack(monkeypatch):
@@ -429,7 +449,9 @@ def test_uniform_kernel_square_bump_brackets_shut():
     assert res.lam == pytest.approx(0.18740, abs=1e-5)
 
 
-def test_one_period_budget_on_a_separable_problem_raises():
+def test_one_period_budget_on_a_separable_problem_raises(monkeypatch):
+    # An unsettled pencil leaves the problem to period maps and ARPACK.
+    monkeypatch.setattr(spectrum, "PENCIL_ITERATIONS", 1)
     p = LinearProblem(0.0, "random", GRID, 1.0, baseline=-0.1,
                       bump=SpatialBump(0.5, 1.0, 0.5))
     with pytest.raises(ConvergenceError) as info:
@@ -439,7 +461,7 @@ def test_one_period_budget_on_a_separable_problem_raises():
 
 @pytest.mark.parametrize("case", ["homogeneous", "tilted-random",
                                   "tilted-nonlocal"])
-def test_homogeneous_problems_take_one_period_map(case):
+def test_homogeneous_problems_take_one_period_map(case, monkeypatch):
     if case == "homogeneous":
         p = _harmonic_problem(0.3, 0.5)
         exact = 0.3
@@ -451,10 +473,14 @@ def test_homogeneous_problems_take_one_period_map(case):
         p = LinearProblem(0.5, "nonlocal", GRID, 1.0,
                           baseline=PeriodicScalar.harmonic(0.1, 0.2), kernel=k)
         exact = homogeneous_growth_exponent(0.5, 0.1, k)
+    made = _recorded_steppers(monkeypatch)
     res = principal_spectrum_point(p)
-    assert res.periods == 1
+    assert res.periods == 0
     assert res.residual <= 1e-6
     assert abs(res.lam - exact) < 1e-5
+    assert _no_half_step_tables(made)
+    ref = _dense_exponent(p)
+    assert res.lam_lo - 1e-11 <= ref <= res.lam_hi + 1e-11
 
 
 def test_too_few_periods_for_arpack_raise_convergence_error():
@@ -470,7 +496,27 @@ def test_too_few_periods_for_arpack_raise_convergence_error():
 
 
 def test_nonfinite_period_map_signals():
-    p = LinearProblem(0.0, "random", GRID, 1.0, baseline=800.0)
+    # A coefficient table takes period maps; e^800 overflows in the first.
+    p = LinearProblem(0.0, "random", GRID, 1.0,
+                      coef_table=np.full((MIN_STEPS_PER_PERIOD, GRID.n), 800.0))
     with pytest.raises(NumericalGuardError), \
+            np.errstate(over="ignore", invalid="ignore"):
+        principal_spectrum_point(p)
+
+
+def test_homogeneous_exponent_past_the_period_map_overflow():
+    # e^800 overflows in a period map; the one step leaves the baseline to
+    # the drift and stays finite.
+    p = LinearProblem(0.0, "random", GRID, 1.0, baseline=800.0)
+    res = principal_spectrum_point(p)
+    assert res.periods == 0
+    assert res.lam_lo <= 800.0 <= res.lam_hi
+    assert res.lam == pytest.approx(800.0, abs=1e-9)
+
+
+def test_nonfinite_fixed_step_signals():
+    p = LinearProblem(0.0, "random", GRID, 1.0, baseline=0.0,
+                      bump=SpatialBump(1e6, 1.0, 0.5))
+    with pytest.raises(NumericalGuardError, match="fixed step"), \
             np.errstate(over="ignore", invalid="ignore"):
         principal_spectrum_point(p)
