@@ -29,10 +29,6 @@ from .verify import (ansatz_equation_residual, build_supersolution,
                      check_ansatz_inequalities, monotone_coexistence,
                      persistence_probe, supersolution_residual)
 
-_SUBCOMMANDS = ("speed", "simulate", "spectrum", "persistence", "coexist",
-                "destabilize", "verify-super", "sweep")
-
-
 def _scenario(cfg: RunConfig, allowed: set[str],
               names: tuple[str, ...] = ()) -> dict:
     """Scenario parameters; keys are validated strictly when the scenario
@@ -289,10 +285,11 @@ def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> int:
     return 0
 
 
+# Subcommands in the order ``--help`` lists them.
 _HANDLERS = {
     "speed": cmd_speed,
-    "spectrum": cmd_spectrum,
     "simulate": cmd_simulate,
+    "spectrum": cmd_spectrum,
     "persistence": cmd_persistence,
     "coexist": cmd_coexist,
     "destabilize": cmd_destabilize,
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="compspread",
         description="Periodic two-species competition laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", type=Path, help="JSON configuration file")

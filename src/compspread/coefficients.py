@@ -175,7 +175,7 @@ class CoefficientField:
         return lo
 
 
-_FIELD_NAMES = ("a1", "b1", "c1", "a2", "b2", "c2")
+FIELD_NAMES = ("a1", "b1", "c1", "a2", "b2", "c2")
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ class CoefficientSet:
     c2: CoefficientField
 
     def __post_init__(self):
-        periods = [getattr(self, n).period for n in _FIELD_NAMES]
+        periods = [getattr(self, n).period for n in FIELD_NAMES]
         if max(periods) - min(periods) > 1e-12 * max(periods):
             raise ConfigError("all six coefficients must share the same period")
         for name in ("b1", "c1", "b2", "c2"):
@@ -205,17 +205,17 @@ class CoefficientSet:
         return self.a1.period
 
     def fields(self) -> dict[str, CoefficientField]:
-        return {n: getattr(self, n) for n in _FIELD_NAMES}
+        return {n: getattr(self, n) for n in FIELD_NAMES}
 
     def baselines(self) -> "CoefficientSet":
         """The spatially homogeneous set with every bump removed."""
-        return CoefficientSet(*(getattr(self, n).with_bump(None) for n in _FIELD_NAMES))
+        return CoefficientSet(*(getattr(self, n).with_bump(None) for n in FIELD_NAMES))
 
     def max_support_radius(self) -> float:
-        return max(getattr(self, n).support_radius for n in _FIELD_NAMES)
+        return max(getattr(self, n).support_radius for n in FIELD_NAMES)
 
     def replace_field(self, name: str, field: CoefficientField) -> "CoefficientSet":
-        parts = {n: getattr(self, n) for n in _FIELD_NAMES}
+        parts = {n: getattr(self, n) for n in FIELD_NAMES}
         parts[name] = field
         return CoefficientSet(**parts)
 
@@ -243,14 +243,14 @@ class EnvelopeTable:
 
     def pairs(self) -> dict[str, tuple[float, float]]:
         return {n: (getattr(self, n + "L"), getattr(self, n + "M"))
-                for n in _FIELD_NAMES}
+                for n in FIELD_NAMES}
 
 
 def compute_envelopes(cs: CoefficientSet) -> EnvelopeTable:
     """Baseline envelopes, exact for every descriptor kind (a table's
     extrema sit at its knots)."""
     entries = {}
-    for name in _FIELD_NAMES:
+    for name in FIELD_NAMES:
         entries[name + "L"], entries[name + "M"] = (
             getattr(cs, name).baseline.range_exact())
     return EnvelopeTable(**entries)
@@ -269,7 +269,7 @@ class HypothesisVerdict:
 
 def check_h0(env: EnvelopeTable) -> HypothesisVerdict:
     """Strict positivity of all six baseline infima."""
-    labels = tuple(n + "L" for n in _FIELD_NAMES)
+    labels = tuple(n + "L" for n in FIELD_NAMES)
     margins = tuple(getattr(env, lab) for lab in labels)
     return HypothesisVerdict(all(m > 0.0 for m in margins), margins, labels)
 

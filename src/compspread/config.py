@@ -16,15 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import (CoefficientField, CoefficientSet, PeriodicScalar,
-                           SpatialBump)
+from .coefficients import (FIELD_NAMES, CoefficientField, CoefficientSet,
+                           PeriodicScalar, SpatialBump)
 from .dispersal import Grid, Kernel
 from .errors import ConfigError
 from .simulator import Problem, SchemeConfig
 
 _TOP_KEYS = {"coefficients", "grid", "kernel", "scheme", "scenario", "output",
              "seed"}
-_COEFF_NAMES = ("a1", "b1", "c1", "a2", "b2", "c2")
 SVG_WIDTH = 640
 SVG_HEIGHT = 400
 
@@ -72,12 +71,12 @@ def parse_bump(d: dict, where: str) -> SpatialBump:
 
 
 def parse_coefficients(d: dict) -> CoefficientSet:
-    _require_keys(d, set(_COEFF_NAMES) | {"period"}, "coefficients")
+    _require_keys(d, set(FIELD_NAMES) | {"period"}, "coefficients")
     if "period" not in d:
         raise ConfigError("coefficients section needs a period")
     period = float(d["period"])
     fields = {}
-    for name in _COEFF_NAMES:
+    for name in FIELD_NAMES:
         if name not in d:
             raise ConfigError(f"coefficients section is missing {name}")
         spec = d[name]
@@ -173,16 +172,10 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{v:.12g}"
-    return str(v)
+    """Rows of numbers (any iterable of rows, or an array) as CSV, each
+    value as ``%.12g``."""
+    np.savetxt(path, np.asarray(list(rows), dtype=float), fmt="%.12g",
+               delimiter=",", header=",".join(header), comments="")
 
 
 def write_json(path: Path, obj) -> None:

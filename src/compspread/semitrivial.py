@@ -36,14 +36,15 @@ BUMP_AMPLITUDES = np.round(np.arange(0.05, 1.0001, 0.05), 10)
 class PeriodicField:
     """One period of a spatial field sampled at every scheme step
     (frames[k] is the field at phase k*dt; frames[spp] closes the period
-    within ``residual``)."""
+    within ``residual``), and the homogeneous orbit it relaxes to far
+    from every bump."""
 
     period: float
     dt: float
     grid: Grid
     frames: np.ndarray
     residual: float
-    homogeneous_orbit: Optional[PeriodicOrbit] = None
+    homogeneous_orbit: PeriodicOrbit
 
     @property
     def steps_per_period(self) -> int:
@@ -172,7 +173,7 @@ def linearized_radius(target: str, problem: Problem,
     growth, suppress = _invasion_coefficient(problem, target)
     period = problem.coefficients.period
     orbit = resident.homogeneous_orbit
-    resident_homog = orbit is not None and float(
+    resident_homog = float(
         np.max(np.abs(resident.frames - resident.frames[:, :1]))) < 1e-9
 
     if resident_homog and suppress.bump is None:
@@ -186,13 +187,10 @@ def linearized_radius(target: str, problem: Problem,
             res = principal_spectrum_point(p, tol)
     else:
         spp = resident.steps_per_period
-        dt = resident.dt
         x = problem.grid.x
-        table = np.empty((spp, problem.grid.n))
-        for k in range(spp):
-            t_mid = (k + 0.5) * dt
-            w_mid = 0.5 * (resident.frames[k] + resident.frames[k + 1])
-            table[k] = growth.value(t_mid, x) - suppress.value(t_mid, x) * w_mid
+        t_mid = ((np.arange(spp) + 0.5) * resident.dt)[:, None]
+        w_mid = 0.5 * (resident.frames[:-1] + resident.frames[1:])
+        table = growth.value(t_mid, x) - suppress.value(t_mid, x) * w_mid
         p = LinearProblem(0.0, problem.kind, problem.grid, period,
                           coef_table=table, kernel=problem.kernel,
                           steps_per_period=spp)

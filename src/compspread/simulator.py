@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _accel
-from .coefficients import CoefficientSet
+from .coefficients import FIELD_NAMES, CoefficientSet
 from .dispersal import Grid, Kernel, boundary_margin, check_kernel_spacing
 from .errors import ConfigError, NumericalGuardError, PreconditionError
 from .periodic_orbits import PeriodicOrbit
@@ -104,9 +104,6 @@ def make_scheme(problem: Problem,
     return scheme
 
 
-_COEFFS = ("a1", "b1", "c1", "a2", "b2", "c2")
-
-
 class Stepper:
     """Bound problem + scheme; advances raw (u, v) arrays one step or one
     period.
@@ -123,13 +120,13 @@ class Stepper:
         self.spp = scheme.steps_per_period(self.period)
         self.grid = problem.grid
         bumps = problem.bump_arrays()
-        self._bumps = tuple(bumps[name] for name in _COEFFS)
+        self._bumps = tuple(bumps[name] for name in FIELD_NAMES)
         fields = problem.coefficients.fields()
         t_mid = (np.arange(self.spp) + 0.5) * self.dt
-        # One tuple of six floats (in _COEFFS order) per phase.
+        # One tuple of six floats (in FIELD_NAMES order) per phase.
         self._phase_coefs = list(zip(*(
             fields[name].baseline(t_mid).tolist()
-            for name in _COEFFS)))
+            for name in FIELD_NAMES)))
         if problem.kernel is None:
             self._r = 0.5 * self.dt * (1.0 / self.grid.h ** 2)
             self._cn = _accel.TridiagFactor(self.grid.n, self._r)

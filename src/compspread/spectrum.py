@@ -39,7 +39,7 @@ kernel quadrature limits their accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -71,7 +71,9 @@ class LinearProblem:
     The kernel names the dispersal A: convolution minus identity with one,
     the Laplacian without (``kind`` must agree with it).  The reaction
     coefficient is either ``baseline(t) + bump(x)`` or an
-    explicit per-step table of midpoint values (shape: steps x n).  A
+    explicit per-step table of midpoint values (shape: steps x n).  The
+    baseline is a float or a callable evaluated on an array of times, one
+    value per time (as :class:`PeriodicScalar` is).  A
     positive tilt is only admitted for spatially homogeneous coefficients,
     where the tilted operators act on x-constant profiles exactly as
     written.
@@ -102,11 +104,8 @@ class LinearProblem:
                 "positive tilt is restricted to spatially homogeneous "
                 "coefficients")
 
-    def tilt_scalar(self) -> float:
-        return self._tilt
-
     @cached_property
-    def _tilt(self) -> float:
+    def tilt_scalar(self) -> float:
         """Evaluated once per problem: a kernel's tilted moment is a sum
         over its weights, and every phase adds the tilt."""
         if self.mu == 0.0:
@@ -145,16 +144,23 @@ class LinearProblem:
         """The bump sampled on the grid, evaluated once per problem."""
         return self.bump(self.grid.x)
 
-    def phase_baseline(self, step: int, spp: int):
-        """Baseline at the substep midpoint, tilt included."""
-        t_mid = (step + 0.5) * self.period / spp
-        base = self.baseline(t_mid) if callable(self.baseline) else float(self.baseline)
-        return base + self.tilt_scalar()
+    def phase_baseline(self, step: int | np.ndarray, spp: int):
+        """Baseline at the midpoint of substep ``step`` (an int or an array
+        of them, one value each), tilt included."""
+        t_mid = (np.asarray(step) + 0.5) * self.period / spp
+        if not callable(self.baseline):
+            base = np.full(t_mid.shape, float(self.baseline))
+        else:
+            base = self.baseline(t_mid)
+            if np.shape(base) != t_mid.shape:
+                raise PreconditionError(
+                    "a callable baseline must return one value per time")
+        return base + self.tilt_scalar
 
     def reaction_coefficient(self, step: int, spp: int) -> np.ndarray | float:
         """Reaction coefficient at the substep midpoint, tilt included."""
         if self.coef_table is not None:
-            return self.coef_table[step] + self.tilt_scalar()
+            return self.coef_table[step] + self.tilt_scalar
         base = self.phase_baseline(step, spp)
         return base if self.bump is None else base + self.bump_profile
 
@@ -197,29 +203,17 @@ class _LinearStepper:
             self._alpha = 1.0 - dm + 0.5 * dm * dm
             self._beta = self.dt * (1.0 - dm)
             self._gamma = 0.5 * self.dt * self.dt
-        # ``base`` holds the baseline of each phase (tilt included) unless
+        # ``base`` holds the baseline of every phase (tilt included) unless
         # a coefficient table is given.
         self.base = (None if p.coef_table is not None
-                     else [p.phase_baseline(k, self.spp) for k in range(self.spp)])
+                     else p.phase_baseline(np.arange(self.spp), self.spp))
 
     @cached_property
     def _half(self) -> list:
         """The half-step reaction exponential of every phase, tabulated on
-        the first period map: the coefficient repeats every period, and
-        phases with one scalar baseline share one table."""
-        p = self.p
-        if self.base is None:
-            return [np.exp((0.5 * self.dt) * p.reaction_coefficient(k, self.spp))
-                    for k in range(self.spp)]
-        tables = {}
-        half = []
-        for b in self.base:
-            key = b if np.ndim(b) == 0 else object()  # arrays: never shared
-            if key not in tables:
-                a = b if p.bump is None else b + p.bump_profile
-                tables[key] = np.exp((0.5 * self.dt) * a)
-            half.append(tables[key])
-        return half
+        the first period map: the coefficient repeats every period."""
+        return [np.exp((0.5 * self.dt) * self.p.reaction_coefficient(k, self.spp))
+                for k in range(self.spp)]
 
     def _dispersal(self, u: np.ndarray) -> np.ndarray:
         if self.p.kernel is None:
@@ -234,20 +228,11 @@ class _LinearStepper:
         out += np.multiply(u, self._alpha, out=cu)
         return out
 
-    @property
-    def separable(self) -> bool:
-        """The baseline is a scalar at every phase and no table is given, so
-        the period map is exp(drift) * S^spp with one fixed step S = E D E,
-        E = exp(dt/2*bump) (E = I without a bump)."""
-        # isinstance first: np.ndim on each of 256 floats took a third of
-        # a one-step solve.
-        return self.base is not None and all(
-            isinstance(b, float) or np.ndim(b) == 0 for b in self.base)
-
     @cached_property
     def drift(self) -> float:
         """dt * sum of the phase baselines: the log of the scalar factor of
-        a separable period map."""
+        a separable period map exp(drift) * S^spp, with one fixed step
+        S = E D E, E = exp(dt/2*bump) (E = I without a bump)."""
         return self.dt * float(np.sum(self.base))
 
     @cached_property
@@ -469,7 +454,7 @@ def _principal_point(p: LinearProblem, tol: float, max_periods: int,
         return hi - lo <= tol or (decided is not None and decided(lo, hi))
 
     stepper = _LinearStepper(p)
-    if stepper.separable:
+    if p.coef_table is None:
         res = _one_step_point(stepper, settled)
         if res is not None:
             return res
@@ -540,11 +525,14 @@ def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL
                                      ) -> tuple[SpectrumResult, float]:
     """Domain-adequacy guarded exponent for localized coefficients: recompute
     on a grid WIDEN_FACTOR times wider and fail if the exponent shifts more
-    than WIDEN_SHIFT_TOL."""
+    than WIDEN_SHIFT_TOL.  A coefficient table is sampled on its own grid
+    and cannot be widened."""
+    if p.coef_table is not None:
+        raise PreconditionError(
+            "the widened-domain check takes baseline-plus-bump problems, "
+            "not a coefficient table")
     res = principal_spectrum_point(p, tol)
-    wide = LinearProblem(p.mu, p.kind, p.grid.widened(WIDEN_FACTOR), p.period,
-                         p.baseline, p.bump, p.kernel, None,
-                         p.steps_per_period)
+    wide = replace(p, grid=p.grid.widened(WIDEN_FACTOR))
     res_wide = principal_spectrum_point(wide, tol)
     shift = abs(res_wide.lam - res.lam)
     if shift > WIDEN_SHIFT_TOL:

@@ -591,8 +591,8 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
     stepper = Stepper(problem, scheme)
     rng = np.random.default_rng(seed)
     x = problem.grid.x
-    u_level = ustar.homogeneous_orbit.values[0] if ustar.homogeneous_orbit else 1.0
-    v_level = vstar.homogeneous_orbit.values[0] if vstar.homogeneous_orbit else 1.0
+    u_level = ustar.homogeneous_orbit.values[0]
+    v_level = vstar.homogeneous_orbit.values[0]
 
     if initials is not None:
         ensemble = _check_initials(initials, problem.grid.n, mode)

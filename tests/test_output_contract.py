@@ -6,9 +6,11 @@ bytes."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from compspread.cli import main
+from compspread.config import write_csv
 
 CANONICAL = {
     "period": 1.0,
@@ -85,3 +87,24 @@ def test_output_directory_holds_the_manifest_and_its_files(tmp_path, command,
     if formats == ALL_FORMATS:
         assert {name: _sha256(out / name)
                 for name in ["manifest.json", *files]} == PINNED[command]
+
+
+def _per_value_csv(header, rows) -> str:
+    """CSV with each float as ``{:.12g}`` and any other value as str()."""
+    def fmt(v):
+        return f"{v:.12g}" if isinstance(v, (float, np.floating)) else str(v)
+    return "".join(",".join(map(fmt, row)) + "\n"
+                   for row in [header, *rows])
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.1, float("nan"), 3), (float("inf"), -float("inf"), 0),
+     (-0.0, 1e-300, 1), (2.0 / 3.0, -1e12, 7)],
+    np.column_stack((np.linspace(-1.0, 1.0, 7), np.arange(7.0) ** 0.5)),
+    [],
+])
+def test_write_csv_matches_the_per_value_format(tmp_path, rows):
+    header = [f"c{j}" for j in range(len(rows[0]) if len(rows) else 3)]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, (row for row in rows))
+    assert path.read_text() == _per_value_csv(header, rows)

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from compspread.coefficients import SpatialBump
+from compspread.coefficients import (CoefficientField, PeriodicScalar,
+                                     SpatialBump)
 from compspread.dispersal import Grid
 from compspread.errors import PreconditionError
 from compspread.periodic_orbits import logistic_orbit
 from compspread.semitrivial import (compute_semitrivial, destabilizing_bump,
                                     far_field_exponent, linearized_radius)
 from compspread.simulator import Problem
+from compspread.spectrum import LinearProblem, principal_spectrum_point
 
 
 @pytest.fixture
@@ -102,6 +104,32 @@ def test_linearized_radius_general_table_path(canonical_set):
     verdict = linearized_radius("u", problem, ustar)
     # stronger local suppression can only push the exponent down
     assert verdict.lam <= -0.1 + 1e-4
+
+
+def test_invader_table_is_the_per_step_table(canonical_set):
+    # A harmonic resident with a bump takes the table path; the table is
+    # built in one broadcast and must equal the one formed step by step.
+    cs = canonical_set.replace_field(
+        "a1", CoefficientField(PeriodicScalar.harmonic(1.0, 0.3),
+                               SpatialBump(0.3, 1.5, 0.5)))
+    cs = cs.replace_field(
+        "a2", CoefficientField(PeriodicScalar.harmonic(0.4, 0.2, 0.5)))
+    problem = Problem(cs, Grid(-25.0, 25.0, 501))
+    ustar = compute_semitrivial("u", problem)
+    spp = ustar.steps_per_period
+    x = problem.grid.x
+    table = np.empty((spp, x.size))
+    for k in range(spp):
+        t_mid = (k + 0.5) * ustar.dt
+        w_mid = 0.5 * (ustar.frames[k] + ustar.frames[k + 1])
+        table[k] = cs.a2.value(t_mid, x) - cs.b2.value(t_mid, x) * w_mid
+    ref = principal_spectrum_point(
+        LinearProblem(0.0, "random", problem.grid, cs.period,
+                      coef_table=table, steps_per_period=spp))
+    verdict = linearized_radius("u", problem, ustar)
+    assert verdict.spectrum.periods > 0
+    assert (verdict.lam, verdict.lam_lo, verdict.lam_hi) == (
+        ref.lam, ref.lam_lo, ref.lam_hi)
 
 
 def test_destabilizing_bump_search(canonical_set):

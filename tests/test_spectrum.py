@@ -212,6 +212,17 @@ def test_widened_domain_check():
     assert res.lam > 0.1
 
 
+@pytest.mark.parametrize("level", [0.3, 1e-5])
+def test_widened_domain_check_rejects_a_coefficient_table(level):
+    # The table was once dropped from the widened problem, so a table was
+    # compared with the widened zero problem: a table of 0.3 "shifted" by
+    # 0.3 and one of 1e-5 passed with its own exponent as the shift.
+    table = np.full((MIN_STEPS_PER_PERIOD, GRID.n), level)
+    p = LinearProblem(0.0, "random", GRID, 1.0, coef_table=table)
+    with pytest.raises(PreconditionError, match="coefficient table"):
+        principal_spectrum_point_widened(p)
+
+
 # Verdicts of the 200-map power screen that radius_threshold_test ran
 # before it shared principal_spectrum_point's solver, at threshold 0.1 on
 # Grid(-12, 12, 241): (kind, amplitude, width) -> verdict.
@@ -261,7 +272,7 @@ def test_nonlocal_requires_kernel():
 
 
 def test_random_dispersal_rejects_a_kernel():
-    # A kernel beside kind "random" used to be ignored: tilt_scalar() gave
+    # A kernel beside kind "random" used to be ignored: tilt_scalar gave
     # mu^2 = 1.0 where the nonlocal problem gives 0.1762.
     k = Kernel.build("uniform", 1.0, GRID.h)
     with pytest.raises(PreconditionError, match="takes no kernel"):
@@ -313,9 +324,53 @@ def test_tabulated_period_map_matches_per_step_coefficients(case, rng):
     u0 = rng.uniform(0.1, 1.0, GRID.n)
     assert np.array_equal(stepper.run_period(u0),
                           _reference_period(stepper, u0))
-    if case == "constant-bump":
-        # every phase shares the one half-step table of its baseline
-        assert len({id(half) for half in stepper._half}) == 1
+
+
+def _composite_baseline():
+    from compspread.periodic_orbits import logistic_orbit
+    from compspread.semitrivial import _CompositeBaseline
+    a1 = PeriodicScalar.harmonic(1.0, 0.3)
+    b1 = PeriodicScalar.constant(1.0)
+    return _CompositeBaseline(PeriodicScalar.harmonic(0.4, 0.2, 0.5),
+                              PeriodicScalar.constant(0.5),
+                              logistic_orbit(a1, b1))
+
+
+@pytest.mark.parametrize("case", ["float", "constant", "harmonic", "table",
+                                  "composite", "tilted-random",
+                                  "tilted-nonlocal"])
+def test_phase_baselines_in_one_call_match_the_per_phase_values(case):
+    kernel = None
+    mu = 0.0
+    if case == "float":
+        baseline = -0.1
+    elif case == "constant":
+        baseline = PeriodicScalar.constant(0.3)
+    elif case == "harmonic":
+        baseline = PeriodicScalar.harmonic(0.2, 0.3, 0.4)
+    elif case == "table":
+        baseline = PeriodicScalar.table([(0.0, 0.1), (0.3, -0.2), (1.0, 0.1)],
+                                        1.0)
+    elif case == "composite":
+        baseline = _composite_baseline()
+    else:
+        mu = 0.7
+        baseline = PeriodicScalar.harmonic(0.1, 0.2)
+        if case == "tilted-nonlocal":
+            kernel = Kernel.build("uniform", 1.0, GRID.h)
+    p = LinearProblem(mu, "random" if kernel is None else "nonlocal", GRID,
+                      1.0, baseline=baseline, kernel=kernel)
+    stepper = _LinearStepper(p)
+    assert stepper.base.shape == (stepper.spp,)
+    assert np.array_equal(
+        stepper.base, [p.phase_baseline(k, stepper.spp)
+                       for k in range(stepper.spp)])
+
+
+def test_callable_baseline_must_return_one_value_per_time():
+    p = LinearProblem(0.0, "random", GRID, 1.0, baseline=lambda t: 0.5)
+    with pytest.raises(PreconditionError, match="one value per time"):
+        _LinearStepper(p)
 
 
 def _dense_correlation(weights, n):
