@@ -73,14 +73,15 @@ def compute_semitrivial(species: str, problem: Problem,
     stationary.  The absent competitor is an identically zero field, which
     :meth:`Stepper.step_arrays` passes through without dispersing or
     reacting it.  Spatially homogeneous coefficients take a scalar fast
-    path; the stored frames always use the scheme's step lattice."""
+    path; the stored frames always use the scheme's step lattice.  A tail
+    missing the homogeneous orbit by more than TAIL_TOL blames the time
+    step if the run without bumps misses it too, else the domain."""
     if species not in _SPECIES_COEFFS:
         raise PreconditionError("species must be 'u' or 'v'")
     if scheme is None:
         scheme = make_scheme(problem)
     a_field, b_field = _species_problem(problem, species)
     orbit = logistic_orbit(a_field.baseline, b_field.baseline)
-    n = problem.grid.n
     homogeneous = a_field.bump is None and b_field.bump is None
     if homogeneous:
         # Both dispersal operators act as the identity on constants, so the
@@ -90,7 +91,6 @@ def compute_semitrivial(species: str, problem: Problem,
     else:
         work = problem
     stepper = Stepper(work, scheme)
-    spp = stepper.spp
     slot = 0 if species == "u" else 1
     absent = np.zeros(work.grid.n)  # step_arrays never mutates its inputs
 
@@ -107,14 +107,10 @@ def compute_semitrivial(species: str, problem: Problem,
             f"{RESIDENT_MAX_PERIODS} periods",
             diagnostics={"last_delta": delta})
 
-    work_frames = np.empty((spp + 1, work.grid.n))
-    work_frames[0] = w
-    for k, pair in enumerate(stepper.period_steps(*with_absent(w))):
-        work_frames[k + 1] = pair[slot]
+    frames = np.array([w, *(pair[slot]
+                            for pair in stepper.period_steps(*with_absent(w)))])
     if homogeneous:
-        frames = np.repeat(work_frames[:, :1], n, axis=1)
-    else:
-        frames = work_frames
+        frames = np.repeat(frames[:, :1], problem.grid.n, axis=1)
     residual = float(np.max(np.abs(frames[-1] - frames[0])))
 
     support = max(a_field.support_radius, b_field.support_radius)
@@ -122,12 +118,18 @@ def compute_semitrivial(species: str, problem: Problem,
     tail = np.abs(x) >= support + tail_margin
     if not tail.any():
         raise NumericalGuardError("domain too small for the tail check")
-    t_frames = np.arange(spp + 1) * stepper.dt
+    t_frames = np.arange(stepper.spp + 1) * stepper.dt
     tail_err = float(np.max(np.abs(frames[:, tail] - orbit.value(t_frames)[:, None])))
     if tail_err > TAIL_TOL:
+        if not homogeneous:  # raises if the scheme misses even without bumps
+            compute_semitrivial(species, Problem(
+                problem.coefficients.baselines(), problem.grid, problem.kernel),
+                scheme, tol, tail_margin, seed_scale)
+        cause = (f"time step too large: dt={stepper.dt:.4g}" if homogeneous
+                 else "domain too small")
         raise NumericalGuardError(
             f"resident tail misses the homogeneous orbit by {tail_err:.2e} "
-            "(domain too small)")
+            f"({cause})")
     return PeriodicField(problem.coefficients.period, stepper.dt,
                          problem.grid, frames, residual, orbit)
 

@@ -187,22 +187,22 @@ class Stepper:
                  if live_v else v)
         return u_new, v_new
 
-    def period_steps(self, u: np.ndarray, v: np.ndarray):
-        """Yield (u, v) after each step of one period from phase 0.  The
-        state ending the period is checked for nonfinite values before it
-        is yielded; neither substep turns a nonfinite value finite, so the
-        check covers the whole period."""
-        for k in range(self.spp):
+    def period_steps(self, u: np.ndarray, v: np.ndarray, k0: int = 0):
+        """Yield (u, v) after each step of one period from lattice index k0.
+        The state ending it, at time_at(k0 + spp), is checked for nonfinite
+        values before it is yielded; neither substep turns a nonfinite value
+        finite, so the check covers the whole period."""
+        for k in range(k0, k0 + self.spp):
             u, v = self.step_arrays(u, v, self.time_at(k))
-            if k + 1 == self.spp:
-                _guard_finite(u, v, self.period, self.grid)
+            if k + 1 == k0 + self.spp:
+                _guard_finite(u, v, self.time_at(k + 1), self.grid)
             yield u, v
 
-    def run_period(self, u: np.ndarray,
-                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, v) one whole period after phase 0: the period map, of one
-        trajectory or of a (K, n) batch."""
-        for u, v in self.period_steps(u, v):
+    def run_period(self, u: np.ndarray, v: np.ndarray,
+                   k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) one whole period after lattice index k0: the period map,
+        of one trajectory or of a (K, n) batch."""
+        for u, v in self.period_steps(u, v, k0):
             pass
         return u, v
 
@@ -347,28 +347,28 @@ class RunRecords:
 
 
 def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
-                    observers: Sequence[Observer], advance: Callable
+                    observers: Sequence[Observer],
+                    frame: Optional[np.ndarray] = None
                     ) -> tuple[SystemState, RunRecords]:
-    """Advance n whole periods with advance(u, v, k), which takes the
-    fields from lattice index k to k + 1.  At each period end the state is
-    checked for nonfinite values, the observers sample it and the sup
-    change from the previous period end is recorded."""
-    spp = stepper.spp
+    """Advance n whole periods from state.t with :meth:`Stepper.run_period`.
+    At each period end the observers sample the state and the sup change
+    from the previous period end is recorded.  With ``frame``, the resident
+    at the phase of state.t and so of every period end, the state carries
+    the cooperative transform (u, frame - v) of the stepped fields."""
     times: list[float] = []
     series: dict[str, list[float]] = {obs.name: [] for obs in observers}
     deltas: list[float] = []
     k = stepper.step_index(state.t)
+    u, v = state.u, (state.v if frame is None else frame - state.v)
     for p in range(n_periods):
-        u, v = state.u, state.v
-        for _ in range(spp):
-            u, v = advance(u, v, k)
-            k += 1
-        t = stepper.time_at(k)
-        _guard_finite(u, v, t, stepper.grid)
+        u, v = stepper.run_period(u, v, k)
+        k += stepper.spp
+        new = SystemState(stepper.time_at(k), u,
+                          v if frame is None else frame - v)
         if p:
-            deltas.append(_sup_change((u, v), (state.u, state.v)))
-        state = SystemState(t, u, v)
-        times.append(t)
+            deltas.append(_sup_change((new.u, new.v), (state.u, state.v)))
+        state = new
+        times.append(state.t)
         for obs in observers:
             series[obs.name].append(obs.sample(state))
     records = RunRecords(np.asarray(times),
@@ -383,10 +383,8 @@ def run_periods(state: SystemState, problem: Problem, scheme: SchemeConfig,
                 ) -> tuple[SystemState, RunRecords]:
     """Advance n whole periods, sampling observers once per period and
     recording period-to-period sup deltas."""
-    stepper = Stepper(problem, scheme)
-    return _record_periods(
-        stepper, state, n_periods, observers,
-        lambda u, v, k: stepper.step_arrays(u, v, stepper.time_at(k)))
+    return _record_periods(Stepper(problem, scheme), state, n_periods,
+                           observers)
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +420,17 @@ def run_transformed(state: SystemState, problem: Problem, scheme: SchemeConfig,
                     observers: Sequence[Observer] = ()
                     ) -> tuple[SystemState, RunRecords]:
     """Evolve the cooperative transform: the state carries (u, vt) with
-    vt = vstar - v.  Internally the original system is stepped; the resident
-    periodic solution enters through its per-step frames over one period
-    (shape (spp, n) or (spp + 1, n)).  Componentwise ordering of transformed
-    trajectories and the box 0 <= vt <= vstar are preserved."""
+    vt = vstar - v.  The original system is stepped, and vt is formed only
+    at the start and at period ends, from the resident's per-step frames
+    (shape (spp, n) or (spp + 1, n)) at that phase.  Componentwise ordering
+    of transformed trajectories and the box 0 <= vt <= vstar are preserved."""
     stepper = Stepper(problem, scheme)
     spp = stepper.spp
     if vstar_frames.ndim != 2 or vstar_frames.shape[0] not in (spp, spp + 1) \
             or vstar_frames.shape[1] != problem.grid.n:
         raise PreconditionError(
             "resident frames must have shape (steps_per_period[+1], n)")
-    frames = vstar_frames[:spp]
-    k0 = stepper.step_index(state.t)
-    if np.any(state.v < -1e-12) or np.any(state.v > frames[k0 % spp] + 1e-9):
+    frame = vstar_frames[stepper.step_index(state.t) % spp]
+    if np.any(state.v < -1e-12) or np.any(state.v > frame + 1e-9):
         raise PreconditionError("transformed component must satisfy 0 <= vt <= vstar")
-
-    def advance(u, vt, k):
-        u, v = stepper.step_arrays(u, frames[k % spp] - vt, stepper.time_at(k))
-        return u, frames[(k + 1) % spp] - v
-
-    return _record_periods(stepper, state, n_periods, observers, advance)
-
+    return _record_periods(stepper, state, n_periods, observers, frame)

@@ -236,9 +236,9 @@ def speed_interval(problem: Problem, scheme: SchemeConfig, n_periods: int,
             f"fit needs {MIN_DISCARD_PERIODS + MIN_WINDOW_PERIODS}; run "
             "longer or move x0")
     u_orbit = logistic_orbit(cs.a1.baseline, cs.b1.baseline)
-    v_orbit = logistic_orbit(cs.a2.baseline, cs.c2.baseline)
     u_level = 0.5 * float(u_orbit.value(0.0))
     vstar = compute_semitrivial("v", problem, scheme)
+    v_orbit = vstar.homogeneous_orbit
     u0, vt0 = make_front_data(problem.grid, u_level, v_orbit, x0, ramp,
                               kernel=problem.kernel)
     vt_level = 0.5 * float(v_orbit.value(0.0))

@@ -66,8 +66,21 @@ PINNED = {
 }
 
 
+# sha256 of interval.json from ``sweep --preset canonical-h1h2``, the one
+# byte-level pin on the transformed front run.
+INTERVAL_SHA256 = (
+    "7fab6f042777216cad7fff84574531094bbfe7c790baa5d4ef4b5d9d1ee79349")
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_canonical_interval_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--preset", "canonical-h1h2", "--out",
+                 str(out)]) == 0
+    assert _sha256(out / "interval.json") == INTERVAL_SHA256
 
 
 @pytest.mark.parametrize("formats", [("json",), ("csv",), ALL_FORMATS])

@@ -5,7 +5,7 @@ from scipy.linalg import eigh_tridiagonal
 from compspread.coefficients import (CoefficientField, PeriodicScalar,
                                      SpatialBump)
 from compspread.dispersal import Grid
-from compspread.errors import PreconditionError
+from compspread.errors import NumericalGuardError, PreconditionError
 from compspread.periodic_orbits import logistic_orbit
 from compspread.semitrivial import (compute_semitrivial, destabilizing_bump,
                                     far_field_exponent, linearized_radius)
@@ -64,6 +64,36 @@ def test_tail_guard_fires_on_small_domain(canonical_set):
     problem = Problem(bumped, Grid(-6.0, 6.0, 121))
     with pytest.raises(Exception):
         compute_semitrivial("v", problem, tail_margin=10.0)
+
+
+def _harmonic_u_problem(canonical_set, bump, half_width, h):
+    """u-resident with a1 = 1 + 0.3 sin(2 pi t), under the default scheme."""
+    cs = canonical_set.replace_field(
+        "a1", CoefficientField(PeriodicScalar.harmonic(1.0, 0.3), bump))
+    n = int(round(2 * half_width / h)) + 1
+    return Problem(cs, Grid(-half_width, half_width, n))
+
+
+@pytest.mark.parametrize("half_width", [25.0, 50.0])
+@pytest.mark.parametrize("bump", [None, SpatialBump(0.3, 1.0, 0.5)])
+def test_tail_guard_blames_a_coarse_time_step(canonical_set, bump,
+                                              half_width):
+    # At h = 0.2 (dt = 0.04) the scheme's own homogeneous resident misses
+    # the closed-form orbit by 1.4e-4 > TAIL_TOL, so no domain helps.
+    problem = _harmonic_u_problem(canonical_set, bump, half_width, 0.2)
+    with pytest.raises(NumericalGuardError,
+                       match=r"time step too large: dt=0\.04\)"):
+        compute_semitrivial("u", problem)
+    compute_semitrivial("u", _harmonic_u_problem(canonical_set, bump,
+                                                 half_width, 0.1))
+
+
+def test_tail_guard_blames_the_domain_when_the_scheme_meets_the_orbit(
+        canonical_set):
+    problem = _harmonic_u_problem(canonical_set, SpatialBump(0.3, 1.0, 0.5),
+                                  25.0, 0.1)
+    with pytest.raises(NumericalGuardError, match="domain too small"):
+        compute_semitrivial("u", problem, tail_margin=0.5)
 
 
 def test_linearized_radius_canonical(canonical_problem):

@@ -9,7 +9,8 @@ from compspread.dispersal import Grid, Kernel
 from compspread.errors import ConfigError, NumericalGuardError, PreconditionError
 from compspread.periodic_orbits import logistic_orbit
 from compspread.semitrivial import compute_semitrivial
-from compspread.simulator import (FrontObserver, Problem, SchemeConfig,
+from compspread.simulator import (FrontObserver, MagnitudeFrontObserver,
+                                  PairFrontObserver, Problem, SchemeConfig,
                                   SystemState, Stepper, front_position,
                                   make_front_data, make_scheme, ramp_profile,
                                   run_periods, run_transformed, step)
@@ -328,6 +329,82 @@ def test_run_period_matches_step_loop(kind, canonical_set, rng):
         assert np.array_equal(fu, su) and np.array_equal(fv, sv)
 
 
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_run_periods_from_mid_period_matches_step_loop(kind, canonical_set,
+                                                        rng):
+    problem = _one_species_problem(kind, canonical_set)
+    scheme = make_scheme(problem)
+    stepper = Stepper(problem, scheme)
+    u = rng.uniform(0.1, 1.0, problem.grid.n)
+    v = rng.uniform(0.1, 0.4, problem.grid.n)
+    end, rec = run_periods(SystemState(3 * stepper.dt, u, v), problem, scheme,
+                           2)
+    for k in range(3, 3 + 2 * stepper.spp):
+        u, v = stepper.step_arrays(u, v, stepper.time_at(k))
+    assert np.array_equal(end.u, u) and np.array_equal(end.v, v)
+    assert end.t == stepper.time_at(3 + 2 * stepper.spp)
+    assert np.array_equal(rec.times, [stepper.time_at(3 + stepper.spp),
+                                      end.t])
+
+
+# --- transformed runs step the original system --------------------------------
+
+def _transformed_setup(kind, canonical_set, rng):
+    """A problem, its scheme, per-step resident frames and a transformed
+    state starting three steps into a period."""
+    problem = _one_species_problem(kind, canonical_set)
+    scheme = make_scheme(problem)
+    stepper = Stepper(problem, scheme)
+    n = problem.grid.n
+    frames = rng.uniform(0.3, 0.5, (stepper.spp + 1, n))
+    state = SystemState(stepper.time_at(3), rng.uniform(0.1, 1.0, n),
+                        rng.uniform(0.0, 1.0, n) * frames[3])
+    return problem, scheme, stepper, frames, state
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_transformed_run_is_the_original_run_seen_at_period_ends(
+        kind, canonical_set, rng):
+    problem, scheme, _, frames, state = _transformed_setup(kind, canonical_set,
+                                                           rng)
+    grid, frame = problem.grid, frames[3]
+    observers = (PairFrontObserver(grid, 0.3, 0.1),
+                 MagnitudeFrontObserver(grid, 0.5, kernel=problem.kernel,
+                                        guard=False))
+    out, rec = run_transformed(state, problem, scheme, frames, 4, observers)
+    original = SystemState(state.t, state.u, frame - state.v)
+    seen = []
+    for _ in range(4):
+        original, _ = run_periods(original, problem, scheme, 1)
+        seen.append(SystemState(original.t, original.u,
+                                frame - original.v))
+    assert (out.t, rec.times.tolist()) == (seen[-1].t, [s.t for s in seen])
+    assert np.array_equal(out.u, seen[-1].u)
+    assert np.array_equal(out.v, seen[-1].v)
+    for obs in observers:
+        np.testing.assert_array_equal(rec.series[obs.name],
+                                      [obs.sample(s) for s in seen])
+    assert np.array_equal(rec.period_delta, [
+        max(np.max(np.abs(b.u - a.u)), np.max(np.abs(b.v - a.v)))
+        for a, b in zip(seen, seen[1:])])
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_transformed_run_matches_the_per_step_round_trip(kind, canonical_set,
+                                                         rng):
+    problem, scheme, stepper, frames, state = _transformed_setup(
+        kind, canonical_set, rng)
+    out, _ = run_transformed(state, problem, scheme, frames, 5)
+    # Reference: transform back and forth around every single step.
+    spp = stepper.spp
+    u, vt = state.u, state.v
+    for k in range(3, 3 + 5 * spp):
+        u, v = stepper.step_arrays(u, frames[k % spp] - vt, stepper.time_at(k))
+        vt = frames[(k + 1) % spp] - v
+    assert np.max(np.abs(out.u - u)) <= 1e-14
+    assert np.max(np.abs(out.v - vt)) <= 1e-14
+
+
 # --- (K, n) batches of independent trajectories ------------------------------
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -424,6 +501,20 @@ def test_nonfinite_mid_period_is_a_guard_error(loop, canonical_set, weak_set,
             run_transformed(state, problem, scheme, np.full((30, 11), 0.4), 2)
         else:
             compute_semitrivial("u", problem, scheme)
+
+
+@pytest.mark.parametrize("loop", ["run_periods", "run_transformed"])
+def test_nonfinite_guard_names_the_period_end_of_a_late_start(
+        loop, canonical_set, monkeypatch):
+    problem = _tiny_problem(canonical_set)
+    scheme = make_scheme(problem, steps_per_period=30)
+    state = SystemState(3.0, np.full(11, 0.5), np.full(11, 0.2))
+    _nan_mid_period(monkeypatch)
+    with pytest.raises(NumericalGuardError, match=r"nonfinite value at t=4,"):
+        if loop == "run_periods":
+            run_periods(state, problem, scheme, 2)
+        else:
+            run_transformed(state, problem, scheme, np.full((30, 11), 0.4), 2)
 
 
 # --- an identically zero species skips its substeps ---------------------------
