@@ -168,8 +168,12 @@ def linearized_radius(target: str, problem: Problem,
     (target 'u' = state with only species u present), the principal
     spectrum point of the scalar period map.  The resident state enters the
     coefficient pointwise; separable cases reduce to baseline-plus-bump
-    problems.  ``scheme`` is not used: the linear period map runs on the
-    resident's step lattice or chooses its own."""
+    problems.  A spatially varying resident gives a per-step coefficient
+    table; a stationary one (time-constant coefficients) makes it separable
+    up to rounding, and :func:`principal_spectrum_point` then solves it from
+    one step, with the bracket widened by the table's distance from
+    separable (``spectrum.widening``).  ``scheme`` is not used: the linear
+    period map runs on the resident's step lattice or chooses its own."""
     if target not in ("u", "v"):
         raise PreconditionError("target must be 'u' or 'v'")
     growth, suppress = _invasion_coefficient(problem, target)

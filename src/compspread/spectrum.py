@@ -4,24 +4,32 @@ The growth exponent is ln(spectral radius of the one-period solution
 operator P)/T.  P is entrywise nonnegative, so for every positive field u
 the Collatz-Wielandt ratios bound it: min(Pu/u) <= rho(P) <= max(Pu/u).
 :func:`principal_spectrum_point` reports the exponent with that bracket,
-[lam_lo, lam_hi], by one of two routes:
+[lam_lo, lam_hi], by one of three routes:
 
 - Separable coefficients, a scalar baseline a(t) with or without a
-  bump(x) and no coefficient table, run no period map.  Each step is
-  exp(dt*a_k) times one fixed step S = E D E, E = exp(dt/2*bump), so
-  P = exp(dt*sum a_k) * S^spp and ln rho(P) = dt*sum a_k + spp*ln rho(S)
-  (Hess, *Periodic-Parabolic Boundary Value Problems and Positivity*,
-  1991); the one-step ratios Su/u bracket it.  The constant field's
-  bracket closes to rounding for spatially homogeneous problems.  With a
-  bump, shifted inverse iteration on the pencil D y = sigma E^-2 y, one
-  tridiagonal (random) or banded (nonlocal) solve per iteration, gives
-  the dominant eigenpair, and one more step S of v = E^-1 y certifies it.
-- Coefficient tables, and separable problems whose pencil does not
-  settle, map the constant field once and, unless that bracket already
-  settles, take ARPACK's Arnoldi method (loaded only then); the bracket
-  comes from the next map of |Re v|.  At most POWER_STEPS power steps
-  then narrow it while it is wider than the caller's ``tol``; a bracket
-  left wider is reported, not forced shut.
+  bump(x), run no period map.  Each step is exp(dt*a_k) times one fixed
+  step S = E D E, E = exp(dt/2*bump), so P = exp(dt*sum a_k) * S^spp and
+  ln rho(P) = dt*sum a_k + spp*ln rho(S) (Hess, *Periodic-Parabolic
+  Boundary Value Problems and Positivity*, 1991); the one-step ratios
+  Su/u bracket it.  The constant field's bracket closes to rounding for
+  spatially homogeneous problems.  With a bump, shifted inverse iteration
+  on the pencil D y = sigma E^-2 y, one tridiagonal (random) or banded
+  (nonlocal) solve per iteration, gives the dominant eigenpair, and one
+  more step S of v = E^-1 y certifies it.
+- A coefficient table T takes the same route when its own values show it
+  separable: T[k, x] = beta_k + c(x) + r, with c the mean row, beta_k the
+  row mean of T - c and delta = max|r|.  Each step is entrywise
+  increasing in the coefficient, so |lam(T) - lam(beta + c)| <= delta,
+  and the one-step bracket of beta_k + c(x), widened by delta on each
+  side, bounds the table's exponent.  It is taken when 2*delta <= tol, or
+  when the widened bracket decides the caller's question.  A stationary
+  resident (time-constant coefficients) gives such a table.
+- Other tables, and problems whose pencil does not settle, map the
+  constant field once and, unless that bracket already settles, take
+  ARPACK's Arnoldi method (loaded only then); the bracket comes from the
+  next map of |Re v|.  At most POWER_STEPS power steps then narrow it
+  while it is wider than the caller's ``tol``; a bracket left wider is
+  reported, not forced shut.
 
 The evolution scheme is a symmetrized split step: half an exact reaction
 exponential, one dispersal substep, half an exact reaction exponential.
@@ -170,13 +178,15 @@ class SpectrumResult:
     """Growth exponent ``lam`` inside its Collatz-Wielandt bracket
     [lam_lo, lam_hi], the dominant profile (max 1) and the number of
     period maps spent: 0 on the one-step route of separable problems,
-    which runs none."""
+    which runs none.  ``widening`` is the delta added to each side of a
+    coefficient table's one-step bracket (0.0 on every other route)."""
 
     lam: float
     lam_lo: float
     lam_hi: float
     profile: np.ndarray
     periods: int
+    widening: float = 0.0
 
     @property
     def residual(self) -> float:
@@ -203,10 +213,20 @@ class _LinearStepper:
             self._alpha = 1.0 - dm + 0.5 * dm * dm
             self._beta = self.dt * (1.0 - dm)
             self._gamma = 0.5 * self.dt * self.dt
-        # ``base`` holds the baseline of every phase (tilt included) unless
-        # a coefficient table is given.
-        self.base = (None if p.coef_table is not None
-                     else p.phase_baseline(np.arange(self.spp), self.spp))
+        # The coefficient as phase scalars ``base`` (tilt included) plus a
+        # ``profile`` in x (None without a bump).  A table T splits as
+        # T[k, x] = base_k + c(x) + r: c is the mean row, base_k the row
+        # mean of T - c, and ``widening`` = max|r| bounds how far its
+        # exponent lies from that of base_k + c(x).
+        if p.coef_table is None:
+            self.base = p.phase_baseline(np.arange(self.spp), self.spp)
+            self.profile = None if p.bump is None else p.bump_profile
+            self.widening = 0.0
+        else:
+            self.profile = np.mean(p.coef_table, axis=0)
+            rest = p.coef_table - self.profile
+            self.base = np.mean(rest, axis=1)
+            self.widening = float(np.max(np.abs(rest - self.base[:, None])))
 
     @cached_property
     def _half(self) -> list:
@@ -232,17 +252,18 @@ class _LinearStepper:
     def drift(self) -> float:
         """dt * sum of the phase baselines: the log of the scalar factor of
         a separable period map exp(drift) * S^spp, with one fixed step
-        S = E D E, E = exp(dt/2*bump) (E = I without a bump)."""
+        S = E D E, E = exp(dt/2*profile) (E = I without a profile)."""
         return self.dt * float(np.sum(self.base))
 
     @cached_property
     def _bump_half(self) -> Optional[np.ndarray]:
-        if self.p.bump is None:
+        if self.profile is None:
             return None
-        return np.exp((0.5 * self.dt) * self.p.bump_profile)
+        return np.exp((0.5 * self.dt) * self.profile)
 
     def fixed_step(self, u: np.ndarray) -> np.ndarray:
-        """S u for the fixed step S = E D E of a separable problem."""
+        """S u for the fixed step S = E D E of the separable problem
+        base_k + profile."""
         e = self._bump_half
         if e is None:
             return self._dispersal(u)
@@ -364,7 +385,7 @@ def _pencil_eigenpair(stepper: _LinearStepper, lam_hi: float,
     p = stepper.p
     drift = stepper.drift
     half = stepper._bump_half
-    b = np.exp(-stepper.dt * p.bump_profile)
+    b = np.exp(-stepper.dt * stepper.profile)
     solve = stepper.pencil_solver(b)
     s = float(np.exp((lam_hi * p.period - drift) / stepper.spp))
     y = half * u
@@ -412,14 +433,18 @@ def _arnoldi_eigenpair(period_map: Callable, u: np.ndarray, tol: float,
 
 def _one_step_point(stepper: _LinearStepper,
                     settled: Callable) -> Optional[SpectrumResult]:
-    """The exponent of a separable problem from its fixed step S alone,
-    with no period map: ln rho(P) = drift + spp*ln rho(S), so the one-step
-    Collatz-Wielandt ratios Su/u bracket it.  The constant field's bracket
-    settles every homogeneous problem; a bump takes the pencil's
-    eigenvector v, and Sv/v brackets its Ritz value.  None when that
-    bracket is needed and the pencil does not settle (or there is no
-    bump)."""
+    """The exponent of the separable problem base_k + profile from its
+    fixed step S alone, with no period map: ln rho(P) = drift +
+    spp*ln rho(S), so the one-step Collatz-Wielandt ratios Su/u bracket
+    it.  The constant field's bracket settles every homogeneous problem; a
+    profile takes the pencil's eigenvector v, and Sv/v brackets its Ritz
+    value.  Each bracket is widened by the stepper's ``widening`` on each
+    side: every step is entrywise increasing in the coefficient, so a
+    table within delta of base_k + profile has its exponent within delta
+    of theirs.  None when that bracket is needed and the pencil does not
+    settle (or there is no profile)."""
     p = stepper.p
+    delta = stepper.widening
 
     def bracket(u: np.ndarray) -> tuple[np.ndarray, float, float]:
         su = stepper.fixed_step(u)
@@ -427,18 +452,23 @@ def _one_step_point(stepper: _LinearStepper,
             raise NumericalGuardError("the fixed step produced a nonfinite value")
         return (su, *_cw_bracket(u, su, p.period, stepper.drift, stepper.spp))
 
+    def point(lam: float, lo: float, hi: float,
+              su: np.ndarray) -> SpectrumResult:
+        return SpectrumResult(lam, lo - delta, hi + delta, su / np.max(su), 0,
+                              delta)
+
     su, lo, hi = bracket(np.ones(p.grid.n))
     if not np.max(su) > 0.0:
         raise NumericalGuardError("the fixed step annihilates the constant field")
-    if settled(lo, hi):
-        return SpectrumResult(hi, lo, hi, su / np.max(su), 0)
+    if settled(lo - delta, hi + delta):
+        return point(hi, lo, hi, su)
     pair = (_pencil_eigenpair(stepper, hi, su / np.max(su))
-            if p.bump is not None else None)
+            if stepper.profile is not None else None)
     if pair is None:
         return None
     ritz, v = pair
     sv, lo, hi = bracket(v)
-    return SpectrumResult(min(max(ritz, lo), hi), lo, hi, sv / np.max(sv), 0)
+    return point(min(max(ritz, lo), hi), lo, hi, sv)
 
 
 def _principal_point(p: LinearProblem, tol: float, max_periods: int,
@@ -454,9 +484,12 @@ def _principal_point(p: LinearProblem, tol: float, max_periods: int,
         return hi - lo <= tol or (decided is not None and decided(lo, hi))
 
     stepper = _LinearStepper(p)
-    if p.coef_table is None:
+    # Within tol of separable (always, without a table), or possibly
+    # decided by the widened bracket: try the one step first.
+    separable = 2.0 * stepper.widening <= tol
+    if separable or decided is not None:
         res = _one_step_point(stepper, settled)
-        if res is not None:
+        if res is not None and (separable or settled(res.lam_lo, res.lam_hi)):
             return res
     maps = 0
 
@@ -505,13 +538,16 @@ def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL,
     """Growth exponent ln(rho(P))/T of the period map P with a
     Collatz-Wielandt bracket [lam_lo, lam_hi] around it.
 
-    A separable problem (scalar baseline, with or without a bump, no
-    table) runs no period map: the one-step bracket of the constant field
-    settles it when at most ``tol`` wide (every spatially homogeneous
-    one); otherwise the one-step pencil's eigenvector v is certified by
-    one more step, and that bracket is reported as it is, about
-    spp*PENCIL_SETTLE/T wide.  A pencil that does not settle, and
-    every coefficient table, take period maps: the constant field's map,
+    A separable problem (scalar baseline, with or without a bump) runs no
+    period map: the one-step bracket of the constant field settles it when
+    at most ``tol`` wide (every spatially homogeneous one); otherwise the
+    one-step pencil's eigenvector v is certified by one more step, and
+    that bracket is reported as it is, about spp*PENCIL_SETTLE/T wide.  A
+    coefficient table within delta of separable (beta_k + c(x), c the mean
+    row), with 2*delta <= ``tol``, is solved the same way as beta_k + c(x),
+    and its bracket is widened by ``widening`` = delta on each side.  A
+    pencil that does not settle, and every other table, take period maps:
+    the constant field's map,
     ARPACK's dominant Ritz pair from v0 = P1, one map of its positive
     profile and at most POWER_STEPS power steps while the bracket is
     wider than ``tol``.  A bracket left wider is still a bound and is
@@ -546,8 +582,10 @@ def radius_threshold_test(p: LinearProblem, lam_threshold: float) -> str:
     from the Collatz-Wielandt bracket of the constant field (one step or
     one map, as :func:`principal_spectrum_point` routes the problem) when
     it excludes the threshold, otherwise from the bracket of its
-    eigenpair, which stops as soon as its bracket excludes the threshold.  Returns "above", "below", or
-    "undecided"."""
+    eigenpair, which stops as soon as its bracket excludes the threshold.
+    A coefficient table tries the one step whatever its delta and keeps
+    the widened bracket when that excludes the threshold.  Returns
+    "above", "below", or "undecided"."""
     res = _principal_point(
         p, DEFAULT_TOL, DEFAULT_MAX_PERIODS,
         lambda lo, hi: lo > lam_threshold or hi < lam_threshold)

@@ -394,3 +394,34 @@ def test_separable_spectrum_point_leaves_out_arpack():
             "assert 'scipy.sparse.linalg' not in sys.modules, "
             "'scipy.sparse.linalg imported'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("kernel", [None, {"shape": "uniform", "radius": 1.0}])
+def test_bumped_coexist_and_persistence_leave_out_arpack(tmp_path, kernel):
+    # The invader at a resident with a bump sees a coefficient table that is
+    # constant in time up to rounding, so it takes the one-step pencil and
+    # scipy.sparse.linalg (ARPACK) stays unloaded.
+    raw = {
+        "coefficients": dict(WEAK, a1={"constant": 1.0, "bump": {
+            "amplitude": 0.3, "width": 4.0, "ramp": 0.5}}),
+        "grid": {"x_min": -15.0, "x_max": 15.0, "n": 151},
+        "scheme": {"steps_per_period": 32},
+        "scenario": {"name": "persistence", "trials": 2},
+        "output": {"formats": ["json"]},
+        "seed": 3,
+    }
+    if kernel is not None:
+        raw["kernel"] = kernel
+    cfg = _write_config(tmp_path, raw)
+    src = str(Path(compspread.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys\n"
+            "from compspread.cli import main\n"
+            "for cmd in ('coexist', 'persistence'):\n"
+            f"    rc = main([cmd, '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r} + '-' + cmd])\n"
+            "    assert rc == 0, (cmd, rc)\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules, "
+            "'scipy.sparse.linalg imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

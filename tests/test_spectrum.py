@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -538,11 +540,19 @@ def test_homogeneous_problems_take_one_period_map(case, monkeypatch):
     assert res.lam_lo - 1e-11 <= ref <= res.lam_hi + 1e-11
 
 
+def _unseparable_table(row: np.ndarray) -> np.ndarray:
+    """row plus bump(x)*(1 + 0.5 sin 2 pi t_k): no phase scalar plus
+    profile comes within 0.2 of it, so it takes period maps."""
+    t_mid = (np.arange(MIN_STEPS_PER_PERIOD) + 0.5) / MIN_STEPS_PER_PERIOD
+    bump = SpatialBump(0.5, 1.0, 0.5)(GRID.x)
+    return row + bump * (1.0 + 0.5 * np.sin(2.0 * np.pi * t_mid))[:, None]
+
+
 def test_too_few_periods_for_arpack_raise_convergence_error():
     # A coefficient table takes ARPACK, which needs more than 5 maps.
     row = -0.1 + SpatialBump(0.5, 1.0, 0.5)(GRID.x)
     p = LinearProblem(0.0, "random", GRID, 1.0,
-                      coef_table=np.tile(row, (MIN_STEPS_PER_PERIOD, 1)))
+                      coef_table=_unseparable_table(row))
     with pytest.raises(ConvergenceError) as info:
         principal_spectrum_point(p, max_periods=5)
     diag = info.value.diagnostics
@@ -553,7 +563,7 @@ def test_too_few_periods_for_arpack_raise_convergence_error():
 def test_nonfinite_period_map_signals():
     # A coefficient table takes period maps; e^800 overflows in the first.
     p = LinearProblem(0.0, "random", GRID, 1.0,
-                      coef_table=np.full((MIN_STEPS_PER_PERIOD, GRID.n), 800.0))
+                      coef_table=_unseparable_table(np.full(GRID.n, 800.0)))
     with pytest.raises(NumericalGuardError), \
             np.errstate(over="ignore", invalid="ignore"):
         principal_spectrum_point(p)
@@ -575,3 +585,140 @@ def test_nonfinite_fixed_step_signals():
     with pytest.raises(NumericalGuardError, match="fixed step"), \
             np.errstate(over="ignore", invalid="ignore"):
         principal_spectrum_point(p)
+
+
+# --- coefficient tables on the one-step route ---------------------------------
+
+TABLE_GRID = Grid(-10.0, 10.0, 201)
+TABLE_BUMP = SpatialBump(0.5, 1.5, 0.5)
+T_MID = (np.arange(MIN_STEPS_PER_PERIOD) + 0.5) / MIN_STEPS_PER_PERIOD
+
+
+def _table_problem(kind: str, table: np.ndarray) -> LinearProblem:
+    kernel = (Kernel.build("uniform", 1.0, TABLE_GRID.h)
+              if kind == "nonlocal" else None)
+    return LinearProblem(0.0, kind, TABLE_GRID, 1.0, coef_table=table,
+                         kernel=kernel)
+
+
+def _split(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """T = beta_k + c(x) + r: c the mean row, beta_k the row mean of T - c
+    and delta = max|r|."""
+    c = np.mean(table, axis=0)
+    beta = np.mean(table - c, axis=1)
+    return beta, c, float(np.max(np.abs(table - c - beta[:, None])))
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_tiled_table_takes_the_one_step_route(kind, monkeypatch):
+    row = -0.2 + TABLE_BUMP(TABLE_GRID.x)
+    p = _table_problem(kind, np.tile(row, (MIN_STEPS_PER_PERIOD, 1)))
+    sep = principal_spectrum_point(replace(p, coef_table=None, baseline=-0.2,
+                                           bump=TABLE_BUMP))
+    made = _recorded_steppers(monkeypatch)
+    res = principal_spectrum_point(p)
+    assert res.periods == 0
+    assert _no_half_step_tables(made)
+    assert res.lam_lo <= sep.lam <= res.lam_hi
+    assert res.lam_lo <= res.lam <= res.lam_hi
+    assert res.residual <= 1e-10
+    assert res.widening == _split(p.coef_table)[2]
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_row_noise_widens_the_bracket_by_its_delta(kind, rng):
+    row = -0.2 + TABLE_BUMP(TABLE_GRID.x)
+    noise = 1e-13 * rng.choice([-1.0, 1.0],
+                               size=(MIN_STEPS_PER_PERIOD, TABLE_GRID.n))
+    p = _table_problem(kind, row + noise)
+    beta, c, delta = _split(p.coef_table)
+    assert 1e-13 <= delta <= 3e-13
+    res = principal_spectrum_point(p)
+    # The split problem base_k + c(x) steps exactly as the table's one step.
+    sep = principal_spectrum_point(replace(p, coef_table=None,
+                                           baseline=lambda t: beta,
+                                           bump=lambda x: c))
+    assert res.periods == sep.periods == 0
+    assert res.widening == delta
+    assert sep.widening == 0.0
+    assert res.lam_lo == sep.lam_lo - delta
+    assert res.lam_hi == sep.lam_hi + delta
+    assert res.lam == sep.lam
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_harmonic_phase_plus_profile_splits_exactly(kind):
+    a = PeriodicScalar.harmonic(-0.2, 0.3, 0.4)
+    p = _table_problem(kind, a(T_MID)[:, None] + TABLE_BUMP(TABLE_GRID.x))
+    stepper = _LinearStepper(p)
+    mean = float(np.mean(a(T_MID)))
+    assert np.max(np.abs(stepper.base - (a(T_MID) - mean))) <= 1e-15
+    assert np.max(np.abs(stepper.profile - (TABLE_BUMP(TABLE_GRID.x) + mean))
+                  ) <= 1e-15
+    assert stepper.widening <= 1e-15
+    res = principal_spectrum_point(p)
+    sep = principal_spectrum_point(replace(p, coef_table=None, baseline=a,
+                                           bump=TABLE_BUMP))
+    assert res.periods == 0
+    assert res.lam_lo <= sep.lam <= res.lam_hi
+    assert abs(res.lam - sep.lam) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_unseparable_table_takes_period_maps(kind):
+    row = -0.2 + TABLE_BUMP(TABLE_GRID.x)
+    p = _table_problem(kind, row + TABLE_BUMP(TABLE_GRID.x)
+                       * (0.5 * np.sin(2.0 * np.pi * T_MID))[:, None])
+    assert 2.0 * _split(p.coef_table)[2] > spectrum.DEFAULT_TOL
+    res = principal_spectrum_point(p)
+    assert res.periods > 0
+    assert res.widening == 0.0
+
+
+def test_table_past_tol_takes_period_maps():
+    # One tol either side of 2*delta: at or above it the one step answers,
+    # below it the period maps do.
+    row = -0.2 + TABLE_BUMP(TABLE_GRID.x)
+    sign = np.where(np.arange(TABLE_GRID.n) < TABLE_GRID.n // 2, 1.0, -1.0)
+    p = _table_problem("random", row + 1e-7 * np.outer(np.cos(2.0 * np.pi
+                                                              * T_MID), sign))
+    delta = _split(p.coef_table)[2]
+    assert delta == pytest.approx(1e-7, rel=1e-2)
+    assert principal_spectrum_point(p, tol=2.0 * delta).periods == 0
+    res = principal_spectrum_point(p, tol=1.9 * delta)
+    assert res.periods > 0
+    assert res.widening == 0.0
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_decided_widened_bracket_takes_the_one_step_route(inside):
+    # delta is about 0.25 here, far above tol/2; a threshold outside the
+    # widened bracket is decided by the one step, one inside it is not.
+    row = -0.2 + TABLE_BUMP(TABLE_GRID.x)
+    p = _table_problem("random", row + TABLE_BUMP(TABLE_GRID.x)
+                       * (0.5 * np.sin(2.0 * np.pi * T_MID))[:, None])
+    delta = _split(p.coef_table)[2]
+    threshold = principal_spectrum_point(p).lam if inside else -1.0
+    res = spectrum._principal_point(
+        p, spectrum.DEFAULT_TOL, spectrum.DEFAULT_MAX_PERIODS,
+        lambda lo, hi: lo > threshold or hi < threshold)
+    if inside:
+        assert res.periods > 0
+        assert res.widening == 0.0
+    else:
+        assert res.periods == 0
+        assert res.widening == delta
+        assert res.lam_lo > threshold
+    assert res.lam_lo <= res.lam <= res.lam_hi
+
+
+def test_constant_table_exponent_past_the_period_map_overflow():
+    # e^800 overflows in a period map; the one step of the table's split
+    # stays finite.
+    p = LinearProblem(0.0, "random", GRID, 1.0,
+                      coef_table=np.full((MIN_STEPS_PER_PERIOD, GRID.n), 800.0))
+    res = principal_spectrum_point(p)
+    assert res.periods == 0
+    assert res.widening == 0.0
+    assert res.lam_lo <= 800.0 <= res.lam_hi
+    assert res.lam == pytest.approx(800.0, abs=1e-9)

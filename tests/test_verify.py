@@ -261,8 +261,8 @@ COEXISTENCE_PINS = {
         "ba7893b02c73033d5357c8b42aed40668dd5580846ea75b625e55eecaaf8d88a",
         "a821003b519b3a3c54f6242a9b023abafb814aff9929d1e9b74e9aeab4b51504")),
     "nonlocal": (59, 0.0, 7.56254057820982e-07, (
-        "3507cd45135e83e5f181be488f280a0b659dcdf28089f62512ac68e16a37a446",
-        "063556e7c3a7b349fba16e170e57dfb3a803ac4e84e0a36df55a29a408f9fb5f",
+        "be328fc81c19d2ba8a4d93a0dbbd79e7c73802c6af38298c837c344b8fc27eb6",
+        "d10e57d83054e9fe070982dec358490e8e11bf99c7b7fda41c529c1d50d2a494",
         "981b3472df11fe48e090dc4fb317cdc0794bb39b2b47601681bb4732f6e9ad87",
         "433308040ac37bbdf874ff76f4070981217939799104c34cd662f5eb59b1b3ac")),
 }
