@@ -253,6 +253,9 @@ def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> int:
             for entry in sc["intervals"]:
                 raw = _bumped_raw(cfg, entry)
                 key = f"amp{entry['amplitude']:+g}_w{entry.get('width', 4.0):g}"
+                if key in jobs:
+                    raise ConfigError("scenario.intervals repeats the job "
+                                      f"key {key!r} (amplitude and width)")
                 jobs[key] = (raw, periods, x0, ramp)
         else:
             jobs = {"base": (cfg.raw, periods, x0, ramp)}

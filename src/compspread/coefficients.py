@@ -176,6 +176,9 @@ class CoefficientField:
 
 
 FIELD_NAMES = ("a1", "b1", "c1", "a2", "b2", "c2")
+# Each species' roles: its growth, its self-limitation, and the field
+# through which the other species suppresses it.
+SPECIES_ROLES = {"u": ("a1", "b1", "c1"), "v": ("a2", "c2", "b2")}
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,10 @@ class CoefficientSet:
 
     def fields(self) -> dict[str, CoefficientField]:
         return {n: getattr(self, n) for n in FIELD_NAMES}
+
+    def roles(self, species: str) -> tuple[CoefficientField, ...]:
+        """(growth, self-limitation, suppression) fields of ``species``."""
+        return tuple(getattr(self, n) for n in SPECIES_ROLES[species])
 
     def baselines(self) -> "CoefficientSet":
         """The spatially homogeneous set with every bump removed."""

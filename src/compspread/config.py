@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -28,81 +29,83 @@ SVG_WIDTH = 640
 SVG_HEIGHT = 400
 
 
-def _require_keys(d: dict, allowed: set, where: str) -> None:
+@contextmanager
+def _section(d, allowed: set, where: str):
+    """Reads the JSON object ``d`` inside the block: a key outside
+    ``allowed``, a missing key or a malformed value is a ConfigError
+    naming ``where``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    try:
+        yield d
+    except KeyError as exc:
+        raise ConfigError(f"{where} needs {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed value in {where}: {exc}") from None
 
 
 def parse_periodic_scalar(d: dict, period: float, where: str) -> PeriodicScalar:
     kinds = {"constant", "harmonic", "table"}
-    _require_keys(d, kinds | {"bump"}, where)
-    present = [k for k in kinds if k in d]
-    if len(present) != 1:
-        raise ConfigError(f"{where} needs exactly one of {sorted(kinds)}")
-    kind = present[0]
-    if kind == "constant":
-        return PeriodicScalar.constant(float(d["constant"]), period)
-    if kind == "harmonic":
-        h = d["harmonic"]
-        _require_keys(h, {"mean", "amplitude", "phase"}, f"{where}.harmonic")
+    with _section(d, kinds | {"bump"}, where):
+        if len(kinds & set(d)) != 1:
+            raise ConfigError(f"{where} needs exactly one of {sorted(kinds)}")
+        if "constant" in d:
+            return PeriodicScalar.constant(float(d["constant"]), period)
+        if "table" in d:
+            return PeriodicScalar.table(d["table"], period)
+    with _section(d["harmonic"], {"mean", "amplitude", "phase"},
+                  f"{where}.harmonic") as h:
         return PeriodicScalar.harmonic(float(h["mean"]), float(h["amplitude"]),
                                        float(h.get("phase", 0.0)), period)
-    return PeriodicScalar.table(d["table"], period)
 
 
 def parse_bump(d: dict, where: str) -> SpatialBump:
-    _require_keys(d, {"amplitude", "width", "plateau", "ramp", "M0"}, where)
-    amp = float(d["amplitude"])
-    ramp = float(d.get("ramp", 0.0))
-    if "width" in d:
-        if "plateau" in d:
-            raise ConfigError(f"{where}: give width or plateau, not both")
-        plateau = float(d["width"]) / 2.0
-    elif "plateau" in d:
-        plateau = float(d["plateau"])
-    else:
-        raise ConfigError(f"{where}: bump needs width or plateau")
-    bump = SpatialBump(amp, plateau, ramp)
-    if "M0" in d and float(d["M0"]) < bump.support_radius - 1e-12:
-        raise ConfigError(f"{where}: declared M0 is smaller than the bump "
-                          "support plateau + ramp")
+    with _section(d, {"amplitude", "width", "plateau", "ramp", "M0"}, where):
+        if ("width" in d) == ("plateau" in d):
+            raise ConfigError(f"{where} needs exactly one of width or plateau")
+        plateau = (float(d["width"]) / 2.0 if "width" in d
+                   else float(d["plateau"]))
+        bump = SpatialBump(float(d["amplitude"]), plateau,
+                           float(d.get("ramp", 0.0)))
+        if "M0" in d and float(d["M0"]) < bump.support_radius - 1e-12:
+            raise ConfigError(f"{where}: declared M0 is smaller than the bump "
+                              "support plateau + ramp")
     return bump
 
 
 def parse_coefficients(d: dict) -> CoefficientSet:
-    _require_keys(d, set(FIELD_NAMES) | {"period"}, "coefficients")
-    if "period" not in d:
-        raise ConfigError("coefficients section needs a period")
-    period = float(d["period"])
     fields = {}
-    for name in FIELD_NAMES:
-        if name not in d:
-            raise ConfigError(f"coefficients section is missing {name}")
-        spec = d[name]
-        scalar = parse_periodic_scalar(spec, period, f"coefficients.{name}")
-        bump = (parse_bump(spec["bump"], f"coefficients.{name}.bump")
-                if "bump" in spec else None)
-        fields[name] = CoefficientField(scalar, bump)
+    with _section(d, set(FIELD_NAMES) | {"period"}, "coefficients"):
+        period = float(d["period"])
+        for name in FIELD_NAMES:
+            spec, where = d[name], f"coefficients.{name}"
+            scalar = parse_periodic_scalar(spec, period, where)
+            bump = (parse_bump(spec["bump"], f"{where}.bump")
+                    if "bump" in spec else None)
+            fields[name] = CoefficientField(scalar, bump)
     return CoefficientSet(**fields)
 
 
 def parse_grid(d: dict) -> Grid:
-    _require_keys(d, {"x_min", "x_max", "n"}, "grid")
-    return Grid(float(d["x_min"]), float(d["x_max"]), int(d["n"]))
+    with _section(d, {"x_min", "x_max", "n"}, "grid"):
+        return Grid(float(d["x_min"]), float(d["x_max"]), int(d["n"]))
 
 
 def parse_kernel(d: dict, grid: Grid) -> Kernel:
-    _require_keys(d, {"shape", "radius"}, "kernel")
-    return Kernel.build(str(d["shape"]), float(d["radius"]), grid.h)
+    with _section(d, {"shape", "radius"}, "kernel"):
+        return Kernel.build(str(d["shape"]), float(d["radius"]), grid.h)
 
 
 def parse_scheme(d: dict, period: float) -> SchemeConfig:
-    _require_keys(d, {"dt", "steps_per_period"}, "scheme")
-    if ("dt" in d) == ("steps_per_period" in d):
-        raise ConfigError("scheme needs exactly one of dt or steps_per_period")
-    return SchemeConfig(float(d["dt"]) if "dt" in d
-                        else period / int(d["steps_per_period"]))
+    with _section(d, {"dt", "steps_per_period"}, "scheme"):
+        if ("dt" in d) == ("steps_per_period" in d):
+            raise ConfigError(
+                "scheme needs exactly one of dt or steps_per_period")
+        return SchemeConfig(float(d["dt"]) if "dt" in d
+                            else period / int(d["steps_per_period"]))
 
 
 @dataclass
@@ -128,12 +131,8 @@ class RunConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration must be a JSON object")
-    _require_keys(raw, _TOP_KEYS, "configuration")
-    if "coefficients" not in raw:
-        raise ConfigError("configuration needs a coefficients section")
-    cs = parse_coefficients(raw["coefficients"])
+    with _section(raw, _TOP_KEYS, "configuration"):
+        cs = parse_coefficients(raw["coefficients"])
     grid = parse_grid(raw["grid"]) if "grid" in raw else None
     kernel = None
     if "kernel" in raw:
@@ -145,14 +144,17 @@ def parse_config(raw: dict) -> RunConfig:
     scenario = raw.get("scenario", {})
     if not isinstance(scenario, dict) or "name" not in scenario:
         raise ConfigError("scenario section needs at least a name")
-    output = raw.get("output", {})
-    _require_keys(output, {"formats"}, "output")
-    formats = tuple(output.get("formats", ["csv", "json"]))
+    with _section(raw.get("output", {}), {"formats"}, "output") as output:
+        formats = output.get("formats", ["csv", "json"])
+    if not isinstance(formats, list):
+        raise ConfigError(f"output.formats must be a list, not {formats!r}")
     for fmt in formats:
         if fmt not in ("csv", "json", "svg"):
             raise ConfigError(f"unknown output format {fmt!r}")
-    return RunConfig(cs, grid, kernel, scheme, scenario, formats,
-                     int(raw.get("seed", 0)), raw)
+    with _section(raw, _TOP_KEYS, "seed"):
+        seed = int(raw.get("seed", 0))
+    return RunConfig(cs, grid, kernel, scheme, scenario, tuple(formats),
+                     seed, raw)
 
 
 def load_config(path) -> RunConfig:

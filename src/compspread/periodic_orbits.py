@@ -141,6 +141,30 @@ def logistic_orbit(a0: PeriodicScalar, b0: PeriodicScalar) -> PeriodicOrbit:
     return logistic_closed_form(a0, b0, a0.period)
 
 
+def resident_orbit(cs: CoefficientSet, species: str) -> PeriodicOrbit:
+    """Homogeneous orbit of ``species`` alone: the logistic orbit of its
+    baseline growth and self-limitation."""
+    growth, limit, _ = cs.roles(species)
+    return logistic_orbit(growth.baseline, limit.baseline)
+
+
+class InvasionRate:
+    """growth(t) - suppress(t) * orbit(t) of the ``invader``'s baselines in
+    ``cs``, callable on scalars and arrays.  The resident orbit is given,
+    so it may come from another coefficient set."""
+
+    def __init__(self, cs: CoefficientSet, invader: str, orbit: PeriodicOrbit):
+        growth, _, suppress = cs.roles(invader)
+        self.growth, self.suppress = growth.baseline, suppress.baseline
+        self.orbit, self.period = orbit, cs.period
+
+    def __call__(self, t):
+        return self.growth(t) - self.suppress(t) * self.orbit.value(t)
+
+    def mean(self) -> float:
+        return periodic_mean(self, self.period)
+
+
 def logistic_closed_form(a0, b0, period: float) -> PeriodicOrbit:
     """w(t) = e^{A(t)} w0 / (1 + w0 * int_0^t b0 e^{A}), A = int_0^t a0, w0
     pinned by periodicity.  Needs mean growth times period in (0, ~709): past
@@ -213,9 +237,7 @@ def coexistence_homogeneous(cs: CoefficientSet
             raise ConvergenceError("period-map integration failed")
         return sol.y[:, -1]
 
-    ustar = logistic_orbit(a1, b1)
-    vstar = logistic_orbit(a2, c2)
-    y = np.array([ustar.values[0] / 2.0, vstar.values[0] / 2.0])
+    y = np.array([resident_orbit(cs, s).values[0] / 2.0 for s in "uv"])
     for _ in range(MAX_PERIOD_ITERS):
         py = period_map(y)
         if np.max(np.abs(py - y)) <= 1e-11 * max(float(np.max(np.abs(y))), 1.0):

@@ -15,15 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import CoefficientSet, SpatialBump
+from .coefficients import SPECIES_ROLES, CoefficientSet, SpatialBump
 from .dispersal import Grid, Kernel
 from .errors import ConvergenceError, NumericalGuardError, PreconditionError
-from .periodic_orbits import PeriodicOrbit, logistic_orbit, periodic_mean
+from .periodic_orbits import InvasionRate, PeriodicOrbit, resident_orbit
 from .simulator import Problem, SchemeConfig, Stepper, fixed_point, make_scheme
 from .spectrum import (LinearProblem, SpectrumResult, principal_spectrum_point,
                        principal_spectrum_point_widened, radius_threshold_test)
 
-_SPECIES_COEFFS = {"u": ("a1", "b1"), "v": ("a2", "c2")}
 # Period budget of the resident fixed point, and how far its tail may miss
 # the homogeneous orbit.
 RESIDENT_MAX_PERIODS = 5000
@@ -57,12 +56,6 @@ class PeriodicField:
         return float(np.min(self.frames))
 
 
-def _species_problem(problem: Problem, species: str) -> tuple:
-    a_name, b_name = _SPECIES_COEFFS[species]
-    cs = problem.coefficients
-    return getattr(cs, a_name), getattr(cs, b_name)
-
-
 def compute_semitrivial(species: str, problem: Problem,
                         scheme: Optional[SchemeConfig] = None,
                         tol: float = 1e-8,
@@ -76,12 +69,12 @@ def compute_semitrivial(species: str, problem: Problem,
     path; the stored frames always use the scheme's step lattice.  A tail
     missing the homogeneous orbit by more than TAIL_TOL blames the time
     step if the run without bumps misses it too, else the domain."""
-    if species not in _SPECIES_COEFFS:
+    if species not in SPECIES_ROLES:
         raise PreconditionError("species must be 'u' or 'v'")
     if scheme is None:
         scheme = make_scheme(problem)
-    a_field, b_field = _species_problem(problem, species)
-    orbit = logistic_orbit(a_field.baseline, b_field.baseline)
+    a_field, b_field, _ = problem.coefficients.roles(species)
+    orbit = resident_orbit(problem.coefficients, species)
     homogeneous = a_field.bump is None and b_field.bump is None
     if homogeneous:
         # Both dispersal operators act as the identity on constants, so the
@@ -149,17 +142,6 @@ class StabilityVerdict:
     spectrum: SpectrumResult
 
 
-def _invasion_coefficient(problem: Problem, target: str):
-    """Reaction coefficient pieces of the decoupled invading species:
-    growth minus suppression by the resident."""
-    cs = problem.coefficients
-    if target == "u":
-        growth, suppress = cs.a2, cs.b2
-    else:
-        growth, suppress = cs.a1, cs.c1
-    return growth, suppress
-
-
 def linearized_radius(target: str, problem: Problem,
                       resident: PeriodicField,
                       scheme: Optional[SchemeConfig] = None,
@@ -174,16 +156,17 @@ def linearized_radius(target: str, problem: Problem,
     one step, with the bracket widened by the table's distance from
     separable (``spectrum.widening``).  ``scheme`` is not used: the linear
     period map runs on the resident's step lattice or chooses its own."""
-    if target not in ("u", "v"):
+    if target not in SPECIES_ROLES:
         raise PreconditionError("target must be 'u' or 'v'")
-    growth, suppress = _invasion_coefficient(problem, target)
-    period = problem.coefficients.period
-    orbit = resident.homogeneous_orbit
+    cs = problem.coefficients
+    invader = "v" if target == "u" else "u"
+    growth, _, suppress = cs.roles(invader)
+    period = cs.period
     resident_homog = float(
         np.max(np.abs(resident.frames - resident.frames[:, :1]))) < 1e-9
 
     if resident_homog and suppress.bump is None:
-        base = _CompositeBaseline(growth.baseline, suppress.baseline, orbit)
+        base = InvasionRate(cs, invader, resident.homogeneous_orbit)
         p = LinearProblem(0.0, problem.kind, problem.grid, period,
                           baseline=base, bump=growth.bump,
                           kernel=problem.kernel)
@@ -213,23 +196,9 @@ def far_field_exponent(target: str, problem: Problem,
     """Growth exponent of the invader where every bump has vanished and the
     resident sits on its homogeneous orbit: the period mean of
     growth - suppress * orbit (dispersal conserves constants)."""
-    growth, suppress = _invasion_coefficient(problem, target)
-    return periodic_mean(
-        _CompositeBaseline(growth.baseline, suppress.baseline,
-                           resident.homogeneous_orbit),
-        problem.coefficients.period)
-
-
-class _CompositeBaseline:
-    """growth(t) - suppress(t) * orbit(t), callable on scalars and arrays."""
-
-    def __init__(self, growth, suppress, orbit: PeriodicOrbit):
-        self.growth = growth
-        self.suppress = suppress
-        self.orbit = orbit
-
-    def __call__(self, t):
-        return self.growth(t) - self.suppress(t) * self.orbit.value(t)
+    invader = "v" if target == "u" else "u"
+    return InvasionRate(problem.coefficients, invader,
+                        resident.homogeneous_orbit).mean()
 
 
 @dataclass
@@ -259,9 +228,8 @@ def destabilizing_bump(cs: CoefficientSet,
     if cs.max_support_radius() > 0.0:
         raise PreconditionError(
             "the base coefficient set must be spatially homogeneous")
-    u_orbit = logistic_orbit(cs.a1.baseline, cs.b1.baseline)
-    base = _CompositeBaseline(cs.a2.baseline, cs.b2.baseline, u_orbit)
-    mean_resid = periodic_mean(base, cs.period)
+    base = InvasionRate(cs, "v", resident_orbit(cs, "u"))
+    mean_resid = base.mean()
     if mean_resid >= 0.0:
         raise PreconditionError(
             "homogeneous resident is already unstable "

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _accel
-from .coefficients import FIELD_NAMES, CoefficientSet
+from .coefficients import FIELD_NAMES, SPECIES_ROLES, CoefficientSet
 from .dispersal import Grid, Kernel, boundary_margin, check_kernel_spacing
 from .errors import ConfigError, NumericalGuardError, PreconditionError
 from .periodic_orbits import PeriodicOrbit
@@ -55,8 +55,8 @@ class Problem:
         """Invariant box [0, u_max] x [0, v_max] preserved by the discrete
         dynamics."""
         cs = self.coefficients
-        return (_field_sup(cs.a1) / cs.b1.min_value(),
-                _field_sup(cs.a2) / cs.c2.min_value())
+        return tuple(_field_sup(growth) / limit.min_value()
+                     for growth, limit, _ in map(cs.roles, SPECIES_ROLES))
 
 
 def _field_sup(fld) -> float:

@@ -20,7 +20,7 @@ from .coefficients import (CoefficientField, CoefficientSet, check_h0,
                            check_h1, check_h2, compute_envelopes)
 from .dispersal import Kernel
 from .errors import PreconditionError
-from .periodic_orbits import logistic_orbit, periodic_mean
+from .periodic_orbits import InvasionRate, resident_orbit
 from .semitrivial import compute_semitrivial
 from .simulator import (MagnitudeFrontObserver, PairFrontObserver, Problem,
                         SchemeConfig, SystemState, make_front_data,
@@ -59,9 +59,7 @@ class SpeedEstimate:
 def invasion_mean_rate(cs: CoefficientSet) -> float:
     """Time mean of the invader growth rate at the resident state:
     a1 - c1 * (resident orbit of species v)."""
-    v0 = logistic_orbit(cs.a2.baseline, cs.c2.baseline)
-    a1, c1 = cs.a1.baseline, cs.c1.baseline
-    return periodic_mean(lambda t: a1(t) - c1(t) * v0.value(t), cs.period)
+    return InvasionRate(cs, "u", resident_orbit(cs, "v")).mean()
 
 
 def dispersion_curve(cs: CoefficientSet, kernel: Optional[Kernel],
@@ -235,7 +233,7 @@ def speed_interval(problem: Problem, scheme: SchemeConfig, n_periods: int,
             f"{n_periods - clear_periods:.1f} of {n_periods} periods where a "
             f"fit needs {MIN_DISCARD_PERIODS + MIN_WINDOW_PERIODS}; run "
             "longer or move x0")
-    u_orbit = logistic_orbit(cs.a1.baseline, cs.b1.baseline)
+    u_orbit = resident_orbit(cs, "u")
     u_level = 0.5 * float(u_orbit.value(0.0))
     vstar = compute_semitrivial("v", problem, scheme)
     v_orbit = vstar.homogeneous_orbit

@@ -20,9 +20,9 @@ from .coefficients import (CoefficientField, CoefficientSet, compute_envelopes,
                            h2_expressions)
 from .dispersal import Grid, Kernel, apply_dispersal
 from .errors import ConvergenceError, NumericalGuardError, PreconditionError
-from .periodic_orbits import (N_TIME_DEFAULT, PeriodicOrbit, cumulative_simpson,
-                              logistic_orbit, nonhomogeneous_periodic,
-                              periodic_mean)
+from .periodic_orbits import (N_TIME_DEFAULT, InvasionRate, PeriodicOrbit,
+                              cumulative_simpson, nonhomogeneous_periodic,
+                              periodic_mean, resident_orbit)
 from .semitrivial import (compute_semitrivial, far_field_exponent,
                           linearized_radius)
 from .simulator import (Problem, SchemeConfig, Stepper, SystemState, fixed_point,
@@ -55,7 +55,7 @@ def shifted_set(cs: CoefficientSet, eps: float) -> CoefficientSet:
     if eps < 0.0:
         raise PreconditionError("eps must be nonnegative")
     base = cs.baselines()
-    sup_v0 = logistic_orbit(base.a2.baseline, base.c2.baseline).sup()
+    sup_v0 = resident_orbit(base, "v").sup()
     return CoefficientSet(
         a1=CoefficientField(base.a1.baseline.shifted(+eps)),
         b1=CoefficientField(base.b1.baseline.shifted(-eps)),
@@ -120,7 +120,7 @@ def build_ansatz_pair(cs: CoefficientSet, eps: float, mu: float,
         raise PreconditionError(
             f"inflated determinacy margins ({m1:.3e}, {m2:.3e}) must be "
             "positive; reduce eps")
-    v0 = logistic_orbit(base.a2.baseline, base.c2.baseline)
+    v0 = resident_orbit(base, "v")
     period = cs.period
     # phi, psi and lam are filled in as they are solved for: alpha_phi
     # needs none of them, alpha_psi needs lam and forcing needs phi.
@@ -199,16 +199,13 @@ def build_supersolution(cs: CoefficientSet, eps: float,
     # orbit of the base family.
     base = cs.baselines()
     sh = shifted_set(base, eps)
-    v0 = logistic_orbit(base.a2.baseline, base.c2.baseline)
-    mean_alpha = periodic_mean(
-        lambda t: sh.a1.baseline(t) - sh.c1.baseline(t) * v0.value(t),
-        cs.period)
+    mean_alpha = InvasionRate(sh, "u", resident_orbit(base, "v")).mean()
     if mean_alpha <= 0.0:
         raise PreconditionError("mean invasion rate must be positive")
     theo = minimize_dispersion(mean_alpha, kernel)
     mu_star, c_star = theo.mu_star, theo.value
     pair = build_ansatz_pair(cs, eps, mu_star, kernel)
-    u0 = logistic_orbit(base.a1.baseline, base.b1.baseline)
+    u0 = resident_orbit(base, "u")
     M_star = max(u0.sup(), pair.v0.sup())
     ratio = pair.psi.values / pair.phi.values
     m_star = float(np.min(ratio))

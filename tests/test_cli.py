@@ -71,6 +71,44 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def _coefficient(**fields):
+    return {"coefficients": dict(CANONICAL, **fields)}
+
+
+GRID = {"x_min": -10.0, "x_max": 10.0, "n": 101}
+
+
+@pytest.mark.parametrize("patch, section", [
+    (_coefficient(a1={"harmonic": {"amplitude": 0.1}}),
+     "coefficients.a1.harmonic needs 'mean'"),
+    (_coefficient(a1={"table": 5}), "coefficients.a1"),
+    (_coefficient(a1={"table": [[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]]}),
+     "coefficients.a1"),
+    (_coefficient(a1={"constant": "abc"}), "coefficients.a1"),
+    ({"grid": {"x_min": -10.0, "x_max": 10.0}}, "grid needs 'n'"),
+    ({"grid": GRID, "kernel": {"shape": "uniform"}}, "kernel needs 'radius'"),
+    ({"scheme": {"dt": "x"}}, "scheme"),
+    ({"scheme": {"steps_per_period": 0}}, "scheme"),
+    (_coefficient(a1={"constant": 1.0, "bump": {"width": 2.0}}),
+     "coefficients.a1.bump needs 'amplitude'"),
+    ({"seed": "abc"}, "seed"),
+    (_coefficient(a1=1.0), "coefficients.a1 must be a JSON object"),
+    ({"output": {"formats": "json"}}, "output.formats must be a list"),
+], ids=["harmonic without mean", "table as a number", "table of triples",
+        "constant not a number", "grid without n", "kernel without radius",
+        "dt not a number", "zero steps per period", "bump without amplitude",
+        "seed not a number", "coefficient as a number", "formats as a string"])
+def test_malformed_config_value_is_exit_2(tmp_path, capsys, patch, section):
+    cfg = _write_config(tmp_path, {**_speed_config(), **patch})
+    out = tmp_path / "o"
+    assert main(["speed", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError"
+    assert section in record["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
 @pytest.mark.parametrize("extra", [{"mode": "explicit"}, {"cadence": 10}])
 def test_scheme_takes_only_a_step_size(tmp_path, capsys, extra):
     # The kernel section decides the dispersal substep and observers
@@ -219,10 +257,16 @@ def test_sweep_subcommand(tmp_path):
     {"name": "interval", "intervals": [{"field": "a9", "amplitude": 0.1}]},
     {"name": "interval", "intervals": [{"field": "a1", "width": 4.0}]},
     {"name": "interval", "intervals": [{"field": "a1", "amplitude": "0.1"}]},
+    {"name": "interval", "periods": 1, "intervals": [
+        {"field": "a1", "amplitude": 0.1},
+        {"field": "a2", "amplitude": 0.1},
+        {"field": "a1", "amplitude": 0.1, "ramp": 1.0}]},
 ], ids=["unknown sweep field", "unknown interval field", "no amplitude",
-        "non-numeric amplitude"])
+        "non-numeric amplitude", "repeated job key"])
 def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
-    cfg = _write_config(tmp_path, {"coefficients": CANONICAL,
+    # With a grid an interval job could run: a repeated key must stop the
+    # command before any job does.
+    cfg = _write_config(tmp_path, {"coefficients": CANONICAL, "grid": GRID,
                                    "scenario": scenario})
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2

@@ -72,6 +72,16 @@ INTERVAL_SHA256 = (
     "7fab6f042777216cad7fff84574531094bbfe7c790baa5d4ef4b5d9d1ee79349")
 
 
+# sha256 of the files of ``destabilize --preset remark31-destabilize``,
+# which reads the invasion rate at the homogeneous u-resident.
+DESTABILIZE_SHA256 = {
+    "destabilize.json":
+    "db5e4981108a732f288681719e423a866a971eb277719a94026f339d522b5646",
+    "manifest.json":
+    "823295558e258716cdd09b595a18d46961e7a7d0bbd1cf8f51d0cb4cf24b005f",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -81,6 +91,15 @@ def test_canonical_interval_is_pinned(tmp_path):
     assert main(["sweep", "--preset", "canonical-h1h2", "--out",
                  str(out)]) == 0
     assert _sha256(out / "interval.json") == INTERVAL_SHA256
+
+
+def test_destabilize_preset_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["destabilize", "--preset", "remark31-destabilize", "--out",
+                 str(out)]) == 0
+    assert {name: _sha256(out / name)
+            for name in sorted(p.name for p in out.iterdir())} == \
+        DESTABILIZE_SHA256
 
 
 @pytest.mark.parametrize("formats", [("json",), ("csv",), ALL_FORMATS])

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+import compspread
 from compspread.coefficients import (CoefficientField, PeriodicScalar,
                                      constant_set)
 from compspread.errors import NumericalGuardError, PreconditionError
@@ -181,3 +185,18 @@ def test_coexistence_orbit_satisfies_the_system():
         1.0 - 0.5 * u.values[:-1] - v.values[:-1])
     assert np.max(np.abs(res_u)) < 1e-6
     assert np.max(np.abs(res_v)) < 1e-6
+
+
+def test_only_periodic_orbits_calls_logistic_orbit():
+    # Every other module takes a resident orbit from resident_orbit, which
+    # reads the species role table, instead of pairing coefficients itself.
+    callers = set()
+    for path in Path(compspread.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name == "logistic_orbit":
+                    callers.add(path.name)
+    assert callers == {"periodic_orbits.py"}

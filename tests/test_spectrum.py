@@ -329,13 +329,14 @@ def test_tabulated_period_map_matches_per_step_coefficients(case, rng):
 
 
 def _composite_baseline():
-    from compspread.periodic_orbits import logistic_orbit
-    from compspread.semitrivial import _CompositeBaseline
-    a1 = PeriodicScalar.harmonic(1.0, 0.3)
-    b1 = PeriodicScalar.constant(1.0)
-    return _CompositeBaseline(PeriodicScalar.harmonic(0.4, 0.2, 0.5),
-                              PeriodicScalar.constant(0.5),
-                              logistic_orbit(a1, b1))
+    from compspread.coefficients import CoefficientField, constant_set
+    from compspread.periodic_orbits import InvasionRate, resident_orbit
+    cs = constant_set(1.0, 1.0, 0.5, 0.4, 0.5, 1.0)
+    cs = cs.replace_field("a1", CoefficientField(
+        PeriodicScalar.harmonic(1.0, 0.3)))
+    cs = cs.replace_field("a2", CoefficientField(
+        PeriodicScalar.harmonic(0.4, 0.2, 0.5)))
+    return InvasionRate(cs, "v", resident_orbit(cs, "u"))
 
 
 @pytest.mark.parametrize("case", ["float", "constant", "harmonic", "table",
