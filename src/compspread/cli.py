@@ -11,36 +11,127 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .config import (ResultWriter, RunConfig, load_config, parse_config,
-                     write_json)
+from .coefficients import FIELD_NAMES, SpatialBump
+from .config import (ResultWriter, RunConfig, _section, load_config,
+                     parse_config, write_json)
 from .errors import CompspreadError, ConfigError, ConvergenceError
 from .presets import preset_config
 from .simulator import (FrontObserver, SystemState, make_scheme, ramp_profile,
                         run_periods)
 from .semitrivial import destabilizing_bump
-from .spreading import (continuity_sweep, dispersion_curve, dispersion_speed,
-                        fit_front_speed, invasion_mean_rate, speed_interval)
+from .spreading import (DISPERSION_BRACKET, continuity_sweep,
+                        dispersion_curve, dispersion_speed, fit_front_speed,
+                        invasion_mean_rate, speed_interval)
 from .verify import (ansatz_equation_residual, build_supersolution,
                      check_ansatz_inequalities, monotone_coexistence,
                      persistence_probe, supersolution_residual)
 
-def _scenario(cfg: RunConfig, allowed: set[str],
-              names: tuple[str, ...] = ()) -> dict:
-    """Scenario parameters; keys are validated strictly when the scenario
-    was written for this subcommand, and filtered otherwise (so any
-    subcommand can run against any preset's coefficient setup)."""
-    sc = dict(cfg.scenario)
-    if not names or sc.get("name") in names:
-        unknown = set(sc) - allowed - {"name"}
-        if unknown:
-            raise ConfigError(f"unknown scenario key(s) {sorted(unknown)}")
-        return sc
-    return {k: v for k, v in sc.items() if k in allowed or k == "name"}
+
+def _is_number(v) -> bool:
+    """v is a finite JSON number, not a string or a boolean."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+# Kinds of scenario value: (what a value must be, its test, its conversion);
+# a dict of keys (kind, default), a key without a default being required;
+# or a one-kind list, for a nonempty list of values of that kind.
+_NUMBER = ("a finite number", _is_number, float)
+_POSITIVE = ("a positive number", lambda v: _is_number(v) and v > 0, float)
+_COUNT = ("an integer >= 1",
+          lambda v: type(v) is int and _is_number(v) and v >= 1, int)
+_BRACKET = ("a pair [lo, hi] with 0 < lo < hi",
+            lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(_is_number, v)) and 0 < v[0] < v[1],
+            lambda v: tuple(map(float, v)))
+_FIELD = (f"one of {list(FIELD_NAMES)}", lambda v: v in FIELD_NAMES, str)
+_TEXT = ("a string", lambda v: isinstance(v, str), str)
+_ORIGINAL = ("'original'", lambda v: v == "original", str)
+# simulate's initial front, u_level and v_level times a ramp from 1 left of
+# x0 down to 0 at x0 + ramp; and one bump of a sweep intervals matrix.
+_FRONT = {"x0": (_NUMBER, 0.0), "ramp": (_NUMBER, 2.0),
+          "u_level": (_NUMBER, 0.5), "v_level": (_NUMBER, 0.0)}
+_INTERVAL = {"field": (_FIELD, "a1"), "amplitude": (_NUMBER, None),
+             "width": (_NUMBER, 4.0), "ramp": (_NUMBER, 0.5)}
+
+
+def _convert(kind, v, where: str):
+    """The scenario value v at ``where`` read as ``kind``, or ConfigError."""
+    if isinstance(kind, dict):
+        with _section(v, set(kind), where):
+            return {k: _convert(sub, v[k] if d is None else v.get(k, d),
+                                f"{where}.{k}") for k, (sub, d) in kind.items()}
+    if isinstance(kind, list):
+        v = _convert(("a nonempty list", lambda x: isinstance(x, list)
+                      and x != [], list), v, where)
+        return [_convert(kind[0], e, f"{where}[{i}]") for i, e in enumerate(v)]
+    what, test, convert = kind
+    if not test(v):
+        raise ConfigError(f"{where} must be {what}, not {v!r}")
+    return convert(v)
+
+
+# Every subcommand's scenario keys, listed in README's "Command line":
+# key -> (kind, library keyword, default).  A key with a keyword feeds that
+# keyword of the library call when the scenario sets it, so the library's
+# default holds otherwise; a key without one is the command's own, with
+# its default (None for none) written here.
+_SCENARIO_KEYS = {
+    "speed": {"bracket": (_BRACKET, None, DISPERSION_BRACKET),
+              "mu_points": (_COUNT, None, 200)},
+    "spectrum": {"bracket": (_BRACKET, None, (1e-2, 4.0)),
+                 "mu_points": (_COUNT, None, 200)},
+    "simulate": {"variables": (_ORIGINAL, None, None),
+                 "periods": (_COUNT, None, 20), "front": (_FRONT, None, {}),
+                 "theta": (_NUMBER, None, None)},
+    "persistence": {"trials": (_COUNT, "n_trials", None),
+                    "mode": (_TEXT, "mode", None),
+                    "settle_tol": (_POSITIVE, "settle_tol", None),
+                    "periods": (_COUNT, "max_periods", None)},
+    "coexist": {"seed_eps": (_POSITIVE, "seed_eps", None),
+                "tol": (_POSITIVE, "tol", None),
+                "periods": (_COUNT, "max_periods", None)},
+    "destabilize": {"widths": ([_NUMBER], "widths", None),
+                    "h": (_POSITIVE, "h", None),
+                    "pad": (_POSITIVE, "pad", None)},
+    "verify-super": {"eps": (_POSITIVE, None, 0.05),
+                     "K": (_POSITIVE, "K_init", None),
+                     "time_samples": (_COUNT, None, 17)},
+    "sweep": {"eps": ([_NUMBER], "eps_list", None),
+              "field": (_FIELD, "field_name", None),
+              "periods": (_COUNT, None, 100), "x0": (_NUMBER, None, -20.0),
+              "ramp": (_NUMBER, None, 2.0),
+              "intervals": ([_INTERVAL], None, None)},
+}
+
+
+def _read_scenario(cfg: RunConfig, args) -> tuple[dict, dict]:
+    """The command's own scenario values by key, and the library keywords
+    the scenario sets, with ``--periods`` in place of ``periods``.  Keys
+    are strict when the scenario was written for this command; otherwise
+    other commands' keys are dropped, so any command runs on any preset's
+    coefficient setup."""
+    keys = _SCENARIO_KEYS[args.command]
+    names = ("sweep", "interval") if args.command == "sweep" else (args.command,)
+    sc = cfg.scenario
+    if sc.get("name") not in names:
+        sc = {k: v for k, v in sc.items() if k in keys}
+    values, keywords = {}, {}
+    with _section(sc, set(keys) | {"name"}, "scenario"):
+        for key, (kind, keyword, default) in keys.items():
+            value, where = sc.get(key, default), f"scenario.{key}"
+            if key == "periods" and args.periods is not None:
+                value, where = args.periods, "--periods"
+            elif key not in sc and default is None:
+                continue
+            out = keywords if keyword else values
+            out[keyword or key] = _convert(kind, value, where)
+    return values, keywords
 
 
 def _write_dispersion(writer: ResultWriter, cfg: RunConfig, bracket,
@@ -56,38 +147,29 @@ def _write_dispersion(writer: ResultWriter, cfg: RunConfig, bracket,
 
 
 def cmd_speed(cfg: RunConfig, writer: ResultWriter, args) -> int:
-    sc = _scenario(cfg, {"bracket", "mu_points"}, ("speed",))
-    bracket = tuple(sc.get("bracket", (1e-2, 8.0)))
+    bracket = args.scenario["bracket"]
     est = dispersion_speed(cfg.coefficients.baselines(), cfg.kernel, bracket)
-    _write_dispersion(writer, cfg, bracket, int(sc.get("mu_points", 200)))
+    _write_dispersion(writer, cfg, bracket, args.scenario["mu_points"])
     writer.json("speed.json", asdict(est))
     print(f"c0* = {est.value:.5f}, mu* = {est.mu_star:.5f}")
     return 0
 
 
 def cmd_spectrum(cfg: RunConfig, writer: ResultWriter, args) -> int:
-    sc = _scenario(cfg, {"bracket", "mu_points"}, ("spectrum",))
-    points = int(sc.get("mu_points", 200))
-    _write_dispersion(writer, cfg, tuple(sc.get("bracket", (1e-2, 4.0))),
-                      points)
+    points = args.scenario["mu_points"]
+    _write_dispersion(writer, cfg, args.scenario["bracket"], points)
     mean_alpha = invasion_mean_rate(cfg.coefficients.baselines())
     print(f"lambda(0) = {mean_alpha:.6f} over {points} tilt samples")
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, writer: ResultWriter, args) -> int:
-    sc = _scenario(cfg, {"variables", "periods", "front", "theta"}, ("simulate",))
-    periods = int(args.periods or sc.get("periods", 20))
+    periods, front = args.scenario["periods"], args.scenario["front"]
     problem = cfg.problem()
     scheme = cfg.scheme or make_scheme(problem)
-    front = sc.get("front", {})
-    x0 = float(front.get("x0", 0.0))
-    ramp = float(front.get("ramp", 2.0))
-    u_level = float(front.get("u_level", 0.5))
-    v_level = float(front.get("v_level", 0.0))
-    prof = ramp_profile(problem.grid.x, x0, ramp)
-    state = SystemState(0.0, u_level * prof, v_level * prof)
-    theta = float(sc.get("theta", 0.5 * u_level))
+    prof = ramp_profile(problem.grid.x, front["x0"], front["ramp"])
+    state = SystemState(0.0, front["u_level"] * prof, front["v_level"] * prof)
+    theta = args.scenario.get("theta", 0.5 * front["u_level"])
     obs = FrontObserver(problem.grid, theta, "u", kernel=problem.kernel)
     state, records = run_periods(state, problem, scheme, periods, [obs])
     positions = records.series[obs.name]
@@ -112,14 +194,9 @@ def cmd_simulate(cfg: RunConfig, writer: ResultWriter, args) -> int:
 
 
 def cmd_persistence(cfg: RunConfig, writer: ResultWriter, args) -> int:
-    sc = _scenario(cfg, {"trials", "mode", "settle_tol", "periods"}, ("persistence",))
     problem = cfg.problem()
     scheme = cfg.scheme or make_scheme(problem)
-    report = persistence_probe(
-        problem, scheme, n_trials=int(sc.get("trials", 5)), seed=cfg.seed,
-        mode=sc.get("mode", "auto"),
-        settle_tol=float(sc.get("settle_tol", 1e-6)),
-        max_periods=int(args.periods or sc.get("periods", 2000)))
+    report = persistence_probe(problem, scheme, seed=cfg.seed, **args.keywords)
     writer.json("persistence.json", report.to_json_dict())
     print(f"persistence floor eta = {report.eta:.6f} ({report.mode}, "
           f"{report.failures} failures, {report.unsettled} unsettled)")
@@ -127,13 +204,9 @@ def cmd_persistence(cfg: RunConfig, writer: ResultWriter, args) -> int:
 
 
 def cmd_coexist(cfg: RunConfig, writer: ResultWriter, args) -> int:
-    sc = _scenario(cfg, {"seed_eps", "tol", "periods"}, ("coexist",))
     problem = cfg.problem()
     scheme = cfg.scheme or make_scheme(problem)
-    result = monotone_coexistence(
-        problem, scheme, seed_eps=float(sc.get("seed_eps", 1e-2)),
-        tol=float(sc.get("tol", 1e-6)),
-        max_periods=int(args.periods or sc.get("periods", 3000)))
+    result = monotone_coexistence(problem, scheme, **args.keywords)
     writer.csv("coexistence.csv",
                ["x", "u_upper", "v_upper", "u_lower", "v_lower"],
                np.column_stack((problem.grid.x, result.upper[0],
@@ -152,14 +225,11 @@ def cmd_coexist(cfg: RunConfig, writer: ResultWriter, args) -> int:
 
 
 def cmd_destabilize(cfg: RunConfig, writer: ResultWriter, args) -> int:
-    sc = _scenario(cfg, {"widths", "h", "pad"}, ("destabilize",))
     kernel_spec = None
     if cfg.kernel is not None:
         kernel_spec = (cfg.kernel.shape, cfg.kernel.nominal_radius)
-    result = destabilizing_bump(
-        cfg.coefficients, kernel_spec=kernel_spec,
-        widths=tuple(sc.get("widths", (1.0, 2.0, 4.0, 8.0))),
-        h=float(sc.get("h", 0.1)), pad=float(sc.get("pad", 25.0)))
+    result = destabilizing_bump(cfg.coefficients, kernel_spec=kernel_spec,
+                                **args.keywords)
     writer.json("destabilize.json", {
         "amplitude": result.bump.amplitude,
         "width": 2.0 * result.bump.plateau,
@@ -173,16 +243,15 @@ def cmd_destabilize(cfg: RunConfig, writer: ResultWriter, args) -> int:
 
 
 def cmd_verify_super(cfg: RunConfig, writer: ResultWriter, args) -> int:
-    sc = _scenario(cfg, {"eps", "K", "time_samples"}, ("verify-super",))
-    eps = float(sc.get("eps", 0.05))
+    eps = args.scenario["eps"]
     if cfg.grid is None:
         raise ConfigError("verify-super needs a grid section")
     spec = build_supersolution(cfg.coefficients, eps, cfg.kernel,
-                               K_init=float(sc.get("K", 10.0)))
+                               **args.keywords)
     ineq = check_ansatz_inequalities(spec)
     res_phi, res_psi = ansatz_equation_residual(spec)
     times = np.linspace(0.0, cfg.coefficients.period,
-                        int(sc.get("time_samples", 17)))
+                        args.scenario["time_samples"])
     report = supersolution_residual(spec, cfg.grid, times)
     writer.json("verify.json", {
         "eps": eps, "mu_star": spec.mu, "speed": spec.c,
@@ -201,72 +270,30 @@ def cmd_verify_super(cfg: RunConfig, writer: ResultWriter, args) -> int:
     return 0
 
 
-def _interval_job(payload):
-    raw, periods, x0, ramp = payload
-    cfg = parse_config(raw)
-    problem = cfg.problem()
-    scheme = cfg.scheme or make_scheme(problem)
-    result = speed_interval(problem, scheme, periods, x0, ramp)
-    return {"lower": asdict(result.lower), "upper": asdict(result.upper),
-            "theoretical": asdict(result.theoretical)}
-
-
-def _coefficient_name(cfg: RunConfig, name) -> str:
-    """name when it names one of the six coefficient fields, else
-    ConfigError."""
-    names = sorted(cfg.coefficients.fields())
-    if name not in names:
-        raise ConfigError(f"unknown coefficient field {name!r}; expected one "
-                          f"of {names}")
-    return name
-
-
-def _bumped_raw(cfg: RunConfig, entry: dict) -> dict:
-    import copy
-
-    name = _coefficient_name(cfg, entry.get("field", "a1"))
-    if "amplitude" not in entry:
-        raise ConfigError("each scenario.intervals entry needs an amplitude")
-    bump = {"amplitude": entry["amplitude"], "width": entry.get("width", 4.0),
-            "ramp": entry.get("ramp", 0.5)}
-    for key, value in bump.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(
-                f"scenario.intervals {key} must be a number, not {value!r}")
-    out = copy.deepcopy(cfg.raw)
-    spec = dict(out["coefficients"][name])
-    spec["bump"] = bump
-    out["coefficients"][name] = spec
-    return out
-
-
 def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> int:
-    sc = _scenario(cfg, {"eps", "field", "periods", "x0", "ramp", "intervals"},
-                   ("sweep", "interval"))
-    name = cfg.scenario.get("name")
-    if name == "interval" or "intervals" in sc:
-        periods = int(args.periods or sc.get("periods", 100))
-        x0 = float(sc.get("x0", -20.0))
-        ramp = float(sc.get("ramp", 2.0))
-        if "intervals" in sc:
-            jobs = {}
-            for entry in sc["intervals"]:
-                raw = _bumped_raw(cfg, entry)
-                key = f"amp{entry['amplitude']:+g}_w{entry.get('width', 4.0):g}"
-                if key in jobs:
-                    raise ConfigError("scenario.intervals repeats the job "
-                                      f"key {key!r} (amplitude and width)")
-                jobs[key] = (raw, periods, x0, ramp)
-        else:
-            jobs = {"base": (cfg.raw, periods, x0, ramp)}
-        if args.workers > 1 and len(jobs) > 1:
+    sc = args.scenario
+    if cfg.scenario.get("name") == "interval" or "intervals" in sc:
+        # The speed interval of the configuration, or of each bump of the
+        # intervals matrix written onto it.
+        problem, problems = cfg.problem(), {}
+        for e in sc.get("intervals", ()):
+            key = f"amp{e['amplitude']:+g}_w{e['width']:g}"
+            if key in problems:
+                raise ConfigError("scenario.intervals repeats the job key "
+                                  f"{key!r} (amplitude and width)")
+            bump = SpatialBump(e["amplitude"], e["width"] / 2, e["ramp"])
+            problems[key] = replace(problem, coefficients=cfg.coefficients
+                                    .with_bump_on(e["field"], bump))
+        problems = problems or {"base": problem}
+        jobs = (problems.values(),
+                [cfg.scheme or make_scheme(p) for p in problems.values()],
+                repeat(sc["periods"]), repeat(sc["x0"]), repeat(sc["ramp"]))
+        if args.workers > 1 and len(problems) > 1:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                outs = list(pool.map(_interval_job, jobs.values()))
-            results = dict(zip(jobs, outs))
+                outs = list(pool.map(speed_interval, *jobs))
         else:
-            results = {key: _interval_job(payload)
-                       for key, payload in jobs.items()}
-        results = {k: results[k] for k in sorted(results)}
+            outs = list(map(speed_interval, *jobs))
+        results = {k: asdict(r) for k, r in sorted(zip(problems, outs))}
         writer.json("interval.json", results)
         first = next(iter(results.values()))
         print(f"speed interval ({len(results)} scenario(s)): "
@@ -274,16 +301,14 @@ def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> int:
               f"{first['upper']['value']:.5f}] vs "
               f"c0* = {first['theoretical']['value']:.5f}")
         return 0
-    eps_list = tuple(float(e) for e in sc.get("eps", (0.2, 0.1, 0.05)))
-    table = continuity_sweep(cfg.coefficients, cfg.kernel, eps_list,
-                             _coefficient_name(cfg, sc.get("field", "a1")))
+    table = continuity_sweep(cfg.coefficients, cfg.kernel, **args.keywords)
     writer.csv("sweep.csv", ["eps", "speed", "mu_star", "delta_from_base"],
                table.to_rows())
     writer.json("sweep.json", {
         "base_speed": table.base_speed, "monotone": table.monotone,
         "h2_holds": table.h2_holds,
         "rows": [list(r) for r in table.to_rows()]})
-    print(f"sweep over {len(eps_list)} shifts; base c0* = "
+    print(f"sweep over {len(table.rows)} shifts; base c0* = "
           f"{table.base_speed:.5f}, monotone approach: {table.monotone}")
     return 0
 
@@ -357,6 +382,7 @@ def main(argv=None) -> int:
             cfg = parse_config(preset_config(args.preset))
         else:
             cfg = load_config(args.config)
+        args.scenario, args.keywords = _read_scenario(cfg, args)
         writer = ResultWriter(args.out, cfg)
         code = _HANDLERS[args.command](cfg, writer, args)
         if code == 0:

@@ -28,8 +28,9 @@ from .simulator import (MagnitudeFrontObserver, PairFrontObserver, Problem,
 from .spectrum import homogeneous_growth_exponent
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# Dispersion minimizer: points of the coarse unimodality scan and the
-# golden-section interval width it stops at.
+# Dispersion minimizer: the default tilt bracket, points of the coarse
+# unimodality scan and the golden-section interval width it stops at.
+DISPERSION_BRACKET = (1e-2, 8.0)
 COARSE_POINTS = 256
 XTOL = 1e-8
 # Front fits: periods discarded after the leading edge clears the localized
@@ -106,7 +107,7 @@ def golden_minimize(f, lo: float, hi: float) -> float:
 
 
 def dispersion_speed(cs: CoefficientSet, kernel: Optional[Kernel] = None,
-                     bracket: tuple[float, float] = (1e-2, 8.0)
+                     bracket: tuple[float, float] = DISPERSION_BRACKET
                      ) -> SpeedEstimate:
     """Minimize lambda(mu)/mu over mu > 0 by golden-section search after a
     coarse unimodality scan (grid minimum with a warning when the scan is
@@ -115,7 +116,7 @@ def dispersion_speed(cs: CoefficientSet, kernel: Optional[Kernel] = None,
 
 
 def minimize_dispersion(mean_alpha: float, kernel: Optional[Kernel] = None,
-                        bracket: tuple[float, float] = (1e-2, 8.0)
+                        bracket: tuple[float, float] = DISPERSION_BRACKET
                         ) -> SpeedEstimate:
     """The scan and refinement of :func:`dispersion_speed` for a given
     mean invasion rate, which only enters through lambda(mu)."""
@@ -149,7 +150,7 @@ def minimize_dispersion(mean_alpha: float, kernel: Optional[Kernel] = None,
 
 
 def dispersion_grid_scan(cs: CoefficientSet, kernel: Optional[Kernel] = None,
-                         bracket: tuple[float, float] = (1e-2, 8.0),
+                         bracket: tuple[float, float] = DISPERSION_BRACKET,
                          spacing: float = 1e-3) -> SpeedEstimate:
     """Brute-force scan of the dispersion curve at fixed mu spacing."""
     mean_alpha = _check_invasion_setting(cs)
@@ -206,7 +207,7 @@ class SpeedIntervalResult:
 
 
 def speed_interval(problem: Problem, scheme: SchemeConfig, n_periods: int,
-                   x0: float, ramp: float = 2.0) -> SpeedIntervalResult:
+                   x0: float, ramp: float) -> SpeedIntervalResult:
     """Empirical lower and upper spreading estimates from a transformed
     front run: the lower speed tracks the rightmost point where both
     transformed components persist above half their plateau levels, the

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -274,6 +275,112 @@ def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "ConfigError"
     assert sorted(os.listdir(out)) == ["error.json"]
+
+
+# One malformed value per kind of scenario value of every subcommand: the
+# message names the key, and the run stops before any output.
+@pytest.mark.parametrize("command, scenario, argv, where", [
+    ("speed", {"mu_points": "x"}, [], "scenario.mu_points"),
+    ("speed", {"bracket": 5}, [], "scenario.bracket"),
+    ("spectrum", {"mu_points": 2.5}, [], "scenario.mu_points"),
+    ("spectrum", {"bracket": [4.0, 1.0]}, [], "scenario.bracket"),
+    ("simulate", {"periods": "20"}, [], "scenario.periods"),
+    ("simulate", {"theta": True}, [], "scenario.theta"),
+    ("simulate", {"front": {"x0": "a"}}, [], "scenario.front.x0"),
+    ("simulate", {"front": {"u_levl": 0.5}}, [], "scenario.front"),
+    ("simulate", {"variables": "transformed"}, [], "scenario.variables"),
+    ("simulate", {}, ["--periods", "0"], "--periods"),
+    ("persistence", {"trials": 0}, [], "scenario.trials"),
+    ("persistence", {"settle_tol": "1e-6"}, [], "scenario.settle_tol"),
+    ("persistence", {"mode": 5}, [], "scenario.mode"),
+    ("coexist", {"periods": -3}, [], "scenario.periods"),
+    ("coexist", {"tol": None}, [], "scenario.tol"),
+    ("coexist", {}, ["--periods", "-1"], "--periods"),
+    ("destabilize", {"widths": "ab"}, [], "scenario.widths"),
+    ("destabilize", {"h": 0}, [], "scenario.h"),
+    ("verify-super", {"time_samples": 1.5}, [], "scenario.time_samples"),
+    ("verify-super", {"eps": "0.05"}, [], "scenario.eps"),
+    ("sweep", {"eps": [0.1, "x"]}, [], "scenario.eps[1]"),
+    ("sweep", {"field": "zz"}, [], "scenario.field"),
+    ("interval", {"x0": "a"}, [], "scenario.x0"),
+    ("interval", {"periods": True}, [], "scenario.periods"),
+    ("interval", {"intervals": []}, [], "scenario.intervals"),
+    ("interval", {"intervals": [{"amplitude": 0.1, "widht": 4.0}]}, [],
+     "scenario.intervals[0]"),
+    ("interval", {"intervals": [{"amplitude": 0.1, "ramp": "0.5"}]}, [],
+     "scenario.intervals[0].ramp"),
+], ids=["speed int", "speed pair", "spectrum int", "spectrum pair order",
+        "simulate int", "simulate float", "simulate front value",
+        "simulate front key", "simulate variables", "simulate --periods 0",
+        "persistence int", "persistence float", "persistence string",
+        "coexist int", "coexist float", "coexist --periods -1",
+        "destabilize list", "destabilize float", "verify-super int",
+        "verify-super float", "sweep list", "sweep field", "interval float",
+        "interval int", "interval empty list", "interval entry key",
+        "interval entry value"])
+def test_malformed_scenario_value_is_exit_2(tmp_path, capsys, command,
+                                            scenario, argv, where):
+    name = command
+    if command == "interval":
+        command = "sweep"
+    cfg = _write_config(tmp_path, {
+        "coefficients": CANONICAL, "grid": GRID,
+        "scenario": {"name": name, **scenario}})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]
+                + argv) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError"
+    assert where in record["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+def _interval_run(tmp_path, name, coefficients, scenario, workers):
+    cfg = _write_config(tmp_path, {
+        "coefficients": coefficients,
+        "grid": {"x_min": -40.0, "x_max": 260.0, "n": 1501},
+        "scheme": {"steps_per_period": 50},
+        "scenario": {"name": "interval", "periods": 80, **scenario},
+        "output": {"formats": ["json"]}}, f"{name}.json")
+    out = tmp_path / name
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    return (out / "interval.json").read_bytes()
+
+
+def test_interval_matrix_matches_single_runs(tmp_path):
+    # Two bumps on a coarse grid (h = 0.2): fanned out over two workers or
+    # run in turn, the matrix writes the same bytes, and each entry is the
+    # interval of the configuration with that bump written in.
+    entries = [{"amplitude": 0.2, "width": 4.0},
+               {"field": "c1", "amplitude": 0.2, "width": 2.0, "ramp": 1.0}]
+    serial = _interval_run(tmp_path, "w1", CANONICAL,
+                           {"intervals": entries}, 1)
+    assert _interval_run(tmp_path, "w2", CANONICAL,
+                         {"intervals": entries}, 2) == serial
+    matrix = json.loads(serial)
+    assert sorted(matrix) == ["amp+0.2_w2", "amp+0.2_w4"]
+    for key, entry in (("amp+0.2_w4", entries[0]), ("amp+0.2_w2", entries[1])):
+        field = entry.get("field", "a1")
+        bump = {"amplitude": entry["amplitude"], "width": entry["width"],
+                "ramp": entry.get("ramp", 0.5)}
+        coefficients = dict(CANONICAL, **{field: dict(CANONICAL[field],
+                                                      bump=bump)})
+        single = json.loads(_interval_run(tmp_path, key, coefficients, {}, 1))
+        assert single == {"base": matrix[key]}
+
+
+def test_readme_lists_every_scenario_key():
+    # README's scenario-key table and the command line's own table name
+    # the same keys of the same subcommands.
+    from compspread.cli import _SCENARIO_KEYS
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `([a-z-]+)` \| `(\w+)` \|", readme.read_text(),
+                      re.MULTILINE)
+    assert sorted(rows) == sorted((command, key) for command, keys
+                                  in _SCENARIO_KEYS.items() for key in keys)
 
 
 def test_persistence_subcommand(tmp_path):
