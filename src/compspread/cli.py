@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import FIELD_NAMES, SpatialBump
-from .config import (ResultWriter, RunConfig, _section, load_config,
-                     parse_config, write_json)
+from .config import (COUNT, NUMBER, OPTIONAL, POSITIVE, REQUIRED, TEXT,
+                     ResultWriter, RunConfig, is_number, load_config,
+                     parse_config, read, write_json)
 from .errors import CompspreadError, ConfigError, ConvergenceError
 from .presets import preset_config
 from .simulator import (FrontObserver, SystemState, make_scheme, ramp_profile,
@@ -33,105 +34,74 @@ from .verify import (ansatz_equation_residual, build_supersolution,
                      persistence_probe, supersolution_residual)
 
 
-def _is_number(v) -> bool:
-    """v is a finite JSON number, not a string or a boolean."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
-# Kinds of scenario value: (what a value must be, its test, its conversion);
-# a dict of keys (kind, default), a key without a default being required;
-# or a one-kind list, for a nonempty list of values of that kind.
-_NUMBER = ("a finite number", _is_number, float)
-_POSITIVE = ("a positive number", lambda v: _is_number(v) and v > 0, float)
-_COUNT = ("an integer >= 1",
-          lambda v: type(v) is int and _is_number(v) and v >= 1, int)
+# The scenario's own kinds of value, beside compspread.config's.
 _BRACKET = ("a pair [lo, hi] with 0 < lo < hi",
             lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-            and all(map(_is_number, v)) and 0 < v[0] < v[1],
+            and all(map(is_number, v)) and 0 < v[0] < v[1],
             lambda v: tuple(map(float, v)))
 _FIELD = (f"one of {list(FIELD_NAMES)}", lambda v: v in FIELD_NAMES, str)
-_TEXT = ("a string", lambda v: isinstance(v, str), str)
 _ORIGINAL = ("'original'", lambda v: v == "original", str)
 # simulate's initial front, u_level and v_level times a ramp from 1 left of
 # x0 down to 0 at x0 + ramp; and one bump of a sweep intervals matrix.
-_FRONT = {"x0": (_NUMBER, 0.0), "ramp": (_NUMBER, 2.0),
-          "u_level": (_NUMBER, 0.5), "v_level": (_NUMBER, 0.0)}
-_INTERVAL = {"field": (_FIELD, "a1"), "amplitude": (_NUMBER, None),
-             "width": (_NUMBER, 4.0), "ramp": (_NUMBER, 0.5)}
-
-
-def _convert(kind, v, where: str):
-    """The scenario value v at ``where`` read as ``kind``, or ConfigError."""
-    if isinstance(kind, dict):
-        with _section(v, set(kind), where):
-            return {k: _convert(sub, v[k] if d is None else v.get(k, d),
-                                f"{where}.{k}") for k, (sub, d) in kind.items()}
-    if isinstance(kind, list):
-        v = _convert(("a nonempty list", lambda x: isinstance(x, list)
-                      and x != [], list), v, where)
-        return [_convert(kind[0], e, f"{where}[{i}]") for i, e in enumerate(v)]
-    what, test, convert = kind
-    if not test(v):
-        raise ConfigError(f"{where} must be {what}, not {v!r}")
-    return convert(v)
+_FRONT = {"x0": (NUMBER, 0.0), "ramp": (NUMBER, 2.0),
+          "u_level": (NUMBER, 0.5), "v_level": (NUMBER, 0.0)}
+_INTERVAL = {"field": (_FIELD, "a1"), "amplitude": (NUMBER, REQUIRED),
+             "width": (NUMBER, 4.0), "ramp": (NUMBER, 0.5)}
 
 
 # Every subcommand's scenario keys, listed in README's "Command line":
 # key -> (kind, library keyword, default).  A key with a keyword feeds that
 # keyword of the library call when the scenario sets it, so the library's
-# default holds otherwise; a key without one is the command's own, with
-# its default (None for none) written here.
+# default holds otherwise (OPTIONAL); a key without one is the command's
+# own, with its default written here.
 _SCENARIO_KEYS = {
     "speed": {"bracket": (_BRACKET, None, DISPERSION_BRACKET),
-              "mu_points": (_COUNT, None, 200)},
+              "mu_points": (COUNT, None, 200)},
     "spectrum": {"bracket": (_BRACKET, None, (1e-2, 4.0)),
-                 "mu_points": (_COUNT, None, 200)},
-    "simulate": {"variables": (_ORIGINAL, None, None),
-                 "periods": (_COUNT, None, 20), "front": (_FRONT, None, {}),
-                 "theta": (_NUMBER, None, None)},
-    "persistence": {"trials": (_COUNT, "n_trials", None),
-                    "mode": (_TEXT, "mode", None),
-                    "settle_tol": (_POSITIVE, "settle_tol", None),
-                    "periods": (_COUNT, "max_periods", None)},
-    "coexist": {"seed_eps": (_POSITIVE, "seed_eps", None),
-                "tol": (_POSITIVE, "tol", None),
-                "periods": (_COUNT, "max_periods", None)},
-    "destabilize": {"widths": ([_NUMBER], "widths", None),
-                    "h": (_POSITIVE, "h", None),
-                    "pad": (_POSITIVE, "pad", None)},
-    "verify-super": {"eps": (_POSITIVE, None, 0.05),
-                     "K": (_POSITIVE, "K_init", None),
-                     "time_samples": (_COUNT, None, 17)},
-    "sweep": {"eps": ([_NUMBER], "eps_list", None),
-              "field": (_FIELD, "field_name", None),
-              "periods": (_COUNT, None, 100), "x0": (_NUMBER, None, -20.0),
-              "ramp": (_NUMBER, None, 2.0),
-              "intervals": ([_INTERVAL], None, None)},
+                 "mu_points": (COUNT, None, 200)},
+    "simulate": {"variables": (_ORIGINAL, None, OPTIONAL),
+                 "periods": (COUNT, None, 20), "front": (_FRONT, None, {}),
+                 "theta": (NUMBER, None, OPTIONAL)},
+    "persistence": {"trials": (COUNT, "n_trials", OPTIONAL),
+                    "mode": (TEXT, "mode", OPTIONAL),
+                    "settle_tol": (POSITIVE, "settle_tol", OPTIONAL),
+                    "periods": (COUNT, "max_periods", OPTIONAL)},
+    "coexist": {"seed_eps": (POSITIVE, "seed_eps", OPTIONAL),
+                "tol": (POSITIVE, "tol", OPTIONAL),
+                "periods": (COUNT, "max_periods", OPTIONAL)},
+    "destabilize": {"widths": ([NUMBER], "widths", OPTIONAL),
+                    "h": (POSITIVE, "h", OPTIONAL),
+                    "pad": (POSITIVE, "pad", OPTIONAL)},
+    "verify-super": {"eps": (POSITIVE, None, 0.05),
+                     "K": (POSITIVE, "K_init", OPTIONAL),
+                     "time_samples": (COUNT, None, 17)},
+    "sweep": {"eps": ([NUMBER], "eps_list", OPTIONAL),
+              "field": (_FIELD, "field_name", OPTIONAL),
+              "periods": (COUNT, None, 100), "x0": (NUMBER, None, -20.0),
+              "ramp": (NUMBER, None, 2.0),
+              "intervals": ([_INTERVAL], None, OPTIONAL)},
 }
 
 
 def _read_scenario(cfg: RunConfig, args) -> tuple[dict, dict]:
     """The command's own scenario values by key, and the library keywords
-    the scenario sets, with ``--periods`` in place of ``periods``.  Keys
-    are strict when the scenario was written for this command; otherwise
-    other commands' keys are dropped, so any command runs on any preset's
-    coefficient setup."""
+    the scenario sets, with ``--periods`` in place of ``periods`` (refused
+    where the command has none).  Keys are strict when the scenario was
+    written for this command; otherwise other commands' keys are dropped,
+    so any command runs on any preset's coefficient setup."""
     keys = _SCENARIO_KEYS[args.command]
     names = ("sweep", "interval") if args.command == "sweep" else (args.command,)
-    sc = cfg.scenario
-    if sc.get("name") not in names:
-        sc = {k: v for k, v in sc.items() if k in keys}
-    values, keywords = {}, {}
-    with _section(sc, set(keys) | {"name"}, "scenario"):
-        for key, (kind, keyword, default) in keys.items():
-            value, where = sc.get(key, default), f"scenario.{key}"
-            if key == "periods" and args.periods is not None:
-                value, where = args.periods, "--periods"
-            elif key not in sc and default is None:
-                continue
-            out = keywords if keyword else values
-            out[keyword or key] = _convert(kind, value, where)
-    return values, keywords
+    strict = cfg.scenario.get("name") in names
+    sc = {k: v for k, v in cfg.scenario.items()
+          if k in keys or (strict and k != "name")}
+    if args.periods is not None:
+        if "periods" not in keys:
+            raise ConfigError(f"--periods: {args.command} has no period count")
+        sc["periods"] = read(COUNT, args.periods, "--periods")
+    values = read({k: (kind, default) for k, (kind, _, default)
+                   in keys.items()}, sc, "scenario")
+    keywords = {keys[k][1]: v for k, v in values.items() if keys[k][1]}
+    return {k: v for k, v in values.items() if not keys[k][1]}, keywords
 
 
 def _write_dispersion(writer: ResultWriter, cfg: RunConfig, bracket,

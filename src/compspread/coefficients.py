@@ -33,12 +33,14 @@ class PeriodicScalar:
     params: tuple
 
     def __post_init__(self):
-        if self.period <= 0.0:
+        # Each guard is written so that NaN fails it.
+        if not self.period > 0.0:
             raise ConfigError("period must be positive")
         if self.kind == "table":
             knots = np.asarray(self.params, dtype=float)
-            if knots.ndim != 2 or knots.shape[1] != 2 or knots.shape[0] < 2:
-                raise ConfigError("table needs at least two (t, value) knots")
+            if (knots.ndim != 2 or knots.shape[1] != 2 or knots.shape[0] < 2
+                    or not np.isfinite(knots).all()):
+                raise ConfigError("table needs two or more finite (t, v) knots")
             t = knots[:, 0]
             if abs(t[0]) > 1e-12 or abs(t[-1] - self.period) > 1e-12:
                 raise ConfigError("table knots must span [0, period]")
@@ -118,7 +120,8 @@ class SpatialBump:
     ramp: float = 0.0
 
     def __post_init__(self):
-        if self.plateau < 0.0 or self.ramp < 0.0 or self.plateau + self.ramp <= 0.0:
+        if not (self.plateau >= 0.0 and self.ramp >= 0.0
+                and self.plateau + self.ramp > 0.0):
             raise ConfigError("bump needs plateau >= 0, ramp >= 0, support > 0")
 
     @property
@@ -200,7 +203,7 @@ class CoefficientSet:
             raise ConfigError("all six coefficients must share the same period")
         for name in ("b1", "c1", "b2", "c2"):
             field = getattr(self, name)
-            if field.min_value() <= 0.0:
+            if not field.min_value() > 0.0:
                 raise ConfigError(f"coefficient {name} must stay strictly positive")
 
     @property

@@ -1,16 +1,16 @@
 """Strict configuration parsing and deterministic result emission.
 
-Configurations are JSON objects; unknown keys are rejected so scenario
-files cannot drift silently.  Every run writes a manifest embedding the
-fully resolved configuration and its hash, and identical configurations
-produce byte-identical outputs.
+Configurations are JSON objects read through tables of typed kinds: an
+unknown key or a malformed value is a ConfigError naming its key path.
+Every run writes a manifest embedding the fully resolved configuration and
+its hash, and identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -23,89 +23,112 @@ from .dispersal import Grid, Kernel
 from .errors import ConfigError
 from .simulator import Problem, SchemeConfig
 
-_TOP_KEYS = {"coefficients", "grid", "kernel", "scheme", "scenario", "output",
-             "seed"}
 SVG_WIDTH = 640
 SVG_HEIGHT = 400
 
 
-@contextmanager
-def _section(d, allowed: set, where: str):
-    """Reads the JSON object ``d`` inside the block: a key outside
-    ``allowed``, a missing key or a malformed value is a ConfigError
-    naming ``where``."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, not {d!r}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    try:
-        yield d
-    except KeyError as exc:
-        raise ConfigError(f"{where} needs {exc}") from None
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed value in {where}: {exc}") from None
+def is_number(v) -> bool:
+    """v is a finite JSON number, not a string or a boolean."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def parse_periodic_scalar(d: dict, period: float, where: str) -> PeriodicScalar:
-    kinds = {"constant", "harmonic", "table"}
-    with _section(d, kinds | {"bump"}, where):
-        if len(kinds & set(d)) != 1:
-            raise ConfigError(f"{where} needs exactly one of {sorted(kinds)}")
-        if "constant" in d:
-            return PeriodicScalar.constant(float(d["constant"]), period)
-        if "table" in d:
-            return PeriodicScalar.table(d["table"], period)
-    with _section(d["harmonic"], {"mean", "amplitude", "phase"},
-                  f"{where}.harmonic") as h:
-        return PeriodicScalar.harmonic(float(h["mean"]), float(h["amplitude"]),
-                                       float(h.get("phase", 0.0)), period)
+# Kinds of configuration value: (what a value must be, its test, its
+# conversion); a dict of keys (kind, default), the default being REQUIRED,
+# OPTIONAL (left out when the key is) or the value an unset key takes; or a
+# one-kind list, for a nonempty list of values of that kind.
+REQUIRED, OPTIONAL = object(), object()
+NUMBER = ("a finite number", is_number, float)
+POSITIVE = ("a positive number", lambda v: is_number(v) and v > 0, float)
+COUNT = ("an integer >= 1",
+         lambda v: type(v) is int and is_number(v) and v >= 1, int)
+TEXT = ("a string", lambda v: isinstance(v, str), str)
+_KNOT = ("a [t, v] number pair", lambda v: isinstance(v, list)
+         and len(v) == 2 and all(map(is_number, v)),
+         lambda v: tuple(map(float, v)))
+_BUMP = {"amplitude": (NUMBER, REQUIRED), "width": (NUMBER, OPTIONAL),
+         "plateau": (NUMBER, OPTIONAL), "ramp": (NUMBER, 0.0),
+         "M0": (NUMBER, OPTIONAL)}
+_FIELD = {"constant": (NUMBER, OPTIONAL),
+          "harmonic": ({"mean": (NUMBER, REQUIRED),
+                        "amplitude": (NUMBER, REQUIRED),
+                        "phase": (NUMBER, 0.0)}, OPTIONAL),
+          "table": ([_KNOT], OPTIONAL), "bump": (_BUMP, OPTIONAL)}
+# The whole configuration; the scenario's own keys are the command's to read.
+_CONFIG = {
+    "coefficients": ({"period": (POSITIVE, REQUIRED),
+                      **{name: (_FIELD, REQUIRED) for name in FIELD_NAMES}},
+                     REQUIRED),
+    "grid": ({"x_min": (NUMBER, REQUIRED), "x_max": (NUMBER, REQUIRED),
+              "n": (COUNT, REQUIRED)}, OPTIONAL),
+    "kernel": ({"shape": (TEXT, REQUIRED), "radius": (POSITIVE, REQUIRED)},
+               OPTIONAL),
+    "scheme": ({"dt": (POSITIVE, OPTIONAL),
+                "steps_per_period": (COUNT, OPTIONAL)}, OPTIONAL),
+    "scenario": (("an object with a name",
+                  lambda v: isinstance(v, dict) and "name" in v,
+                  lambda v: v), {}),
+    "output": ({"formats": (("a list of 'csv', 'json' or 'svg'",
+                             lambda v: isinstance(v, list) and all(
+                                 f in ("csv", "json", "svg") for f in v),
+                             tuple), ["csv", "json"])}, {}),
+    "seed": (("an integer >= 0",
+              lambda v: type(v) is int and is_number(v) and v >= 0, int), 0),
+}
 
 
-def parse_bump(d: dict, where: str) -> SpatialBump:
-    with _section(d, {"amplitude", "width", "plateau", "ramp", "M0"}, where):
-        if ("width" in d) == ("plateau" in d):
-            raise ConfigError(f"{where} needs exactly one of width or plateau")
-        plateau = (float(d["width"]) / 2.0 if "width" in d
-                   else float(d["plateau"]))
-        bump = SpatialBump(float(d["amplitude"]), plateau,
-                           float(d.get("ramp", 0.0)))
-        if "M0" in d and float(d["M0"]) < bump.support_radius - 1e-12:
-            raise ConfigError(f"{where}: declared M0 is smaller than the bump "
-                              "support plateau + ramp")
-    return bump
+def read(kind, v, where: str):
+    """The JSON value v at ``where`` (the whole configuration when empty)
+    read as ``kind``, or ConfigError naming ``where``."""
+    if isinstance(kind, dict):
+        name = where or "configuration"
+        if not isinstance(v, dict):
+            raise ConfigError(f"{name} must be a JSON object, not {v!r}")
+        unknown = set(v) - set(kind)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {name}")
+        out = {}
+        for key, (sub, default) in kind.items():
+            if key not in v and default is REQUIRED:
+                raise ConfigError(f"{name} needs {key!r}")
+            if key in v or default is not OPTIONAL:
+                out[key] = read(sub, v.get(key, default),
+                                f"{where}.{key}" if where else key)
+        return out
+    if isinstance(kind, list):
+        if not isinstance(v, list) or v == []:
+            raise ConfigError(f"{where} must be a nonempty list, not {v!r}")
+        return [read(kind[0], e, f"{where}[{i}]") for i, e in enumerate(v)]
+    what, test, convert = kind
+    if not test(v):
+        raise ConfigError(f"{where} must be {what}, not {v!r}")
+    return convert(v)
 
 
-def parse_coefficients(d: dict) -> CoefficientSet:
-    fields = {}
-    with _section(d, set(FIELD_NAMES) | {"period"}, "coefficients"):
-        period = float(d["period"])
-        for name in FIELD_NAMES:
-            spec, where = d[name], f"coefficients.{name}"
-            scalar = parse_periodic_scalar(spec, period, where)
-            bump = (parse_bump(spec["bump"], f"{where}.bump")
-                    if "bump" in spec else None)
-            fields[name] = CoefficientField(scalar, bump)
-    return CoefficientSet(**fields)
+def _one_of(d: dict, keys: tuple, where: str) -> str:
+    """The one key of ``keys`` that ``d`` holds, or ConfigError."""
+    held = [k for k in keys if k in d]
+    if len(held) != 1:
+        raise ConfigError(f"{where} needs exactly one of {list(keys)}")
+    return held[0]
 
 
-def parse_grid(d: dict) -> Grid:
-    with _section(d, {"x_min", "x_max", "n"}, "grid"):
-        return Grid(float(d["x_min"]), float(d["x_max"]), int(d["n"]))
-
-
-def parse_kernel(d: dict, grid: Grid) -> Kernel:
-    with _section(d, {"shape", "radius"}, "kernel"):
-        return Kernel.build(str(d["shape"]), float(d["radius"]), grid.h)
-
-
-def parse_scheme(d: dict, period: float) -> SchemeConfig:
-    with _section(d, {"dt", "steps_per_period"}, "scheme"):
-        if ("dt" in d) == ("steps_per_period" in d):
-            raise ConfigError(
-                "scheme needs exactly one of dt or steps_per_period")
-        return SchemeConfig(float(d["dt"]) if "dt" in d
-                            else period / int(d["steps_per_period"]))
+def _coefficient_field(d: dict, period: float, where: str) -> CoefficientField:
+    kind = _one_of(d, ("constant", "harmonic", "table"), where)
+    if kind == "harmonic":
+        scalar = PeriodicScalar.harmonic(**d[kind], period=period)
+    else:  # PeriodicScalar.constant(value, period) or .table(knots, period)
+        scalar = getattr(PeriodicScalar, kind)(d[kind], period)
+    if "bump" not in d:
+        return CoefficientField(scalar)
+    b, where = d["bump"], f"{where}.bump"
+    plateau = (b["width"] / 2.0
+               if _one_of(b, ("width", "plateau"), where) == "width"
+               else b["plateau"])
+    bump = SpatialBump(b["amplitude"], plateau, b["ramp"])
+    if "M0" in b and b["M0"] < bump.support_radius - 1e-12:
+        raise ConfigError(f"{where}: declared M0 is smaller than the bump "
+                          "support plateau + ramp")
+    return CoefficientField(scalar, bump)
 
 
 @dataclass
@@ -131,30 +154,29 @@ class RunConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    with _section(raw, _TOP_KEYS, "configuration"):
-        cs = parse_coefficients(raw["coefficients"])
-    grid = parse_grid(raw["grid"]) if "grid" in raw else None
+    c = read(_CONFIG, raw, "")
+    coeffs = c["coefficients"]
+    cs = CoefficientSet(**{name: _coefficient_field(
+        coeffs[name], coeffs["period"], f"coefficients.{name}")
+        for name in FIELD_NAMES})
+    grid = Grid(**c["grid"]) if "grid" in c else None
     kernel = None
-    if "kernel" in raw:
+    if "kernel" in c:
         if grid is None:
             raise ConfigError("kernel requires a grid section")
-        kernel = parse_kernel(raw["kernel"], grid)
-    scheme = (parse_scheme(raw["scheme"], cs.period)
-              if "scheme" in raw else None)
-    scenario = raw.get("scenario", {})
-    if not isinstance(scenario, dict) or "name" not in scenario:
-        raise ConfigError("scenario section needs at least a name")
-    with _section(raw.get("output", {}), {"formats"}, "output") as output:
-        formats = output.get("formats", ["csv", "json"])
-    if not isinstance(formats, list):
-        raise ConfigError(f"output.formats must be a list, not {formats!r}")
-    for fmt in formats:
-        if fmt not in ("csv", "json", "svg"):
-            raise ConfigError(f"unknown output format {fmt!r}")
-    with _section(raw, _TOP_KEYS, "seed"):
-        seed = int(raw.get("seed", 0))
-    return RunConfig(cs, grid, kernel, scheme, scenario, tuple(formats),
-                     seed, raw)
+        radius = c["kernel"]["radius"]
+        if not grid.holds_kernel(radius):
+            raise ConfigError(f"kernel.radius {radius!r} must stay below half "
+                              f"the grid span [{grid.x_min!r}, {grid.x_max!r}]")
+        kernel = Kernel.build(c["kernel"]["shape"], radius, grid.h)
+    scheme = None
+    if "scheme" in c:
+        s = c["scheme"]
+        step = _one_of(s, ("dt", "steps_per_period"), "scheme")
+        scheme = SchemeConfig(s["dt"] if step == "dt"
+                              else cs.period / s["steps_per_period"])
+    return RunConfig(cs, grid, kernel, scheme, c["scenario"],
+                     c["output"]["formats"], c["seed"], raw)
 
 
 def load_config(path) -> RunConfig:

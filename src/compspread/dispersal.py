@@ -31,8 +31,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 3:
             raise ConfigError("grid needs at least 3 points")
-        if self.x_max <= self.x_min:
-            raise ConfigError("grid bounds must be increasing")
+        if not 0.0 < self.x_max - self.x_min < np.inf:
+            raise ConfigError("grid bounds must be finite and increasing")
 
     @property
     def h(self) -> float:
@@ -41,6 +41,10 @@ class Grid:
     @property
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n)
+
+    def holds_kernel(self, radius: float) -> bool:
+        """Whether a kernel support radius stays below half the span."""
+        return radius < 0.5 * (self.x_max - self.x_min)
 
     def widened(self, factor: float) -> "Grid":
         """Same spacing, symmetric extension of the span by ``factor``."""
@@ -136,7 +140,7 @@ def check_kernel_spacing(kernel: Optional[Kernel], grid: Grid) -> None:
 
 def _check_kernel_grid(kernel: Kernel, grid: Grid) -> None:
     check_kernel_spacing(kernel, grid)
-    if kernel.support_radius >= 0.5 * (grid.x_max - grid.x_min):
+    if not grid.holds_kernel(kernel.support_radius):
         raise PreconditionError("kernel support exceeds half the domain")
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 
 import compspread
 from compspread.cli import main
+from compspread.errors import ConfigError
 from compspread.presets import PRESETS
 
 CANONICAL = {
@@ -108,6 +110,102 @@ def test_malformed_config_value_is_exit_2(tmp_path, capsys, patch, section):
     assert record["type"] == "ConfigError"
     assert section in record["message"]
     assert sorted(os.listdir(out)) == ["error.json"]
+
+
+# Values a lenient reader would truncate, run on, or turn into another
+# error: each stops the run with exit 2 naming its key path.  NaN and
+# Infinity are written as the literals Python's json module reads.
+@pytest.mark.parametrize("path, value, where", [
+    (("grid", "n"), 301.9, "grid.n"),
+    (("scheme", "steps_per_period"), 40.9, "scheme.steps_per_period"),
+    (("scheme", "steps_per_period"), -32, "scheme.steps_per_period"),
+    (("scheme",), {"dt": -0.03125}, "scheme.dt"),
+    (("grid", "x_max"), float("inf"), "grid.x_max"),
+    (("coefficients", "b1"), {"constant": float("nan")},
+     "coefficients.b1.constant"),
+    (("seed",), -1, "seed"),
+    (("seed",), True, "seed"),
+    (("kernel",), {"shape": "uniform", "radius": 100.0}, "kernel.radius"),
+    (("kernel",), {"shape": "uniform", "radius": float("inf")},
+     "kernel.radius"),
+    (("coefficients", "a1"), {"table": [[0.0, 1.0], [0.5], [1.0, 1.0]]},
+     "coefficients.a1.table[1]"),
+    (("coefficients", "period"), "1", "coefficients.period"),
+], ids=["fractional n", "fractional steps", "negative steps", "negative dt",
+        "infinite x_max", "NaN b1", "negative seed", "boolean seed",
+        "kernel wider than the grid", "infinite kernel radius",
+        "knot not a pair", "period as a string"])
+def test_out_of_kind_config_value_is_exit_2(tmp_path, capsys, path, value,
+                                            where):
+    raw = {"coefficients": dict(WEAK),
+           "grid": {"x_min": -10.0, "x_max": 10.0, "n": 101},
+           "scheme": {"steps_per_period": 32},
+           "scenario": {"name": "persistence", "trials": 2},
+           "output": {"formats": ["csv", "json"]}, "seed": 11}
+    *parents, key = path
+    section = raw
+    for p in parents:
+        section = section[p]
+    section[key] = value
+    cfg = _write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main(["persistence", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError"
+    assert where in record["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+# One configuration with every section and every kind of coefficient field.
+FULL = {
+    "coefficients": {
+        "period": 1.0,
+        "a1": {"harmonic": {"mean": 1.0, "amplitude": 0.1, "phase": 0.0},
+               "bump": {"amplitude": 0.3, "width": 4.0, "ramp": 0.5,
+                        "M0": 2.5}},
+        "b1": {"table": [[0.0, 1.0], [0.5, 1.2], [1.0, 1.0]]},
+        "c1": {"constant": 0.5},
+        "a2": {"constant": 1.0, "bump": {"amplitude": -0.1, "plateau": 1.0}},
+        "b2": {"constant": 0.5}, "c2": {"constant": 1.0}},
+    "grid": {"x_min": -10.0, "x_max": 10.0, "n": 101},
+    "kernel": {"shape": "uniform", "radius": 1.0},
+    "scheme": {"steps_per_period": 32},
+    "scenario": {"name": "coexist"},
+    "output": {"formats": ["csv", "json"]},
+    "seed": 3,
+}
+ODD_VALUES = [0, -1, 1e300, -1e300, float("nan"), float("inf"),
+              float("-inf"), "1", "", True, False, None, [], [1.0, 2.0],
+              {}, {"a": 1}]
+
+
+def _key_paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, sub in items:
+            yield from _key_paths(sub, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    out = copy.copy(value)
+    out[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return out
+
+
+def test_config_reader_raises_only_config_errors():
+    from compspread.config import RunConfig, parse_config
+
+    assert isinstance(parse_config(FULL), RunConfig)
+    for path in _key_paths(FULL):
+        for value in ODD_VALUES:
+            try:
+                parse_config(_replaced(FULL, path, value))
+            except ConfigError:
+                pass
 
 
 @pytest.mark.parametrize("extra", [{"mode": "explicit"}, {"cadence": 10}])
@@ -296,6 +394,10 @@ def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
     ("coexist", {"periods": -3}, [], "scenario.periods"),
     ("coexist", {"tol": None}, [], "scenario.tol"),
     ("coexist", {}, ["--periods", "-1"], "--periods"),
+    ("speed", {}, ["--periods", "5"], "--periods"),
+    ("spectrum", {}, ["--periods", "5"], "--periods"),
+    ("destabilize", {}, ["--periods", "-3"], "--periods"),
+    ("verify-super", {}, ["--periods", "5"], "--periods"),
     ("destabilize", {"widths": "ab"}, [], "scenario.widths"),
     ("destabilize", {"h": 0}, [], "scenario.h"),
     ("verify-super", {"time_samples": 1.5}, [], "scenario.time_samples"),
@@ -314,6 +416,8 @@ def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
         "simulate front key", "simulate variables", "simulate --periods 0",
         "persistence int", "persistence float", "persistence string",
         "coexist int", "coexist float", "coexist --periods -1",
+        "speed --periods", "spectrum --periods", "destabilize --periods",
+        "verify-super --periods",
         "destabilize list", "destabilize float", "verify-super int",
         "verify-super float", "sweep list", "sweep field", "interval float",
         "interval int", "interval empty list", "interval entry key",

@@ -77,6 +77,20 @@ def test_set_requires_positive_interactions():
         good.with_bump_on("c1", SpatialBump(-0.6, 1.0, 0.5))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PeriodicScalar.constant(1.0, np.nan),
+    lambda: PeriodicScalar.table([(0.0, 1.0), (np.nan, 1.0), (1.0, 1.0)], 1.0),
+    lambda: constant_set(1, np.nan, 0.5, 0.4, 0.5, 1),
+    lambda: SpatialBump(0.3, np.nan, 0.0),
+    lambda: SpatialBump(0.3, 1.0, np.nan),
+], ids=["period", "table knot", "interaction", "bump plateau", "bump ramp"])
+def test_guards_reject_nan(build):
+    # NaN fails every comparison, so a guard written as "x <= 0 is bad"
+    # would let it through.
+    with pytest.raises(ConfigError):
+        build()
+
+
 def test_set_period_mismatch_rejected():
     f = CoefficientField(PeriodicScalar.constant(1.0, period=1.0))
     g = CoefficientField(PeriodicScalar.constant(1.0, period=2.0))
