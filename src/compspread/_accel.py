@@ -6,14 +6,61 @@ the per-call cost is a few numpy dispatches.  The linear period map takes
 a whole Crank-Nicolson substep as one prefactored solve and two in-place
 passes (:meth:`TridiagFactor.crank_nicolson`); the simulator keeps the
 explicit half (:func:`cn_explicit_half`) ahead of its solve.
+
+LAPACK comes from scipy's f2py extension module ``scipy.linalg._flapack``
+(``dpttrf``, ``dpttrs`` here; ``dgtsv`` and ``dgbsv`` for the pencil
+solves of :mod:`compspread.spectrum`).  The module is loaded straight from
+its file in scipy's ``linalg`` directory, which skips the package import
+of ``scipy.linalg`` (about 0.1 s, half of ``import compspread.cli``), and
+is registered under its own name, so a later ``import scipy.linalg``
+reuses it.  ``_flapack`` is a private name, checked against scipy 1.17.1;
+when the file cannot be found or loaded, the module comes from the
+ordinary ``from scipy.linalg import _flapack`` instead.  Both give the
+same routines, so every result is the same either way.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NumericalGuardError, PreconditionError
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, without ``scipy.linalg``'s package
+    import where its file can be loaded directly."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    try:
+        # find_spec of a top-level package locates it without running its
+        # __init__.
+        linalg = (Path(importlib.util.find_spec("scipy").origin).parent
+                  / "linalg")
+        path = next(linalg / f"_flapack{suffix}"
+                    for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                    if (linalg / f"_flapack{suffix}").is_file())
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:
+        # No scipy spec, no such file, or a file that does not load: the
+        # ordinary import either works or raises its own error.
+        from scipy.linalg import _flapack
+        return _flapack
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+_flapack = _load_flapack()
+dpttrf, dpttrs, dgtsv, dgbsv = (_flapack.dpttrf, _flapack.dpttrs,
+                                _flapack.dgtsv, _flapack.dgbsv)
 
 _SMALL_EXPONENT = 1e-12
 _HALF_SQRT2 = np.sqrt(0.5)

@@ -271,6 +271,8 @@ def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> int:
               f"{first['upper']['value']:.5f}] vs "
               f"c0* = {first['theoretical']['value']:.5f}")
         return 0
+    if args.periods is not None:
+        raise ConfigError("--periods: a continuity sweep has no period count")
     table = continuity_sweep(cfg.coefficients, cfg.kernel, **args.keywords)
     writer.csv("sweep.csv", ["eps", "speed", "mu_star", "delta_from_base"],
                table.to_rows())

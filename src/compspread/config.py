@@ -182,7 +182,10 @@ def parse_config(raw: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_config(raw)
 
@@ -198,8 +201,12 @@ def canonical_json(obj) -> str:
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Rows of numbers (any iterable of rows, or an array) as CSV, each
     value as ``%.12g``."""
-    np.savetxt(path, np.asarray(list(rows), dtype=float), fmt="%.12g",
-               delimiter=",", header=",".join(header), comments="")
+    # An open file, not a path, which np.savetxt would pass through numpy's
+    # DataSource: URL and compressed-name checks, and gzip imported on the
+    # first call.
+    with open(path, "w") as fh:
+        np.savetxt(fh, np.asarray(list(rows), dtype=float), fmt="%.12g",
+                   delimiter=",", header=",".join(header), comments="")
 
 
 def write_json(path: Path, obj) -> None:

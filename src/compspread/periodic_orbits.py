@@ -58,13 +58,22 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     x21, x32 = d[:, :-1], d[:, 1:]
     x21_x31 = x21 / (x21 + x32)
     x21x21_x31x32 = x21_x31 * (x21 / x32)
-    panels = x21 / 6 * ((3 - x21_x31) * f[:, :-2]
-                        + (3 + x21x21_x31x32 + x21_x31) * f[:, 1:-1]
-                        + -x21x21_x31x32 * f[:, 2:])
+    # scipy's x21/6 * (a + b + c), summed in place in the same order.
+    panels = (3 - x21_x31) * f[:, :-2]
+    panels += (3 + x21x21_x31x32 + x21_x31) * f[:, 1:-1]
+    panels += -x21x21_x31x32 * f[:, 2:]
+    panels *= x21 / 6
     backward = panels[1, ::-1]
-    pieces = np.append(panels[0], backward[-1])
+    # The pieces and their running sum share the result's buffer: no
+    # appended or concatenated copies.
+    out = np.empty(y.size)
+    out[0] = 0.0
+    pieces = out[1:]
+    pieces[:-1] = panels[0]
+    pieces[-1] = backward[-1]
     pieces[1::2] = backward[::2]
-    return np.concatenate(([0.0], np.cumsum(pieces)))
+    np.cumsum(pieces, out=pieces)
+    return out
 
 
 def _closed_orbit(period: float, t, E, values) -> PeriodicOrbit:

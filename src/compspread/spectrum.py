@@ -289,7 +289,6 @@ class _LinearStepper:
         """``solve(s, y)``: x with (D - s*diag(b)) x = b*y for the dispersal
         substep D, or None when the shifted matrix is singular."""
         if self.p.kernel is None:
-            from scipy.linalg.lapack import dgtsv
             # D = M^-1 N with M = I - rL and N = I + rL, so the system is
             # the tridiagonal (N - s*M*diag(b)) x = M (b*y).
             r = 0.5 * self.dt / self.p.grid.h ** 2
@@ -302,22 +301,23 @@ class _LinearStepper:
                 lower = r + (s * r) * b[:-1]
                 lower[-1] *= 2.0
                 diag = (1.0 - 2.0 * r) - (s * (1.0 + 2.0 * r)) * b
-                x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)[3:]
-                return x if info == 0 else None
+                x, info = _accel.dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)[3:]
+                return _pencil_solution(x, info, "dgtsv")
             return solve
 
-        from scipy.linalg import LinAlgError, solve_banded
         ab = self._dispersal_band()
         bw = (ab.shape[0] - 1) // 2
+        # dgbsv's band layout, as scipy.linalg.solve_banded builds it: bw
+        # rows for the LU fill-in above the band (LAPACK sets them itself),
+        # so the diagonal is row 2*bw.  One Fortran-ordered work array,
+        # refilled by every solve, which dgbsv then factors in place.
+        work = np.empty((3 * bw + 1, self.n), order="F")
 
         def solve(s, y):
-            shifted = ab.copy()
-            shifted[bw] -= s * b
-            try:
-                return solve_banded((bw, bw), shifted, b * y, overwrite_ab=True,
-                                    overwrite_b=True, check_finite=False)
-            except LinAlgError:
-                return None
+            work[bw:] = ab
+            work[2 * bw] -= s * b
+            x, info = _accel.dgbsv(bw, bw, work, b * y, 1, 1)[2:]
+            return _pencil_solution(x, info, "dgbsv")
         return solve
 
     def step(self, u: np.ndarray, k: int) -> np.ndarray:
@@ -365,6 +365,16 @@ def _cw_bracket(u: np.ndarray, pu: np.ndarray, period: float,
         ratio = pu / u
         return ((drift + power * float(np.log(np.min(ratio)))) / period,
                 (drift + power * float(np.log(np.max(ratio)))) / period)
+
+
+def _pencil_solution(x: np.ndarray, info: int,
+                     routine: str) -> Optional[np.ndarray]:
+    """x, or None when LAPACK found the shifted matrix singular (info > 0);
+    info < 0 is an illegal argument, a bug."""
+    if info < 0:
+        raise NumericalGuardError(
+            f"pencil solve failed ({routine} info={info})")
+    return x if info == 0 else None
 
 
 def _pencil_eigenpair(stepper: _LinearStepper, lam_hi: float,

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import compspread
 from compspread.coefficients import constant_set
 from compspread.dispersal import Grid
 
@@ -27,3 +33,19 @@ def small_grid():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def run_python():
+    """``run(code, *args)``: run code in a fresh interpreter that imports
+    this checkout's compspread and return its standard output; a failed
+    assertion there fails the test."""
+    src = str(Path(compspread.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(code, *args):
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              check=True, stdout=subprocess.PIPE,
+                              text=True).stdout
+    return run

@@ -187,3 +187,43 @@ def test_tridiag_factor_solve_may_overwrite_its_rhs(shape, rng):
     x = factor.solve(b, overwrite_rhs=True)
     assert np.array_equal(x, want)
     assert np.shares_memory(x, b)
+
+
+# One tridiagonal solve and both pencil solves, saved to argv[1]; prints
+# whether scipy.linalg was imported.  The fallback run hides scipy from
+# importlib.util.find_spec, so _accel cannot find the _flapack file.
+_SOLVES = """
+import sys
+import importlib.util
+import numpy as np
+if sys.argv[2] == "fallback":
+    importlib.util.find_spec = lambda name, package=None: None
+from compspread import _accel
+from compspread.coefficients import SpatialBump
+from compspread.dispersal import Grid, Kernel
+from compspread.spectrum import LinearProblem, _LinearStepper
+grid = Grid(-5.0, 5.0, 101)
+u = np.random.default_rng(7).uniform(0.1, 1.0, grid.n)
+out = {"tridiag": _accel.TridiagFactor(grid.n, 0.37).solve(u)}
+for kind, kernel in (("random", None),
+                     ("nonlocal", Kernel.build("uniform", 1.0, grid.h))):
+    stepper = _LinearStepper(LinearProblem(
+        0.0, kind, grid, 1.0, baseline=-0.1, bump=SpatialBump(0.5, 1.0, 0.5),
+        kernel=kernel))
+    out[kind] = stepper.pencil_solver(np.exp(-stepper.dt * stepper.profile))(
+        1.2, u)
+np.savez(sys.argv[1], **out)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_fallback_lapack_solves_are_bitwise_equal(tmp_path, run_python):
+    # Without the _flapack file, _accel imports the module through
+    # scipy.linalg: the same routines, the same bits.
+    direct, fallback = tmp_path / "direct.npz", tmp_path / "fallback.npz"
+    assert run_python(_SOLVES, str(direct), "direct").strip() == "False"
+    assert run_python(_SOLVES, str(fallback), "fallback").strip() == "True"
+    with np.load(direct) as a, np.load(fallback) as b:
+        assert sorted(a.files) == ["nonlocal", "random", "tridiag"]
+        for name in a.files:
+            assert np.array_equal(a[name], b[name]), name

@@ -2,14 +2,11 @@ import copy
 import json
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import compspread
 from compspread.cli import main
 from compspread.errors import ConfigError
 from compspread.presets import PRESETS
@@ -72,6 +69,24 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     assert main(["speed", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("absent.json", None, "cannot read"),
+    (".", None, "cannot read"),
+    ("binary.json", b"\xff\xfe{}", "invalid JSON in"),
+], ids=["missing file", "directory", "not UTF-8"])
+def test_unreadable_config_file_is_exit_2(tmp_path, capsys, name, content,
+                                          message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "o"
+    assert main(["speed", "--config", str(path), "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError"
+    assert f"{message} {path}" in record["message"]
 
 
 def _coefficient(**fields):
@@ -398,6 +413,7 @@ def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
     ("spectrum", {}, ["--periods", "5"], "--periods"),
     ("destabilize", {}, ["--periods", "-3"], "--periods"),
     ("verify-super", {}, ["--periods", "5"], "--periods"),
+    ("sweep", {}, ["--periods", "5"], "--periods"),
     ("destabilize", {"widths": "ab"}, [], "scenario.widths"),
     ("destabilize", {"h": 0}, [], "scenario.h"),
     ("verify-super", {"time_samples": 1.5}, [], "scenario.time_samples"),
@@ -417,7 +433,7 @@ def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
         "persistence int", "persistence float", "persistence string",
         "coexist int", "coexist float", "coexist --periods -1",
         "speed --periods", "spectrum --periods", "destabilize --periods",
-        "verify-super --periods",
+        "verify-super --periods", "sweep --periods",
         "destabilize list", "destabilize float", "verify-super int",
         "verify-super float", "sweep list", "sweep field", "interval float",
         "interval int", "interval empty list", "interval entry key",
@@ -599,60 +615,63 @@ def test_bump_config_accepts_support_radius_key(tmp_path):
                  str(tmp_path / "o2")]) == 2
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def test_cli_import_leaves_out_scipy_integrate(run_python):
     # scipy.integrate costs about 0.25 s of import; only the RK45 reference
     # routes in periodic_orbits load it, inside their own bodies.
-    src = str(Path(compspread.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, compspread.cli; "
-            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    run_python("import sys, compspread.cli; "
+               "assert 'scipy.integrate' not in sys.modules, "
+               "'scipy.integrate imported'")
 
 
-def test_homogeneous_spectrum_point_leaves_out_arpack():
+def test_cli_import_leaves_out_scipy_linalg(run_python):
+    # _accel loads LAPACK from scipy's _flapack file, without the package
+    # import of scipy.linalg (about 0.1 s) and its numpy.f2py; a later
+    # import of scipy.linalg reuses that one module.
+    run_python("import sys, compspread.cli\n"
+               "for name in ('scipy.linalg', 'numpy.f2py'):\n"
+               "    assert name not in sys.modules, name + ' imported'\n"
+               "import scipy.linalg\n"
+               "assert scipy.linalg.lapack.dpttrf is compspread._accel.dpttrf\n"
+               "assert scipy.linalg.lapack.dgbsv is compspread._accel.dgbsv")
+
+
+def test_homogeneous_spectrum_point_leaves_out_arpack(run_python):
     # A homogeneous problem settles on the constant field's one-step
     # bracket, so scipy.sparse.linalg (ARPACK) stays unloaded by the CLI and by it.
-    src = str(Path(compspread.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, compspread.cli\n"
-            "from compspread.dispersal import Grid\n"
-            "from compspread.spectrum import LinearProblem, "
-            "principal_spectrum_point\n"
-            "res = principal_spectrum_point(LinearProblem("
-            "0.5, 'random', Grid(-5.0, 5.0, 101), 1.0, baseline=0.8))\n"
-            "assert res.periods == 0, res.periods\n"
-            "assert 'scipy.sparse.linalg' not in sys.modules, "
-            "'scipy.sparse.linalg imported'")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    run_python("import sys, compspread.cli\n"
+               "from compspread.dispersal import Grid\n"
+               "from compspread.spectrum import LinearProblem, "
+               "principal_spectrum_point\n"
+               "res = principal_spectrum_point(LinearProblem("
+               "0.5, 'random', Grid(-5.0, 5.0, 101), 1.0, baseline=0.8))\n"
+               "assert res.periods == 0, res.periods\n"
+               "assert 'scipy.sparse.linalg' not in sys.modules, "
+               "'scipy.sparse.linalg imported'")
 
 
-def test_separable_spectrum_point_leaves_out_arpack():
+def test_separable_spectrum_point_leaves_out_arpack(run_python):
     # A baseline-plus-bump problem takes the one-step pencil (a tridiagonal
-    # or banded solve), so scipy.sparse.linalg (ARPACK) stays unloaded.
-    src = str(Path(compspread.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, compspread.cli\n"
-            "from compspread.coefficients import SpatialBump\n"
-            "from compspread.dispersal import Grid, Kernel\n"
-            "from compspread.spectrum import LinearProblem, "
-            "principal_spectrum_point\n"
-            "g = Grid(-10.0, 10.0, 201)\n"
-            "for kind, k in (('random', None), "
-            "('nonlocal', Kernel.build('uniform', 1.0, g.h))):\n"
-            "    res = principal_spectrum_point(LinearProblem("
-            "0.0, kind, g, 1.0, baseline=-0.1, "
-            "bump=SpatialBump(0.5, 1.0, 0.5), kernel=k))\n"
-            "    assert res.periods == 0, res.periods\n"
-            "assert 'scipy.sparse.linalg' not in sys.modules, "
-            "'scipy.sparse.linalg imported'")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    # or banded solve, both from _accel's LAPACK), so neither
+    # scipy.sparse.linalg (ARPACK) nor scipy.linalg is loaded.
+    run_python("import sys, compspread.cli\n"
+               "from compspread.coefficients import SpatialBump\n"
+               "from compspread.dispersal import Grid, Kernel\n"
+               "from compspread.spectrum import LinearProblem, "
+               "principal_spectrum_point\n"
+               "g = Grid(-10.0, 10.0, 201)\n"
+               "for kind, k in (('random', None), "
+               "('nonlocal', Kernel.build('uniform', 1.0, g.h))):\n"
+               "    res = principal_spectrum_point(LinearProblem("
+               "0.0, kind, g, 1.0, baseline=-0.1, "
+               "bump=SpatialBump(0.5, 1.0, 0.5), kernel=k))\n"
+               "    assert res.periods == 0, res.periods\n"
+               "for name in ('scipy.sparse.linalg', 'scipy.linalg'):\n"
+               "    assert name not in sys.modules, name + ' imported'")
 
 
 @pytest.mark.parametrize("kernel", [None, {"shape": "uniform", "radius": 1.0}])
-def test_bumped_coexist_and_persistence_leave_out_arpack(tmp_path, kernel):
+def test_bumped_coexist_and_persistence_leave_out_arpack(tmp_path, kernel,
+                                                         run_python):
     # The invader at a resident with a bump sees a coefficient table that is
     # constant in time up to rounding, so it takes the one-step pencil and
     # scipy.sparse.linalg (ARPACK) stays unloaded.
@@ -668,15 +687,11 @@ def test_bumped_coexist_and_persistence_leave_out_arpack(tmp_path, kernel):
     if kernel is not None:
         raw["kernel"] = kernel
     cfg = _write_config(tmp_path, raw)
-    src = str(Path(compspread.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys\n"
-            "from compspread.cli import main\n"
-            "for cmd in ('coexist', 'persistence'):\n"
-            f"    rc = main([cmd, '--config', {str(cfg)!r}, "
-            f"'--out', {str(tmp_path / 'out')!r} + '-' + cmd])\n"
-            "    assert rc == 0, (cmd, rc)\n"
-            "assert 'scipy.sparse.linalg' not in sys.modules, "
-            "'scipy.sparse.linalg imported'")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    run_python("import sys\n"
+               "from compspread.cli import main\n"
+               "for cmd in ('coexist', 'persistence'):\n"
+               f"    rc = main([cmd, '--config', {str(cfg)!r}, "
+               f"'--out', {str(tmp_path / 'out')!r} + '-' + cmd])\n"
+               "    assert rc == 0, (cmd, rc)\n"
+               "assert 'scipy.sparse.linalg' not in sys.modules, "
+               "'scipy.sparse.linalg imported'")

@@ -723,3 +723,56 @@ def test_constant_table_exponent_past_the_period_map_overflow():
     assert res.widening == 0.0
     assert res.lam_lo <= 800.0 <= res.lam_hi
     assert res.lam == pytest.approx(800.0, abs=1e-9)
+
+
+def test_banded_pencil_solve_is_bitwise_solve_banded(rng):
+    # The nonlocal pencil solve hands dgbsv solve_banded's own band layout
+    # in one reused work array: each solve, a repeated shift included, is
+    # solve_banded on the same shifted band, bit for bit.
+    from scipy.linalg import solve_banded
+    grid = Grid(-5.0, 5.0, 101)
+    p = LinearProblem(0.0, "nonlocal", grid, 1.0, baseline=-0.1,
+                      bump=SpatialBump(0.5, 1.0, 0.5),
+                      kernel=Kernel.build("uniform", 1.0, grid.h))
+    stepper = _LinearStepper(p)
+    b = np.exp(-stepper.dt * stepper.profile)
+    solve = stepper.pencil_solver(b)
+    ab = stepper._dispersal_band()
+    bw = (ab.shape[0] - 1) // 2
+    for s in (1.5, 1.01, 0.3, 1.5):
+        y = rng.uniform(0.1, 1.0, grid.n)
+        shifted = ab.copy()
+        shifted[bw] -= s * b
+        assert np.array_equal(solve(s, y),
+                              solve_banded((bw, bw), shifted, b * y))
+
+
+def test_singular_shift_returns_none():
+    # At r = dt/(2h^2) = 1/2, s = 1 and b = (0, -1, ..., -1) the first row
+    # of the tridiagonal system N - s*M*diag(b) is exactly zero.
+    grid = Grid(0.0, 5.0, 11)
+    p = LinearProblem(0.0, "random", grid, 1.0, steps_per_period=4)
+    b = np.full(grid.n, -1.0)
+    b[0] = 0.0
+    assert _LinearStepper(p).pencil_solver(b)(1.0, np.ones(grid.n)) is None
+
+
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_pencil_solve_reads_lapack_info(kind, monkeypatch):
+    # info > 0 (a zero pivot) is a singular shift; info < 0 is a bad call.
+    stepper = _LinearStepper(LinearProblem(
+        0.0, kind, GRID, 1.0, baseline=-0.1, bump=SpatialBump(0.5, 1.0, 0.5),
+        kernel=Kernel.build("uniform", 1.0, GRID.h) if kind == "nonlocal"
+        else None))
+    # dgtsv returns (du2, d, du, x, info), dgbsv (lub, piv, x, info).
+    routine, lead = ("dgtsv", 3) if kind == "random" else ("dgbsv", 2)
+    solve = stepper.pencil_solver(np.ones(GRID.n))
+    for info in (1, -4):
+        monkeypatch.setattr(spectrum._accel, routine,
+                            lambda *args, info=info: (None,) * lead
+                            + (np.ones(GRID.n), info))
+        if info > 0:
+            assert solve(1.0, np.ones(GRID.n)) is None
+        else:
+            with pytest.raises(NumericalGuardError, match=routine):
+                solve(1.0, np.ones(GRID.n))
