@@ -70,10 +70,23 @@ def logistic_step(u, rate, selflim, dt):
     """Exact one-step solution of w' = w*(rate - selflim*w) with frozen
     coefficients.  Nonnegative input stays nonnegative for any dt.
     ``rate`` and ``selflim`` may be scalars or arrays that broadcast
-    against ``u``, such as one field's rate for a (K, n) batch."""
+    against ``u``, such as one field's rate for a (K, n) batch.
+
+    A scalar rate takes phi and e^x once, as float64 scalars, and applies
+    them in five array passes.  numpy's exp and expm1 of a float64
+    scalar are bitwise its array loop, so the result is bitwise that of
+    the same rate given as a full array."""
     x = np.multiply(rate, dt)
-    small = np.abs(x) < _SMALL_EXPONENT
     den = np.multiply(selflim, u)
+    if x.ndim == 0:
+        phi = (dt * (1.0 + 0.5 * x) if abs(x) < _SMALL_EXPONENT
+               else np.expm1(x) / rate)
+        den *= phi
+        den += 1.0
+        out = np.multiply(u, np.exp(x))
+        out /= den
+        return out
+    small = np.abs(x) < _SMALL_EXPONENT
     if small.any() or den.shape != x.shape:
         safe_rate = np.where(small, 1.0, rate)
         phi = np.where(small, dt * (1.0 + 0.5 * x), np.expm1(x) / safe_rate)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import FIELD_NAMES, SpatialBump
-from .config import (COUNT, NUMBER, OPTIONAL, POSITIVE, REQUIRED, TEXT,
-                     ResultWriter, RunConfig, is_number, load_config,
+from .config import (COUNT, NUMBER, OPTIONAL, POSITIVE, REQUIRED, SIZE,
+                     TEXT, ResultWriter, RunConfig, is_number, load_config,
                      parse_config, read, write_json)
 from .errors import CompspreadError, ConfigError, ConvergenceError
 from .presets import preset_config
@@ -56,9 +56,9 @@ _INTERVAL = {"field": (_FIELD, "a1"), "amplitude": (NUMBER, REQUIRED),
 # own, with its default written here.
 _SCENARIO_KEYS = {
     "speed": {"bracket": (_BRACKET, None, DISPERSION_BRACKET),
-              "mu_points": (COUNT, None, 200)},
+              "mu_points": (SIZE, None, 200)},
     "spectrum": {"bracket": (_BRACKET, None, (1e-2, 4.0)),
-                 "mu_points": (COUNT, None, 200)},
+                 "mu_points": (SIZE, None, 200)},
     "simulate": {"variables": (_ORIGINAL, None, OPTIONAL),
                  "periods": (COUNT, None, 20), "front": (_FRONT, None, {}),
                  "theta": (NUMBER, None, OPTIONAL)},
@@ -74,7 +74,7 @@ _SCENARIO_KEYS = {
                     "pad": (POSITIVE, "pad", OPTIONAL)},
     "verify-super": {"eps": (POSITIVE, None, 0.05),
                      "K": (POSITIVE, "K_init", OPTIONAL),
-                     "time_samples": (COUNT, None, 17)},
+                     "time_samples": (SIZE, None, 17)},
     "sweep": {"eps": ([NUMBER], "eps_list", OPTIONAL),
               "field": (_FIELD, "field_name", OPTIONAL),
               "periods": (COUNT, None, 100), "x0": (NUMBER, None, -20.0),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coefficients import (FIELD_NAMES, CoefficientField, CoefficientSet,
                            PeriodicScalar, SpatialBump)
-from .dispersal import Grid, Kernel
+from .dispersal import MAX_SIZE, Grid, Kernel
 from .errors import ConfigError
 from .simulator import Problem, SchemeConfig
 
@@ -41,6 +41,8 @@ NUMBER = ("a finite number", is_number, float)
 POSITIVE = ("a positive number", lambda v: is_number(v) and v > 0, float)
 COUNT = ("an integer >= 1",
          lambda v: type(v) is int and is_number(v) and v >= 1, int)
+SIZE = (f"an integer from 1 to {MAX_SIZE}",
+        lambda v: type(v) is int and 1 <= v <= MAX_SIZE, int)
 TEXT = ("a string", lambda v: isinstance(v, str), str)
 _KNOT = ("a [t, v] number pair", lambda v: isinstance(v, list)
          and len(v) == 2 and all(map(is_number, v)),
@@ -59,11 +61,11 @@ _CONFIG = {
                       **{name: (_FIELD, REQUIRED) for name in FIELD_NAMES}},
                      REQUIRED),
     "grid": ({"x_min": (NUMBER, REQUIRED), "x_max": (NUMBER, REQUIRED),
-              "n": (COUNT, REQUIRED)}, OPTIONAL),
+              "n": (SIZE, REQUIRED)}, OPTIONAL),
     "kernel": ({"shape": (TEXT, REQUIRED), "radius": (POSITIVE, REQUIRED)},
                OPTIONAL),
     "scheme": ({"dt": (POSITIVE, OPTIONAL),
-                "steps_per_period": (COUNT, OPTIONAL)}, OPTIONAL),
+                "steps_per_period": (SIZE, OPTIONAL)}, OPTIONAL),
     "scenario": (("an object with a name",
                   lambda v: isinstance(v, dict) and "name" in v,
                   lambda v: v), {}),
@@ -175,6 +177,8 @@ def parse_config(raw: dict) -> RunConfig:
         step = _one_of(s, ("dt", "steps_per_period"), "scheme")
         scheme = SchemeConfig(s["dt"] if step == "dt"
                               else cs.period / s["steps_per_period"])
+        # dt must divide the period in at most MAX_SIZE steps.
+        scheme.steps_per_period(cs.period)
     return RunConfig(cs, grid, kernel, scheme, c["scenario"],
                      c["output"]["formats"], c["seed"], raw)
 

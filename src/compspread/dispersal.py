@@ -18,6 +18,10 @@ from . import _accel
 from .errors import ConfigError, PreconditionError
 
 KERNEL_SHAPES = ("uniform", "triangle", "raised-cosine")
+# The most entries a configuration may ask for along any one axis: grid
+# points, steps per period or samples.  It is 250 times the largest shipped
+# grid (4001 points), and one field of this size takes 8 MB.
+MAX_SIZE = 10**6
 
 
 @dataclass(frozen=True)

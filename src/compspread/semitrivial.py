@@ -16,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import SPECIES_ROLES, CoefficientSet, SpatialBump
-from .dispersal import Grid, Kernel
-from .errors import ConvergenceError, NumericalGuardError, PreconditionError
+from .dispersal import MAX_SIZE, Grid, Kernel
+from .errors import (ConfigError, ConvergenceError, NumericalGuardError,
+                     PreconditionError)
 from .periodic_orbits import InvasionRate, PeriodicOrbit, resident_orbit
 from .simulator import Problem, SchemeConfig, Stepper, fixed_point, make_scheme
 from .spectrum import (LinearProblem, SpectrumResult, principal_spectrum_point,
@@ -225,6 +226,11 @@ def destabilizing_bump(cs: CoefficientSet,
     magnitude.  Candidates are screened with the positive-operator ratio
     sandwich before a full principal-spectrum-point confirmation.
     """
+    # The widest search grid has 2*ceil((width/2 + pad)/h) + 1 points.
+    if not (max(widths) / 2.0 + pad) / h < MAX_SIZE // 2:
+        raise ConfigError(f"widths {list(widths)!r}, pad {pad!r} and h {h!r} "
+                          f"ask for a search grid of more than {MAX_SIZE} "
+                          "points")
     if cs.max_support_radius() > 0.0:
         raise PreconditionError(
             "the base coefficient set must be spatially homogeneous")

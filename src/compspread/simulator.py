@@ -18,7 +18,8 @@ import numpy as np
 
 from . import _accel
 from .coefficients import FIELD_NAMES, SPECIES_ROLES, CoefficientSet
-from .dispersal import Grid, Kernel, boundary_margin, check_kernel_spacing
+from .dispersal import (MAX_SIZE, Grid, Kernel, boundary_margin,
+                        check_kernel_spacing)
 from .errors import ConfigError, NumericalGuardError, PreconditionError
 from .periodic_orbits import PeriodicOrbit
 
@@ -75,6 +76,9 @@ class SchemeConfig:
 
     def steps_per_period(self, period: float) -> int:
         spp = period / self.dt
+        if not spp <= MAX_SIZE:
+            raise ConfigError(f"dt={self.dt!r} takes more than {MAX_SIZE} "
+                              f"steps per period {period!r}")
         if abs(spp - round(spp)) > 1e-9 * max(spp, 1.0):
             raise ConfigError(f"dt={self.dt} does not divide the period {period}")
         return int(round(spp))
@@ -170,10 +174,18 @@ class Stepper:
         back as fresh +0.0 zeros: linear dispersal maps 0 to 0 and
         logistic_step(0, ...) is 0*e^x/(1 + 0), so the result is the
         stepped one, except where e^x would overflow and turn 0 into NaN.
-        A NaN field counts as live and is stepped.  In a batch the skip
-        needs every row of the species to be zero."""
+        Its competitor then reacts at its own growth rate alone (a1 or
+        a2): the interaction coefficient c is positive, so for finite c
+        a - c*(+0.0) is a exactly.  A spatially constant rate stays a
+        scalar, which logistic_step exponentiates once.
+
+        Liveness is probed at the first entry before the whole field is
+        scanned: a nonzero first entry, NaN included, proves the species
+        live.  A NaN field counts as live and is stepped.  In a batch the
+        skip needs every row of the species to be zero."""
         base = self._phase_coefs[self.step_index(t) % self.spp]
-        live_u, live_v = u.any(), v.any()
+        live_u = bool(u.flat[0]) or u.any()
+        live_v = bool(v.flat[0]) or v.any()
         u = self._disperse(u) if live_u else np.zeros(u.shape)
         v = self._disperse(v) if live_v else np.zeros(v.shape)
         a1, b1, c1, a2, b2, c2 = (
@@ -181,10 +193,10 @@ class Stepper:
         # Frozen-competitor rates use the post-dispersal fields of both
         # species, keeping the update symmetric and order-preserving.  A
         # spatially constant b1 or c2 stays a scalar and broadcasts.
-        u_new = (_accel.logistic_step(u, a1 - c1 * v, b1, self.dt)
-                 if live_u else u)
-        v_new = (_accel.logistic_step(v, a2 - b2 * u, c2, self.dt)
-                 if live_v else v)
+        u_new = (_accel.logistic_step(u, a1 - c1 * v if live_v else a1, b1,
+                                      self.dt) if live_u else u)
+        v_new = (_accel.logistic_step(v, a2 - b2 * u if live_u else a2, c2,
+                                      self.dt) if live_v else v)
         return u_new, v_new
 
     def period_steps(self, u: np.ndarray, v: np.ndarray, k0: int = 0):

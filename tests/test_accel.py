@@ -67,6 +67,28 @@ def test_logistic_step_is_bitwise_the_written_out_formula(with_small,
                           _logistic_formula(u, rate, selflim, dt))
 
 
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("scalar_selflim", [False, True])
+def test_logistic_step_scalar_rate_is_bitwise_the_full_array(batch,
+                                                             scalar_selflim,
+                                                             rng):
+    # A scalar rate takes phi and e^x once, as float64 scalars.  That is
+    # bitwise the array form only while numpy's exp and expm1 of a float64
+    # scalar equal their array loops; this fails if a numpy build breaks it.
+    n = 301
+    dt = 0.005
+    u = rng.uniform(0.0, 1.5, (3, n) if batch else n)
+    selflim = 0.7 if scalar_selflim else rng.uniform(0.5, 1.5, n)
+    # |rate*dt| >= 1e-12 over [-5, 5], then 0.0, 3e-11 (|x| < 1e-12) and
+    # a negative rate.
+    rates = [*rng.uniform(-5.0, 5.0, 200) / dt, 0.0, 3e-11, -0.45]
+    for rate in rates:
+        out = _accel.logistic_step(u, rate, selflim, dt)
+        assert np.array_equal(
+            out, _accel.logistic_step(u, np.full(n, rate), selflim, dt))
+        assert np.array_equal(out, _logistic_formula(u, rate, selflim, dt))
+
+
 @pytest.mark.parametrize("with_small", [False, True])
 @pytest.mark.parametrize("batched", ["u", "rate"])
 def test_logistic_step_broadcasts_one_field_against_a_batch(with_small,

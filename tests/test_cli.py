@@ -146,10 +146,14 @@ def test_malformed_config_value_is_exit_2(tmp_path, capsys, patch, section):
     (("coefficients", "a1"), {"table": [[0.0, 1.0], [0.5], [1.0, 1.0]]},
      "coefficients.a1.table[1]"),
     (("coefficients", "period"), "1", "coefficients.period"),
+    (("grid", "n"), 10**12, "grid.n"),
+    (("scheme", "steps_per_period"), 10**12, "scheme.steps_per_period"),
+    (("scheme",), {"dt": 1e-300}, "steps per period"),
 ], ids=["fractional n", "fractional steps", "negative steps", "negative dt",
         "infinite x_max", "NaN b1", "negative seed", "boolean seed",
         "kernel wider than the grid", "infinite kernel radius",
-        "knot not a pair", "period as a string"])
+        "knot not a pair", "period as a string", "unallocatable n",
+        "unallocatable steps", "unallocatable dt"])
 def test_out_of_kind_config_value_is_exit_2(tmp_path, capsys, path, value,
                                             where):
     raw = {"coefficients": dict(WEAK),
@@ -427,6 +431,11 @@ def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
      "scenario.intervals[0]"),
     ("interval", {"intervals": [{"amplitude": 0.1, "ramp": "0.5"}]}, [],
      "scenario.intervals[0].ramp"),
+    ("speed", {"mu_points": 10**12}, [], "scenario.mu_points"),
+    ("verify-super", {"time_samples": 10**12}, [], "scenario.time_samples"),
+    ("destabilize", {"h": 1e-300}, [], "search grid"),
+    ("destabilize", {"pad": 1e300}, [], "search grid"),
+    ("destabilize", {"widths": [1.0, 1e300]}, [], "search grid"),
 ], ids=["speed int", "speed pair", "spectrum int", "spectrum pair order",
         "simulate int", "simulate float", "simulate front value",
         "simulate front key", "simulate variables", "simulate --periods 0",
@@ -437,7 +446,9 @@ def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
         "destabilize list", "destabilize float", "verify-super int",
         "verify-super float", "sweep list", "sweep field", "interval float",
         "interval int", "interval empty list", "interval entry key",
-        "interval entry value"])
+        "interval entry value", "unallocatable mu_points",
+        "unallocatable time_samples", "destabilize fine h",
+        "destabilize wide pad", "destabilize wide width"])
 def test_malformed_scenario_value_is_exit_2(tmp_path, capsys, command,
                                             scenario, argv, where):
     name = command

@@ -82,6 +82,20 @@ DESTABILIZE_SHA256 = {
 }
 
 
+# sha256 of the files of ``simulate --preset kpp-control``, the
+# single-species front: v is identically zero, so u reacts at a scalar rate.
+KPP_CONTROL_SHA256 = {
+    "fronts.csv":
+    "3924006c392d8c8f688bdd0687116232826e5d32e371a038b579358a313dc584",
+    "manifest.json":
+    "e9a7cb674f495a536f47ad7694355b9f198bf8cbc8df4aa5b56a9f69e7c277c3",
+    "snapshot.csv":
+    "5869607a3312b174d39a5f2df74595b4422cc89d073e05f145c7cac671ce1648",
+    "summary.json":
+    "13be71ac75c68f14a8e2582b7c7441214f4667b0dc3fcba475c97ec0df5d6307",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -100,6 +114,15 @@ def test_destabilize_preset_is_pinned(tmp_path):
     assert {name: _sha256(out / name)
             for name in sorted(p.name for p in out.iterdir())} == \
         DESTABILIZE_SHA256
+
+
+def test_kpp_control_preset_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "kpp-control", "--out",
+                 str(out)]) == 0
+    assert {name: _sha256(out / name)
+            for name in sorted(p.name for p in out.iterdir())} == \
+        KPP_CONTROL_SHA256
 
 
 @pytest.mark.parametrize("formats", [("json",), ("csv",), ALL_FORMATS])

@@ -519,17 +519,35 @@ def test_nonfinite_guard_names_the_period_end_of_a_late_start(
 
 # --- an identically zero species skips its substeps ---------------------------
 
-def _one_species_problem(kind, canonical_set):
+def _one_species_problem(kind, canonical_set, bump=True):
     grid = Grid(-5.0, 5.0, 101)
     kernel = Kernel.build("uniform", 1.0, grid.h) if kind == "nonlocal" else None
-    return Problem(_harmonic_bump_set(canonical_set), grid, kernel)
+    cs = (_harmonic_bump_set(canonical_set) if bump else
+          canonical_set.replace_field("a1", CoefficientField(
+              PeriodicScalar.harmonic(1.0, 0.2, 0.3))))
+    return Problem(cs, grid, kernel)
 
 
 @pytest.mark.parametrize("zero", ["u", "v"])
 @pytest.mark.parametrize("kind", ["random", "nonlocal"])
 def test_zero_species_matches_stepping_both_fields(kind, zero, canonical_set,
                                                    rng):
-    problem = _one_species_problem(kind, canonical_set)
+    _assert_zero_species_matches(_one_species_problem(kind, canonical_set),
+                                 zero, rng)
+
+
+@pytest.mark.parametrize("zero", ["u", "v"])
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_zero_species_with_a_scalar_rate_matches_stepping_both_fields(
+        kind, zero, canonical_set, rng):
+    # A harmonic a1 and no bump: the live species reacts at a spatially
+    # constant rate, which logistic_step takes as a scalar.  The reference
+    # forms the rate as an array from the zero competitor.
+    _assert_zero_species_matches(
+        _one_species_problem(kind, canonical_set, bump=False), zero, rng)
+
+
+def _assert_zero_species_matches(problem, zero, rng):
     scheme = make_scheme(problem)
     stepper = Stepper(problem, scheme)
     live = rng.uniform(0.1, 1.0, problem.grid.n)
@@ -570,6 +588,49 @@ def test_single_nonzero_edge_entry_is_stepped(kind, edge, canonical_set, rng):
     ru, rv = _reference_step(stepper, problem, u, v, 0)
     assert np.array_equal(u_new, ru) and np.array_equal(v_new, rv)
     assert np.count_nonzero(v_new) > 1  # dispersal spread the entry
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+@pytest.mark.parametrize("kind", ["random", "nonlocal"])
+def test_zero_first_entry_falls_through_to_the_scan(kind, first, canonical_set,
+                                                    rng):
+    problem = _one_species_problem(kind, canonical_set)
+    stepper = Stepper(problem, make_scheme(problem))
+    u = rng.uniform(0.1, 1.0, problem.grid.n)
+    v = np.zeros(problem.grid.n)
+    v[0] = first
+    v[40] = 0.3
+    u_new, v_new = stepper.step_arrays(u, v, 0.0)
+    ru, rv = _reference_step(stepper, problem, u, v, 0)
+    assert np.array_equal(u_new, ru) and np.array_equal(v_new, rv)
+    assert np.count_nonzero(v_new) > 1  # dispersal spread the entry
+
+
+def test_batch_with_a_zero_first_row_is_stepped(canonical_set, rng):
+    problem = _one_species_problem("random", canonical_set)
+    stepper = Stepper(problem, make_scheme(problem))
+    u = rng.uniform(0.1, 1.0, (2, problem.grid.n))
+    u[0] = 0.0
+    v = rng.uniform(0.1, 0.4, (2, problem.grid.n))
+    u_new, v_new = stepper.step_arrays(u, v, 0.0)
+    for i in range(2):
+        ru, rv = _reference_step(stepper, problem, u[i], v[i], 0)
+        assert np.array_equal(u_new[i], ru) and np.array_equal(v_new[i], rv)
+    assert not u_new[0].any() and not np.array_equal(u_new[1], u[1])
+
+
+@pytest.mark.parametrize("species", ["u", "v"])
+def test_nan_first_entry_counts_as_live_and_trips_the_guard(species,
+                                                            canonical_set):
+    problem = _tiny_problem(canonical_set)
+    scheme = make_scheme(problem, steps_per_period=30)
+    bad = np.zeros(11)
+    bad[0] = np.nan
+    u, v = (bad, np.zeros(11)) if species == "u" else (np.zeros(11), bad)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalGuardError,
+                           match=r"nonfinite value at t=1, x=-1 \(index 0\)"):
+            run_periods(SystemState(0.0, u, v), problem, scheme, 1)
 
 
 def test_nan_competitor_of_a_zero_species_trips_the_guard(canonical_set):
