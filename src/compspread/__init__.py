@@ -3,19 +3,16 @@ under random (Laplacian) and nonlocal (convolution) dispersal."""
 
 from .coefficients import (CoefficientField, CoefficientSet, EnvelopeTable,
                            HypothesisVerdict, PeriodicScalar, SpatialBump,
-                           check_h0, check_h1, check_h2, check_lv_determinacy,
-                           compute_envelopes, constant_set)
+                           check_h0, check_h1, check_h2, compute_envelopes)
 from .dispersal import Grid, Kernel, apply_dispersal, kernel_moment
 from .errors import (CompspreadError, ConfigError, ConvergenceError,
                      NumericalGuardError, PreconditionError)
-from .periodic_orbits import (PeriodicOrbit, coexistence_homogeneous,
-                              logistic_periodic, nonhomogeneous_periodic)
+from .periodic_orbits import PeriodicOrbit, nonhomogeneous_periodic
 from .semitrivial import (PeriodicField, compute_semitrivial,
                           destabilizing_bump, linearized_radius)
 from .simulator import (Problem, SchemeConfig, SystemState, make_front_data,
-                        make_scheme, run_periods, run_transformed, step)
-from .spectrum import (LinearProblem, SpectrumResult, evolve_linear,
-                       principal_spectrum_point, spectrum_monotonicity_check)
+                        make_scheme, run_periods, run_transformed)
+from .spectrum import LinearProblem, SpectrumResult, principal_spectrum_point
 from .spreading import (SpeedEstimate, continuity_sweep, dispersion_speed,
                         speed_interval)
 from .verify import (SupersolutionSpec, build_ansatz_pair,

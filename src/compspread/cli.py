@@ -21,6 +21,7 @@ from .coefficients import FIELD_NAMES, SpatialBump
 from .config import (COUNT, NUMBER, OPTIONAL, POSITIVE, REQUIRED, SIZE,
                      TEXT, ResultWriter, RunConfig, is_number, load_config,
                      parse_config, read, write_json)
+from .dispersal import MAX_SIZE
 from .errors import CompspreadError, ConfigError, ConvergenceError
 from .presets import preset_config
 from .simulator import (FrontObserver, SystemState, make_scheme, ramp_profile,
@@ -216,12 +217,15 @@ def cmd_verify_super(cfg: RunConfig, writer: ResultWriter, args) -> int:
     eps = args.scenario["eps"]
     if cfg.grid is None:
         raise ConfigError("verify-super needs a grid section")
+    samples = args.scenario["time_samples"]
+    if samples * cfg.grid.n > MAX_SIZE:
+        raise ConfigError(f"scenario.time_samples {samples} times grid.n "
+                          f"{cfg.grid.n} is more than {MAX_SIZE} points")
     spec = build_supersolution(cfg.coefficients, eps, cfg.kernel,
                                **args.keywords)
     ineq = check_ansatz_inequalities(spec)
     res_phi, res_psi = ansatz_equation_residual(spec)
-    times = np.linspace(0.0, cfg.coefficients.period,
-                        args.scenario["time_samples"])
+    times = np.linspace(0.0, cfg.coefficients.period, samples)
     report = supersolution_residual(spec, cfg.grid, times)
     writer.json("verify.json", {
         "eps": eps, "mu_star": spec.mu, "speed": spec.c,

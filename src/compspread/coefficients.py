@@ -233,12 +233,6 @@ class CoefficientSet:
         return self.replace_field(name, getattr(self, name).with_bump(bump))
 
 
-def constant_set(a1, b1, c1, a2, b2, c2, period: float = 1.0) -> CoefficientSet:
-    vals = (a1, b1, c1, a2, b2, c2)
-    return CoefficientSet(*(CoefficientField(PeriodicScalar.constant(v, period))
-                            for v in vals))
-
-
 @dataclass(frozen=True)
 class EnvelopeTable:
     """Per-coefficient infimum (L) and supremum (M) of the baselines over one
@@ -324,39 +318,3 @@ def check_h2(cs: CoefficientSet, env: EnvelopeTable) -> HypothesisVerdict:
     m1, m2 = float(np.min(e1)), float(np.min(e2))
     return HypothesisVerdict(m1 > 0.0 and m2 > 0.0, (m1, m2),
                              ("determinacy-1", "determinacy-2"))
-
-
-def h2_constant_reduction(a1, b1, c1, a2, b2, c2) -> HypothesisVerdict:
-    """Constant-coefficient reduction of the linear determinacy condition."""
-    m1 = a1 + a2 - a2 * c1 / c2 - a2 * b2 * c1 / (b1 * c2)
-    m2 = a1 - a2 * c1 / c2
-    return HypothesisVerdict(m1 > 0.0 and m2 > 0.0, (m1, m2),
-                             ("determinacy-1", "determinacy-2"))
-
-
-def lv_coefficient_set(r1: float, r2: float, a1_tilde: float, a2_tilde: float,
-                       period: float = 1.0) -> CoefficientSet:
-    """Constant set realizing the classical two-rate competition
-    normalization."""
-    return constant_set(r1, r1, a1_tilde * r1, r2, r2 * a2_tilde, r2,
-                        period=period)
-
-
-def check_lv_determinacy(r1: float, r2: float, a1_tilde: float,
-                         a2_tilde: float) -> HypothesisVerdict:
-    """Determinacy inequality in the normalized two-rate form, cross-checked
-    against the general sampled condition on the induced constant set."""
-    if not (a1_tilde < 1.0 <= a2_tilde):
-        raise PreconditionError(
-            "normalized interaction strengths must satisfy a1 < 1 <= a2")
-    ratio = (a1_tilde * a2_tilde - 1.0) / (1.0 - a1_tilde)
-    margin = r1 / r2 - ratio
-    holds = margin >= 0.0
-    cs = lv_coefficient_set(r1, r2, a1_tilde, a2_tilde)
-    general = check_h2(cs, compute_envelopes(cs))
-    # The normalized form is non-strict; agreement can only differ on the
-    # exact boundary, which we report rather than flag.
-    boundary = abs(margin) <= 1e-12 * max(1.0, abs(ratio))
-    note = "agrees-with-general" if (general.holds == holds or boundary) \
-        else "DISAGREES-with-general"
-    return HypothesisVerdict(holds, (margin,), ("normalized-margin",), note)

@@ -18,9 +18,10 @@ from . import _accel
 from .errors import ConfigError, PreconditionError
 
 KERNEL_SHAPES = ("uniform", "triangle", "raised-cosine")
-# The most entries a configuration may ask for along any one axis: grid
-# points, steps per period or samples.  It is 250 times the largest shipped
-# grid (4001 points), and one field of this size takes 8 MB.
+# The most entries a configuration may ask for: grid points, steps per
+# period or samples along one axis, and verify-super's time samples times
+# grid points.  It is 250 times the largest shipped grid (4001 points), and
+# one field of this size takes 8 MB.
 MAX_SIZE = 10**6
 
 
@@ -37,6 +38,11 @@ class Grid:
             raise ConfigError("grid needs at least 3 points")
         if not 0.0 < self.x_max - self.x_min < np.inf:
             raise ConfigError("grid bounds must be finite and increasing")
+        # Dispersal divides by h^2, and step bounds are set by it.
+        h2 = self.h * self.h
+        if not (0.0 < h2 < np.inf and 1.0 / h2 < np.inf):
+            raise ConfigError(f"grid spacing h={self.h!r} is out of range: "
+                              "h^2 and 1/h^2 must be finite and positive")
 
     @property
     def h(self) -> float:

@@ -1,10 +1,12 @@
-"""Spatially homogeneous periodic problems: the logistic periodic orbit,
-the forced linear periodic solution, and the homogeneous coexistence orbit.
+"""Spatially homogeneous periodic problems: the logistic periodic orbit
+and the forced linear periodic solution.
 
-Scalar orbits come from their integrating-factor closed forms, by one
-cumulative Simpson rule on a uniform time grid fine enough that downstream
-uses see them as exact.  The RK45 time-map fixed points (``logistic_periodic``,
-``coexistence_homogeneous``) are references that import scipy.integrate.
+Both come from their integrating-factor closed forms, by one cumulative
+Simpson rule on a uniform time grid fine enough that downstream uses see
+them as exact.  No RK45 route backs them up: past its domain a closed
+form raises ``NumericalGuardError``.  The package does not import
+scipy.integrate; the RK45 time-map fixed points that check the closed
+forms are test references (``tests/reference_routes.py``).
 """
 
 from __future__ import annotations
@@ -13,14 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, PeriodicScalar, check_h0, compute_envelopes
-from .errors import ConvergenceError, NumericalGuardError, PreconditionError
+from .coefficients import CoefficientSet, PeriodicScalar
+from .errors import NumericalGuardError, PreconditionError
 
 N_TIME_DEFAULT = 4096
-IVP_RTOL = 1e-10
-IVP_ATOL = 1e-12
-DAMPING = 0.5
-MAX_PERIOD_ITERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -98,53 +96,6 @@ def _as_callable(coeff):
     return lambda t: value + 0.0 * np.asarray(t, dtype=float)
 
 
-def logistic_periodic(a0, b0, period: float | None = None,
-                      seed: float | None = None) -> PeriodicOrbit:
-    """Unique positive periodic solution of w' = w*(a0(t) - b0(t)*w), by the
-    RK45 time map: a check on the closed form and the route past its domain.
-    Requires positive mean growth; the orbit is globally attracting, so a
-    damped period-map iteration from any positive seed converges."""
-    from scipy.integrate import solve_ivp
-    if period is None:
-        if not isinstance(a0, PeriodicScalar):
-            raise ValueError("period required when a0 is not a descriptor")
-        period = a0.period
-    fa, fb = _as_callable(a0), _as_callable(b0)
-    mean_a = periodic_mean(fa, period)
-    if mean_a <= 0.0:
-        raise PreconditionError(
-            f"mean growth {mean_a:.3e} is not positive; no positive orbit")
-
-    def rhs(t, w):
-        return w * (fa(t) - fb(t) * w)
-
-    def period_map(w0: float) -> float:
-        sol = solve_ivp(rhs, (0.0, period), [w0], method="RK45",
-                        rtol=IVP_RTOL, atol=IVP_ATOL)
-        if not sol.success:
-            raise ConvergenceError("period-map integration failed")
-        return float(sol.y[0, -1])
-
-    w = seed if seed is not None else max(mean_a / max(periodic_mean(fb, period), 1e-12), 1e-6)
-    for _ in range(MAX_PERIOD_ITERS):
-        pw = period_map(w)
-        if abs(pw - w) <= 1e-11 * max(abs(w), 1.0):
-            break
-        w = DAMPING * w + (1.0 - DAMPING) * pw
-        if w <= 0.0:
-            raise ConvergenceError("iterate left the positive cone")
-    else:
-        raise ConvergenceError("period map did not converge",
-                               diagnostics={"last": w})
-
-    times = _time_grid(period)
-    sol = solve_ivp(rhs, (0.0, period), [w], method="RK45",
-                    rtol=IVP_RTOL, atol=IVP_ATOL, t_eval=times)
-    values = sol.y[0]
-    resid = abs(values[-1] - values[0]) / max(abs(values[0]), 1e-30)
-    return PeriodicOrbit(period, times, values, resid)
-
-
 def logistic_orbit(a0: PeriodicScalar, b0: PeriodicScalar) -> PeriodicOrbit:
     """The logistic orbit over a0's period, by the closed form (uncached)."""
     return logistic_closed_form(a0, b0, a0.period)
@@ -177,8 +128,9 @@ class InvasionRate:
 def logistic_closed_form(a0, b0, period: float) -> PeriodicOrbit:
     """w(t) = e^{A(t)} w0 / (1 + w0 * int_0^t b0 e^{A}), A = int_0^t a0, w0
     pinned by periodicity.  Needs mean growth times period in (0, ~709): past
-    it e^A overflows, ``NumericalGuardError`` (``logistic_periodic`` handles
-    it).  Simpson's error grows like (a0 * period / N_TIME_DEFAULT)^4."""
+    it e^A overflows and the orbit raises ``NumericalGuardError``, which
+    nothing catches.  Simpson's error grows like (a0 * period /
+    N_TIME_DEFAULT)^4."""
     fa, fb = _as_callable(a0), _as_callable(b0)
     t = _time_grid(period)
     A = cumulative_simpson(fa(t), t)
@@ -212,56 +164,3 @@ def nonhomogeneous_periodic(alpha, h, period: float | None = None
         u0 = eBT * J[-1] / (1.0 - eBT)
         values = np.exp(B) * (u0 + J)
     return _closed_orbit(period, t, B, values)
-
-
-def coexistence_homogeneous(cs: CoefficientSet
-                            ) -> tuple[PeriodicOrbit, PeriodicOrbit]:
-    """Interior periodic orbit of the homogeneous two-species system, found
-    by damped fixed-point iteration of the one-period RK45 map from half the
-    single-species orbit levels."""
-    from scipy.integrate import solve_ivp
-    env = compute_envelopes(cs)
-    if not check_h0(env).holds:
-        raise PreconditionError("coefficient envelopes must be positive")
-    cond1 = env.a1L - env.c1M * env.a2M / env.c2L
-    cond2 = env.a2L - env.b2M * env.a1M / env.b1L
-    if cond1 <= 0.0 or cond2 <= 0.0:
-        raise PreconditionError(
-            "coexistence condition fails "
-            f"(margins {cond1:.3e}, {cond2:.3e} must both be positive)")
-
-    a1, b1, c1 = cs.a1.baseline, cs.b1.baseline, cs.c1.baseline
-    a2, b2, c2 = cs.a2.baseline, cs.b2.baseline, cs.c2.baseline
-    period = cs.period
-
-    def rhs(t, y):
-        u, v = y
-        return [u * (a1(t) - b1(t) * u - c1(t) * v),
-                v * (a2(t) - b2(t) * u - c2(t) * v)]
-
-    def period_map(y0):
-        sol = solve_ivp(rhs, (0.0, period), y0, method="RK45",
-                        rtol=IVP_RTOL, atol=IVP_ATOL)
-        if not sol.success:
-            raise ConvergenceError("period-map integration failed")
-        return sol.y[:, -1]
-
-    y = np.array([resident_orbit(cs, s).values[0] / 2.0 for s in "uv"])
-    for _ in range(MAX_PERIOD_ITERS):
-        py = period_map(y)
-        if np.max(np.abs(py - y)) <= 1e-11 * max(float(np.max(np.abs(y))), 1.0):
-            break
-        y = DAMPING * y + (1.0 - DAMPING) * py
-        if np.any(y <= 0.0):
-            raise ConvergenceError("iterate left the positive cone")
-    else:
-        raise ConvergenceError("coexistence period map did not converge",
-                               diagnostics={"last": y.tolist()})
-
-    times = _time_grid(period)
-    sol = solve_ivp(rhs, (0.0, period), y, method="RK45",
-                    rtol=IVP_RTOL, atol=IVP_ATOL, t_eval=times)
-    resid_u = abs(sol.y[0, -1] - sol.y[0, 0]) / max(abs(sol.y[0, 0]), 1e-30)
-    resid_v = abs(sol.y[1, -1] - sol.y[1, 0]) / max(abs(sol.y[1, 0]), 1e-30)
-    return (PeriodicOrbit(period, times, sol.y[0], resid_u),
-            PeriodicOrbit(period, times, sol.y[1], resid_v))

@@ -254,16 +254,6 @@ def fixed_point(period_map: Callable[[tuple], tuple], fields: tuple,
     return fields, max_periods, delta
 
 
-def step(state: SystemState, problem: Problem,
-         scheme: SchemeConfig) -> SystemState:
-    """One split step; guards against nonfinite values."""
-    stepper = Stepper(problem, scheme)
-    u, v = stepper.step_arrays(state.u, state.v, state.t)
-    t = stepper.time_at(stepper.step_index(state.t) + 1)
-    _guard_finite(u, v, t, stepper.grid)
-    return SystemState(t, u, v)
-
-
 # ---------------------------------------------------------------------------
 # observers
 # ---------------------------------------------------------------------------

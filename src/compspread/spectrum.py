@@ -330,24 +330,6 @@ class _LinearStepper:
         return u
 
 
-def evolve_linear(u0: np.ndarray, p: LinearProblem, t0: float,
-                  t1: float) -> np.ndarray:
-    """Evolve the linear problem from t0 to t1 (both on the step lattice)."""
-    if t1 < t0:
-        raise PreconditionError("t1 must be >= t0")
-    stepper = _LinearStepper(p)
-    k0 = int(round(t0 / stepper.dt))
-    k1 = int(round(t1 / stepper.dt))
-    if abs(k0 * stepper.dt - t0) > 1e-9 or abs(k1 * stepper.dt - t1) > 1e-9:
-        raise PreconditionError("t0 and t1 must lie on the time-step lattice")
-    u = np.array(u0, dtype=float)
-    if u.size != p.grid.n:
-        raise PreconditionError("field length must match the grid")
-    for k in range(k0, k1):
-        u = stepper.step(u, k % stepper.spp)
-    return u
-
-
 class _PeriodBudget(Exception):
     """Raised inside the period map once ``max_periods`` maps are spent."""
 
@@ -604,35 +586,6 @@ def radius_threshold_test(p: LinearProblem, lam_threshold: float) -> str:
     if res.lam_hi < lam_threshold:
         return "below"
     return "undecided"
-
-
-@dataclass(frozen=True)
-class MonotonicityVerdict:
-    ok: bool
-    lam_low: float
-    lam_high: float
-    gap: float
-
-
-def spectrum_monotonicity_check(p1: LinearProblem, p2: LinearProblem,
-                                tol: float = 1e-5) -> MonotonicityVerdict:
-    """Check that a pointwise-larger coefficient yields a growth exponent at
-    least as large (within tol).  The ordering is checked on the step
-    lattice both period maps use."""
-    if p1.mu != p2.mu or p1.kernel != p2.kernel or p1.grid != p2.grid:
-        raise PreconditionError("problems must share tilt, kernel, and grid")
-    spp = p1.resolved_steps()
-    if (p1.period, spp) != (p2.period, p2.resolved_steps()):
-        raise PreconditionError("problems must share the step lattice")
-    for k in range(spp):
-        if np.any(p1.reaction_coefficient(k, spp)
-                  > p2.reaction_coefficient(k, spp) + 1e-12):
-            raise PreconditionError(
-                "coefficient ordering fails on the step lattice")
-    r1 = principal_spectrum_point(p1)
-    r2 = principal_spectrum_point(p2)
-    gap = r2.lam - r1.lam
-    return MonotonicityVerdict(r1.lam <= r2.lam + tol, r1.lam, r2.lam, gap)
 
 
 def homogeneous_growth_exponent(mu: float, mean_a: float,

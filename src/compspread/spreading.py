@@ -149,19 +149,6 @@ def minimize_dispersion(mean_alpha: float, kernel: Optional[Kernel] = None,
                          warning=warning)
 
 
-def dispersion_grid_scan(cs: CoefficientSet, kernel: Optional[Kernel] = None,
-                         bracket: tuple[float, float] = DISPERSION_BRACKET,
-                         spacing: float = 1e-3) -> SpeedEstimate:
-    """Brute-force scan of the dispersion curve at fixed mu spacing."""
-    mean_alpha = _check_invasion_setting(cs)
-    mus = np.arange(bracket[0], bracket[1] + spacing, spacing)
-    lam = np.array([homogeneous_growth_exponent(m, mean_alpha, kernel)
-                    for m in mus])
-    vals = lam / mus
-    i = int(np.argmin(vals))
-    return SpeedEstimate(float(vals[i]), "theoretical", mu_star=float(mus[i]))
-
-
 def fit_front_speed(times: np.ndarray, positions: np.ndarray, period: float,
                     kind: str = "empirical-upper") -> SpeedEstimate:
     """Least-squares slope of front position against time over the trailing

@@ -25,8 +25,7 @@ from .periodic_orbits import (N_TIME_DEFAULT, InvasionRate, PeriodicOrbit,
                               periodic_mean, resident_orbit)
 from .semitrivial import (compute_semitrivial, far_field_exponent,
                           linearized_radius)
-from .simulator import (Problem, SchemeConfig, Stepper, SystemState, fixed_point,
-                        make_scheme)
+from .simulator import Problem, SchemeConfig, Stepper, fixed_point, make_scheme
 from .spectrum import homogeneous_growth_exponent
 from .spreading import minimize_dispersion
 
@@ -368,22 +367,6 @@ def supersolution_residual(spec: SupersolutionSpec, grid: Grid,
     passed = min_u_slacked >= 0.0 and min_v_slacked >= 0.0
     return ResidualReport(passed, min_u, min_v, slack_coef, checked,
                           np.asarray(masks))
-
-
-def front_below_supersolution(spec: SupersolutionSpec, grid: Grid,
-                              snapshots: Sequence[SystemState],
-                              tol: float = 1e-9) -> bool:
-    """Check a simulated transformed front stays below (u+, v+) on the
-    moving region."""
-    for state in snapshots:
-        mask = grid.x >= spec.xi(state.t)
-        if not mask.any():
-            continue
-        up = spec.u_plus(state.t, grid.x)[mask]
-        vp = spec.v_plus(state.t, grid.x)[mask]
-        if np.any(state.u[mask] > up + tol) or np.any(state.v[mask] > vp + tol):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

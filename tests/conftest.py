@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import compspread
-from compspread.coefficients import constant_set
 from compspread.dispersal import Grid
+from reference_routes import constant_set
 
 
 @pytest.fixture(scope="session")

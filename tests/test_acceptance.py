@@ -8,8 +8,7 @@ the implementations they check."""
 import numpy as np
 
 from compspread.coefficients import (PeriodicScalar, SpatialBump, check_h0,
-                                     check_h1, check_h2, compute_envelopes,
-                                     constant_set)
+                                     check_h1, check_h2, compute_envelopes)
 from compspread.dispersal import Grid, Kernel
 from compspread.periodic_orbits import logistic_orbit
 from compspread.semitrivial import (compute_semitrivial, destabilizing_bump,
@@ -18,13 +17,13 @@ from compspread.simulator import (FrontObserver, Problem, Stepper,
                                   SystemState, make_front_data, make_scheme,
                                   ramp_profile, run_periods, run_transformed)
 from compspread.spectrum import LinearProblem, principal_spectrum_point
-from compspread.spreading import (continuity_sweep, dispersion_grid_scan,
-                                  dispersion_speed, fit_front_speed,
-                                  speed_interval)
+from compspread.spreading import (continuity_sweep, dispersion_speed,
+                                  fit_front_speed, speed_interval)
 from compspread.verify import (ansatz_equation_residual, build_supersolution,
                                check_ansatz_inequalities,
-                               front_below_supersolution,
                                monotone_coexistence, supersolution_residual)
+from reference_routes import (constant_set, dispersion_grid_scan,
+                              front_below_supersolution)
 
 C0 = 2.0 * np.sqrt(0.8)
 MU0 = np.sqrt(0.8)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -436,6 +437,8 @@ def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
     ("destabilize", {"h": 1e-300}, [], "search grid"),
     ("destabilize", {"pad": 1e300}, [], "search grid"),
     ("destabilize", {"widths": [1.0, 1e300]}, [], "search grid"),
+    ("destabilize", {"h": 1e300}, [], "grid spacing"),
+    ("verify-super", {"time_samples": 10**4}, [], "grid.n"),
 ], ids=["speed int", "speed pair", "spectrum int", "spectrum pair order",
         "simulate int", "simulate float", "simulate front value",
         "simulate front key", "simulate variables", "simulate --periods 0",
@@ -448,7 +451,8 @@ def test_sweep_bad_input_is_exit_2(tmp_path, capsys, scenario):
         "interval int", "interval empty list", "interval entry key",
         "interval entry value", "unallocatable mu_points",
         "unallocatable time_samples", "destabilize fine h",
-        "destabilize wide pad", "destabilize wide width"])
+        "destabilize wide pad", "destabilize wide width",
+        "destabilize coarse h", "verify-super samples times points"])
 def test_malformed_scenario_value_is_exit_2(tmp_path, capsys, command,
                                             scenario, argv, where):
     name = command
@@ -464,6 +468,28 @@ def test_malformed_scenario_value_is_exit_2(tmp_path, capsys, command,
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "ConfigError"
     assert where in record["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+# Grid spacings whose square, or its reciprocal, leaves the float range:
+# every command that takes a grid refuses them as it reads the grid.
+@pytest.mark.parametrize("grid", [
+    {"x_min": -1e300, "x_max": 1e300, "n": 3},
+    {"x_min": 0.0, "x_max": 1e-300, "n": 3},
+    {"x_min": 0.0, "x_max": 1e-160, "n": 3},
+], ids=["square overflows", "square underflows", "reciprocal overflows"])
+@pytest.mark.parametrize("command", ["simulate", "coexist", "persistence",
+                                     "verify-super"])
+def test_grid_spacing_out_of_float_range_is_exit_2(tmp_path, capsys, command,
+                                                   grid):
+    cfg = _write_config(tmp_path, {"coefficients": WEAK, "grid": grid,
+                                   "scenario": {"name": command}})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError"
+    assert "grid spacing" in record["message"]
     assert sorted(os.listdir(out)) == ["error.json"]
 
 
@@ -627,11 +653,60 @@ def test_bump_config_accepts_support_radius_key(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_integrate(run_python):
-    # scipy.integrate costs about 0.25 s of import; only the RK45 reference
-    # routes in periodic_orbits load it, inside their own bodies.
+    # scipy.integrate costs about 0.25 s of import.  No package module
+    # imports it; only the RK45 references in tests/reference_routes.py do.
     run_python("import sys, compspread.cli; "
                "assert 'scipy.integrate' not in sys.modules, "
                "'scipy.integrate imported'")
+
+
+def _imports_scipy_integrate(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("scipy.integrate") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").startswith("scipy.integrate")
+                or node.module == "scipy"
+                and any(a.name == "integrate" for a in node.names))
+    return False
+
+
+def test_package_defines_only_what_it_uses():
+    # Each public top-level function and class of compspread is used by
+    # another part of the package (re-exports in __init__ do not count) or
+    # by the benchmark; references that only tests call live in
+    # tests/reference_routes.py, and so does every scipy.integrate import.
+    root = Path(__file__).resolve().parents[1]
+    modules = {p.stem: ast.parse(p.read_text())
+               for p in (root / "src" / "compspread").glob("*.py")
+               if p.stem != "__init__"}
+    bench = [ast.parse(p.read_text())
+             for p in (root / "perfbench").glob("*.py")]
+    used = set()
+    for tree in [*modules.values(), *bench]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) in modules):
+                used.add(node.attr)
+    # perfbench's tracer names what it wraps as "function" or "Class.method".
+    used.update(node.value.split(".")[0] for tree in bench
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    unused, integrate = [], []
+    for stem, tree in modules.items():
+        for top in tree.body:
+            if (not isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    or top.name.startswith("_") or top.name in used):
+                continue
+            if not any(isinstance(node, ast.Name) and node.id == top.name
+                       for other in tree.body if other is not top
+                       for node in ast.walk(other)):
+                unused.append(f"{stem}.{top.name}")
+        integrate += [stem for node in ast.walk(tree)
+                      if _imports_scipy_integrate(node)]
+    assert unused == []
+    assert integrate == []
 
 
 def test_cli_import_leaves_out_scipy_linalg(run_python):

@@ -3,10 +3,10 @@ import pytest
 
 from compspread.coefficients import (CoefficientField, CoefficientSet,
                                      PeriodicScalar, SpatialBump, check_h0,
-                                     check_h1, check_h2, check_lv_determinacy,
-                                     compute_envelopes, constant_set,
-                                     h2_constant_reduction, lv_coefficient_set)
+                                     check_h1, check_h2, compute_envelopes)
 from compspread.errors import ConfigError, PreconditionError
+from reference_routes import (check_lv_determinacy, constant_set,
+                              h2_constant_reduction, lv_coefficient_set)
 
 
 def test_constant_scalar_values():

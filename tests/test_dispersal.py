@@ -28,6 +28,15 @@ def test_grid_validation():
         Grid(1.0, 0.0, 11)
 
 
+@pytest.mark.parametrize("x_min, x_max", [(-1e300, 1e300), (0.0, 1e-300),
+                                          (0.0, 1e-160)])
+def test_grid_spacing_squares_inside_the_float_range(x_min, x_max):
+    # Dispersal divides by h^2: h^2 and 1/h^2 must both be finite and
+    # positive.
+    with pytest.raises(ConfigError, match="grid spacing"):
+        Grid(x_min, x_max, 3)
+
+
 def test_kernel_invariants(grid):
     for shape in ("uniform", "triangle", "raised-cosine"):
         k = Kernel.build(shape, 1.0, grid.h)

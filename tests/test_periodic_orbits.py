@@ -6,15 +6,14 @@ import pytest
 from scipy import integrate
 
 import compspread
-from compspread.coefficients import (CoefficientField, PeriodicScalar,
-                                     constant_set)
+from compspread.coefficients import CoefficientField, PeriodicScalar
 from compspread.errors import NumericalGuardError, PreconditionError
-from compspread.periodic_orbits import (coexistence_homogeneous,
-                                        cumulative_simpson,
+from compspread.periodic_orbits import (cumulative_simpson,
                                         logistic_closed_form,
                                         logistic_orbit,
-                                        logistic_periodic,
                                         nonhomogeneous_periodic)
+from reference_routes import (coexistence_homogeneous, constant_set,
+                              logistic_periodic)
 
 TWO_PI = 2.0 * np.pi
 

@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 
 from compspread import _accel
 from compspread.coefficients import (CoefficientField, PeriodicScalar,
-                                     SpatialBump, constant_set)
+                                     SpatialBump)
 from compspread.dispersal import Grid, Kernel
 from compspread.errors import ConfigError, NumericalGuardError, PreconditionError
 from compspread.periodic_orbits import logistic_orbit
@@ -13,8 +13,9 @@ from compspread.simulator import (FrontObserver, MagnitudeFrontObserver,
                                   PairFrontObserver, Problem, SchemeConfig,
                                   SystemState, Stepper, front_position,
                                   make_front_data, make_scheme, ramp_profile,
-                                  run_periods, run_transformed, step)
+                                  run_periods, run_transformed)
 from compspread.verify import monotone_coexistence, persistence_probe
+from reference_routes import constant_set, step
 
 
 def _tiny_problem(cs):

@@ -9,12 +9,12 @@ from compspread.dispersal import Grid, Kernel
 from compspread.errors import (ConfigError, ConvergenceError,
                                NumericalGuardError, PreconditionError)
 from compspread.spectrum import (MIN_STEPS_PER_PERIOD, LinearProblem,
-                                 _LinearStepper, evolve_linear,
+                                 _LinearStepper,
                                  homogeneous_growth_exponent,
                                  principal_spectrum_point,
                                  principal_spectrum_point_widened,
-                                 radius_threshold_test,
-                                 spectrum_monotonicity_check)
+                                 radius_threshold_test)
+from reference_routes import evolve_linear, spectrum_monotonicity_check
 
 GRID = Grid(-5.0, 5.0, 101)
 
@@ -329,8 +329,9 @@ def test_tabulated_period_map_matches_per_step_coefficients(case, rng):
 
 
 def _composite_baseline():
-    from compspread.coefficients import CoefficientField, constant_set
+    from compspread.coefficients import CoefficientField
     from compspread.periodic_orbits import InvasionRate, resident_orbit
+    from reference_routes import constant_set
     cs = constant_set(1.0, 1.0, 0.5, 0.4, 0.5, 1.0)
     cs = cs.replace_field("a1", CoefficientField(
         PeriodicScalar.harmonic(1.0, 0.3)))

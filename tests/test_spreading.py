@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from compspread.coefficients import (CoefficientField, PeriodicScalar,
-                                     constant_set)
+from compspread.coefficients import CoefficientField, PeriodicScalar
 from compspread.dispersal import Grid, Kernel
 from compspread.errors import PreconditionError
 from compspread.simulator import Problem, make_scheme
-from compspread.spreading import (continuity_sweep, dispersion_grid_scan,
-                                  dispersion_speed, fit_front_speed,
-                                  invasion_mean_rate, speed_interval)
+from compspread.spreading import (continuity_sweep, dispersion_speed,
+                                  fit_front_speed, invasion_mean_rate,
+                                  speed_interval)
+from reference_routes import constant_set, dispersion_grid_scan
 
 C0_CANONICAL = 2.0 * np.sqrt(0.8)
 MU_CANONICAL = np.sqrt(0.8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from compspread.coefficients import (CoefficientField, PeriodicScalar,
-                                     SpatialBump, constant_set)
+                                     SpatialBump)
 from compspread.dispersal import Grid, Kernel
 from compspread.errors import PreconditionError
 from compspread.periodic_orbits import logistic_orbit
@@ -15,9 +15,9 @@ from compspread.verify import (SupersolutionSpec, ansatz_equation_residual,
                                build_ansatz_pair, build_supersolution,
                                check_ansatz_inequalities,
                                check_shifted_determinacy,
-                               front_below_supersolution,
                                monotone_coexistence, persistence_probe,
                                shifted_set, supersolution_residual)
+from reference_routes import constant_set, front_below_supersolution
 
 MU_CANONICAL = np.sqrt(0.8)
 
