@@ -21,7 +21,7 @@ from .coefficients import FIELD_NAMES, SpatialBump
 from .config import (COUNT, NUMBER, OPTIONAL, POSITIVE, REQUIRED, SIZE,
                      TEXT, ResultWriter, RunConfig, is_number, load_config,
                      parse_config, read, write_json)
-from .dispersal import MAX_SIZE
+from .dispersal import MAX_SIZE, boundary_margin
 from .errors import CompspreadError, ConfigError, ConvergenceError
 from .presets import preset_config
 from .simulator import (FrontObserver, SystemState, make_scheme, ramp_profile,
@@ -141,7 +141,8 @@ def cmd_simulate(cfg: RunConfig, writer: ResultWriter, args) -> int:
     prof = ramp_profile(problem.grid.x, front["x0"], front["ramp"])
     state = SystemState(0.0, front["u_level"] * prof, front["v_level"] * prof)
     theta = args.scenario.get("theta", 0.5 * front["u_level"])
-    obs = FrontObserver(problem.grid, theta, "u", kernel=problem.kernel)
+    obs = FrontObserver("front_u", problem.grid, theta, lambda s: s.u,
+                        boundary_margin(problem.grid, problem.kernel))
     state, records = run_periods(state, problem, scheme, periods, [obs])
     positions = records.series[obs.name]
     writer.csv("fronts.csv", ["t", obs.name],

@@ -101,13 +101,6 @@ class PeriodicScalar:
         vals = np.asarray(self.params, dtype=float)[:, 1]
         return float(vals.min()), float(vals.max())
 
-    def sampled_range(self, samples: int) -> tuple[float, float]:
-        t = np.linspace(0.0, self.period, samples, endpoint=False)
-        if self.kind == "table":
-            t = np.union1d(t, np.asarray(self.params, dtype=float)[:, 0])
-        v = self(t)
-        return float(np.min(v)), float(np.max(v))
-
 
 @dataclass(frozen=True)
 class SpatialBump:
@@ -266,9 +259,6 @@ class HypothesisVerdict:
     margins: tuple[float, ...]
     labels: tuple[str, ...]
     note: str = ""
-
-    def margin_map(self) -> dict[str, float]:
-        return dict(zip(self.labels, self.margins))
 
 
 def check_h0(env: EnvelopeTable) -> HypothesisVerdict:

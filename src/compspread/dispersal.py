@@ -126,9 +126,6 @@ class Kernel:
         w = w / mass
         return Kernel(shape, radius, h, w)
 
-    def mass(self) -> float:
-        return self.h * float(np.sum(self.weights))
-
     def offsets(self) -> np.ndarray:
         m = self.half_width
         return np.arange(-m, m + 1) * self.h

@@ -131,16 +131,23 @@ def compute_semitrivial(species: str, problem: Problem,
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Scalar invasion exponent at a resident state, inside its
-    Collatz-Wielandt bracket [lam_lo, lam_hi]; the verdict is inconclusive
-    when the bracket contains 0."""
+    Collatz-Wielandt bracket [lam_lo, lam_hi].  The bracket decides the
+    verdict: unstable when it lies above 0, inconclusive when it contains
+    0, so never both."""
 
     lam: float
     lam_lo: float
     lam_hi: float
     radius: float
-    unstable: bool
-    inconclusive: bool
     spectrum: SpectrumResult
+
+    @property
+    def unstable(self) -> bool:
+        return self.lam_lo > 0.0
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.lam_lo <= 0.0 <= self.lam_hi
 
 
 def linearized_radius(target: str, problem: Problem,
@@ -186,10 +193,8 @@ def linearized_radius(target: str, problem: Problem,
                           steps_per_period=spp)
         res = principal_spectrum_point(p, tol)
 
-    radius = float(np.exp(res.lam * period))
-    return StabilityVerdict(res.lam, res.lam_lo, res.lam_hi, radius,
-                            radius > 1.0, res.lam_lo <= 0.0 <= res.lam_hi,
-                            res)
+    return StabilityVerdict(res.lam, res.lam_lo, res.lam_hi,
+                            float(np.exp(res.lam * period)), res)
 
 
 def far_field_exponent(target: str, problem: Problem,

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _accel
-from .coefficients import FIELD_NAMES, SPECIES_ROLES, CoefficientSet
+from .coefficients import FIELD_NAMES, CoefficientSet
 from .dispersal import (MAX_SIZE, Grid, Kernel, boundary_margin,
                         check_kernel_spacing)
 from .errors import ConfigError, NumericalGuardError, PreconditionError
@@ -51,20 +51,6 @@ class Problem:
         x = self.grid.x
         return {name: (fld.bump(x) if fld.bump is not None else 0.0)
                 for name, fld in self.coefficients.fields().items()}
-
-    def box_bounds(self) -> tuple[float, float]:
-        """Invariant box [0, u_max] x [0, v_max] preserved by the discrete
-        dynamics."""
-        cs = self.coefficients
-        return tuple(_field_sup(growth) / limit.min_value()
-                     for growth, limit, _ in map(cs.roles, SPECIES_ROLES))
-
-
-def _field_sup(fld) -> float:
-    hi = fld.baseline.range_exact()[1]
-    if fld.bump is not None:
-        hi += max(0.0, fld.bump.amplitude)
-    return hi
 
 
 @dataclass(frozen=True)
@@ -232,11 +218,6 @@ def _guard_finite(u: np.ndarray, v: np.ndarray, t: float, grid: Grid) -> None:
         f"nonfinite value at t={t:.6g}, {at}x={grid.x[j]:.6g} (index {j})")
 
 
-def _sup_change(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> float:
-    """Largest sup-norm change over paired fields."""
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(new, old))
-
-
 def fixed_point(period_map: Callable[[tuple], tuple], fields: tuple,
                 tol: float, max_periods: int) -> tuple[tuple, int, float]:
     """Iterate a period map on a tuple of fields until the largest sup-norm
@@ -247,7 +228,7 @@ def fixed_point(period_map: Callable[[tuple], tuple], fields: tuple,
     delta = np.inf
     for p in range(1, max_periods + 1):
         new = period_map(fields)
-        delta = _sup_change(new, fields)
+        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(new, fields))
         fields = new
         if delta < tol:
             return fields, p, delta
@@ -255,17 +236,8 @@ def fixed_point(period_map: Callable[[tuple], tuple], fields: tuple,
 
 
 # ---------------------------------------------------------------------------
-# observers
+# front observer and the record collector
 # ---------------------------------------------------------------------------
-
-class Observer:
-    """Samples one scalar from the state at each period end."""
-
-    name = "observer"
-
-    def sample(self, state: SystemState) -> float:  # pragma: no cover
-        raise NotImplementedError
-
 
 def front_position(values: np.ndarray, grid: Grid, level: float) -> float:
     """Rightmost crossing of the level, linearly interpolated between the
@@ -281,63 +253,25 @@ def front_position(values: np.ndarray, grid: Grid, level: float) -> float:
     return float(x[j] + frac * (x[j + 1] - x[j]))
 
 
-class FrontObserver(Observer):
-    """Front position of one component, with a boundary-contact guard."""
+@dataclass(frozen=True)
+class FrontObserver:
+    """Samples, at each period end, the front position of one profile of
+    the state: the rightmost crossing of ``level`` by ``profile(state)``.
+    With a ``margin``, a front that comes within it of the right boundary
+    raises NumericalGuardError; None means no guard."""
 
-    def __init__(self, grid: Grid, level: float, component: str = "u",
-                 kernel: Optional[Kernel] = None, guard: bool = True,
-                 name: Optional[str] = None):
-        self.grid = grid
-        self.level = level
-        self.component = component
-        self.margin = boundary_margin(grid, kernel)
-        self.guard = guard
-        self.name = name or f"front_{component}"
-
-    def sample(self, state: SystemState) -> float:
-        pos = front_position(getattr(state, self.component), self.grid,
-                             self.level)
-        if self.guard and np.isfinite(pos) and pos > self.grid.x_max - self.margin:
-            raise NumericalGuardError(
-                f"front reached the boundary margin at t={state.t:.6g}")
-        return pos
-
-
-class PairFrontObserver(Observer):
-    """Rightmost point where both components exceed their levels (the
-    trailing persistence front)."""
-
-    name = "front_pair"
-
-    def __init__(self, grid: Grid, level_u: float, level_v: float):
-        self.grid = grid
-        self.level_u = level_u
-        self.level_v = level_v
+    name: str
+    grid: Grid
+    level: float
+    profile: Callable[[SystemState], np.ndarray]
+    margin: Optional[float] = None
 
     def sample(self, state: SystemState) -> float:
-        scaled = np.minimum(state.u / self.level_u, state.v / self.level_v)
-        return front_position(scaled, self.grid, 1.0)
-
-
-class MagnitudeFrontObserver(Observer):
-    """Leading edge: rightmost point where u^2 + v^2 still reaches
-    level^2."""
-
-    name = "front_edge"
-
-    def __init__(self, grid: Grid, level: float,
-                 kernel: Optional[Kernel] = None, guard: bool = True):
-        self.grid = grid
-        self.level = level
-        self.margin = boundary_margin(grid, kernel)
-        self.guard = guard
-
-    def sample(self, state: SystemState) -> float:
-        pos = front_position(state.u ** 2 + state.v ** 2, self.grid,
-                             self.level ** 2)
-        if self.guard and np.isfinite(pos) and pos > self.grid.x_max - self.margin:
-            raise NumericalGuardError(
-                f"leading edge reached the boundary margin at t={state.t:.6g}")
+        pos = front_position(self.profile(state), self.grid, self.level)
+        if self.margin is not None and np.isfinite(pos) \
+                and pos > self.grid.x_max - self.margin:
+            raise NumericalGuardError(f"{self.name} reached the boundary "
+                                      f"margin at t={state.t:.6g}")
         return pos
 
 
@@ -345,46 +279,39 @@ class MagnitudeFrontObserver(Observer):
 class RunRecords:
     times: np.ndarray
     series: dict[str, np.ndarray]
-    period_delta: np.ndarray
 
 
 def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
-                    observers: Sequence[Observer],
+                    observers: Sequence[FrontObserver],
                     frame: Optional[np.ndarray] = None
                     ) -> tuple[SystemState, RunRecords]:
     """Advance n whole periods from state.t with :meth:`Stepper.run_period`.
-    At each period end the observers sample the state and the sup change
-    from the previous period end is recorded.  With ``frame``, the resident
-    at the phase of state.t and so of every period end, the state carries
-    the cooperative transform (u, frame - v) of the stepped fields."""
+    At each period end the observers sample the state.  With ``frame``,
+    the resident at the phase of state.t and so of every period end, the
+    state carries the cooperative transform (u, frame - v) of the stepped
+    fields."""
     times: list[float] = []
     series: dict[str, list[float]] = {obs.name: [] for obs in observers}
-    deltas: list[float] = []
     k = stepper.step_index(state.t)
     u, v = state.u, (state.v if frame is None else frame - state.v)
-    for p in range(n_periods):
+    for _ in range(n_periods):
         u, v = stepper.run_period(u, v, k)
         k += stepper.spp
-        new = SystemState(stepper.time_at(k), u,
-                          v if frame is None else frame - v)
-        if p:
-            deltas.append(_sup_change((new.u, new.v), (state.u, state.v)))
-        state = new
+        state = SystemState(stepper.time_at(k), u,
+                            v if frame is None else frame - v)
         times.append(state.t)
         for obs in observers:
             series[obs.name].append(obs.sample(state))
     records = RunRecords(np.asarray(times),
                          {name: np.asarray(vals)
-                          for name, vals in series.items()},
-                         np.asarray(deltas))
+                          for name, vals in series.items()})
     return state, records
 
 
 def run_periods(state: SystemState, problem: Problem, scheme: SchemeConfig,
-                n_periods: int, observers: Sequence[Observer] = ()
+                n_periods: int, observers: Sequence[FrontObserver] = ()
                 ) -> tuple[SystemState, RunRecords]:
-    """Advance n whole periods, sampling observers once per period and
-    recording period-to-period sup deltas."""
+    """Advance n whole periods, sampling the observers once per period."""
     return _record_periods(Stepper(problem, scheme), state, n_periods,
                            observers)
 
@@ -419,7 +346,7 @@ def make_front_data(grid: Grid, u_level: float, v_orbit: PeriodicOrbit,
 
 def run_transformed(state: SystemState, problem: Problem, scheme: SchemeConfig,
                     vstar_frames: np.ndarray, n_periods: int,
-                    observers: Sequence[Observer] = ()
+                    observers: Sequence[FrontObserver] = ()
                     ) -> tuple[SystemState, RunRecords]:
     """Evolve the cooperative transform: the state carries (u, vt) with
     vt = vstar - v.  The original system is stepped, and vt is formed only

@@ -18,13 +18,12 @@ import numpy as np
 
 from .coefficients import (CoefficientField, CoefficientSet, check_h0,
                            check_h1, check_h2, compute_envelopes)
-from .dispersal import Kernel
+from .dispersal import Kernel, boundary_margin
 from .errors import PreconditionError
 from .periodic_orbits import InvasionRate, resident_orbit
 from .semitrivial import compute_semitrivial
-from .simulator import (MagnitudeFrontObserver, PairFrontObserver, Problem,
-                        SchemeConfig, SystemState, make_front_data,
-                        run_transformed)
+from .simulator import (FrontObserver, Problem, SchemeConfig, SystemState,
+                        make_front_data, run_transformed)
 from .spectrum import homogeneous_growth_exponent
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -228,16 +227,17 @@ def speed_interval(problem: Problem, scheme: SchemeConfig, n_periods: int,
     u0, vt0 = make_front_data(problem.grid, u_level, v_orbit, x0, ramp,
                               kernel=problem.kernel)
     vt_level = 0.5 * float(v_orbit.value(0.0))
-    lower_obs = PairFrontObserver(problem.grid, 0.5 * u_level, 0.5 * vt_level)
-    upper_obs = MagnitudeFrontObserver(problem.grid,
-                                       0.5 * min(u_level, vt_level),
-                                       kernel=problem.kernel)
-    state = SystemState(0.0, u0, vt0)
-    _, records = run_transformed(state, problem, scheme, vstar.frames,
-                                 n_periods, (lower_obs, upper_obs))
+    lu, lv = 0.5 * u_level, 0.5 * vt_level
+    level = 0.5 * min(u_level, vt_level)
+    _, records = run_transformed(
+        SystemState(0.0, u0, vt0), problem, scheme, vstar.frames, n_periods,
+        (FrontObserver("front_pair", problem.grid, 1.0,
+                       lambda s: np.minimum(s.u / lu, s.v / lv)),
+         FrontObserver("front_edge", problem.grid, level ** 2,
+                       lambda s: s.u ** 2 + s.v ** 2,
+                       boundary_margin(problem.grid, problem.kernel))))
     times = records.times
-    edge = records.series[upper_obs.name]
-    pair = records.series[lower_obs.name]
+    pair, edge = records.series["front_pair"], records.series["front_edge"]
     cleared = edge >= gate
     if not cleared.any():
         raise PreconditionError(

@@ -23,7 +23,8 @@ from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 from .periodic_orbits import (N_TIME_DEFAULT, InvasionRate, PeriodicOrbit,
                               cumulative_simpson, nonhomogeneous_periodic,
                               periodic_mean, resident_orbit)
-from .semitrivial import (compute_semitrivial, far_field_exponent,
+from .semitrivial import (PeriodicField, StabilityVerdict,
+                          compute_semitrivial, far_field_exponent,
                           linearized_radius)
 from .simulator import Problem, SchemeConfig, Stepper, fixed_point, make_scheme
 from .spectrum import homogeneous_growth_exponent
@@ -304,8 +305,8 @@ class ResidualReport:
 
 
 def supersolution_residual(spec: SupersolutionSpec, grid: Grid,
-                           times: np.ndarray, dt: float = 0.0,
-                           region: str = "ahead") -> ResidualReport:
+                           times: np.ndarray, dt: float = 0.0
+                           ) -> ResidualReport:
     """Evaluate both super-solution residuals pointwise on the moving region
     x >= xi(t; K) (time derivatives analytic from the ansatz equations, the
     dispersal operator applied discretely) and report the minima.  PASS means
@@ -347,10 +348,7 @@ def supersolution_residual(spec: SupersolutionSpec, grid: Grid,
              - spec.K_star * np.abs(gap))
         res_u = ut - Au - F
         res_v = vt - Av - G
-        if region == "ahead":
-            mask = interior & (x >= spec.xi(t))
-        else:
-            mask = interior & (x < spec.xi(t))
+        mask = interior & (x >= spec.xi(t))
         masks.append(mask)
         if not mask.any():
             continue
@@ -367,6 +365,43 @@ def supersolution_residual(spec: SupersolutionSpec, grid: Grid,
     passed = min_u_slacked >= 0.0 and min_v_slacked >= 0.0
     return ResidualReport(passed, min_u, min_v, slack_coef, checked,
                           np.asarray(masks))
+
+
+# ---------------------------------------------------------------------------
+# invasion verdicts at the two residents
+# ---------------------------------------------------------------------------
+
+def invasion_verdicts(problem: Problem, scheme: SchemeConfig,
+                      resident_tol: float
+                      ) -> tuple[PeriodicField, PeriodicField,
+                                 StabilityVerdict, StabilityVerdict]:
+    """The u- and v-residents, each a fixed point to resident_tol, and the
+    invasion verdict at each: v invading the u-resident, u invading the
+    v-resident."""
+    ustar = compute_semitrivial("u", problem, scheme, tol=resident_tol)
+    vstar = compute_semitrivial("v", problem, scheme, tol=resident_tol)
+    return (ustar, vstar, linearized_radius("u", problem, ustar),
+            linearized_radius("v", problem, vstar))
+
+
+def _brackets(ver_u: StabilityVerdict, ver_v: StabilityVerdict) -> str:
+    return (f"[{ver_u.lam_lo:.6g}, {ver_u.lam_hi:.6g}] at the u-resident, "
+            f"[{ver_v.lam_lo:.6g}, {ver_v.lam_hi:.6g}] at the v-resident")
+
+
+def _require_decided(ver_u: StabilityVerdict, ver_v: StabilityVerdict,
+                     read: str = "uv") -> None:
+    """ConvergenceError, with both brackets in its diagnostics, when the
+    bracket of a verdict the caller reads (at each resident named in
+    ``read``) contains 0."""
+    undecided = [s for s, ver in (("u", ver_u), ("v", ver_v))
+                 if s in read and ver.inconclusive]
+    if undecided:
+        raise ConvergenceError(
+            f"invasion verdict undecided at the {' and '.join(undecided)}"
+            f"-resident: exponent brackets {_brackets(ver_u, ver_v)}",
+            diagnostics={"u_resident": [ver_u.lam_lo, ver_u.lam_hi],
+                         "v_resident": [ver_v.lam_lo, ver_v.lam_hi]})
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +423,10 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
                          max_periods: int = 3000) -> CoexistenceResult:
     """Squeeze a periodic coexistence state between the period-map iterates
     of an upper pair (u-resident, small invader) and a lower pair (small
-    invader, v-resident).  Requires both homogeneous residents to be
-    linearly unstable; the four per-period monotonicity relations are
-    enforced every period.
+    invader, v-resident).  Requires both resident states to be linearly
+    unstable, each invasion exponent's bracket lying above 0 (a bracket
+    that contains 0 raises ConvergenceError); the four per-period
+    monotonicity relations are enforced every period.
 
     For nonlocal dispersal the limit is in general only semi-continuous in
     x; spatial continuity is guaranteed when
@@ -399,14 +435,13 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
     recorded here rather than resolved."""
     if scheme is None:
         scheme = make_scheme(problem)
-    ustar = compute_semitrivial("u", problem, scheme, tol=RESIDENT_TOL)
-    vstar = compute_semitrivial("v", problem, scheme, tol=RESIDENT_TOL)
-    ver_u = linearized_radius("u", problem, ustar)
-    ver_v = linearized_radius("v", problem, vstar)
+    ustar, vstar, ver_u, ver_v = invasion_verdicts(problem, scheme,
+                                                   RESIDENT_TOL)
+    _require_decided(ver_u, ver_v)
     if not (ver_u.unstable and ver_v.unstable):
         raise PreconditionError(
             "both resident states must be linearly unstable "
-            f"(radii {ver_u.radius:.6f}, {ver_v.radius:.6f})")
+            f"(exponent brackets {_brackets(ver_u, ver_v)})")
     # The invaders' eigenvectors decay to 1e-12 and below far from the
     # bumps, and would take many periods to fill in there.  Where the
     # invader grows on its own (positive far-field exponent), a seed
@@ -549,16 +584,17 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
     The trials are stepped as one (K, n) batch.  Each trial leaves the
     batch at the period whose sup change falls below settle_tol, or at
     max_periods, so every trial ends as if iterated alone.  A mode other
-    than auto, two-sided or one-sided raises PreconditionError."""
+    than auto, two-sided or one-sided raises PreconditionError.  The
+    invasion verdicts read (both in auto and two-sided mode, the
+    v-resident's in one-sided mode) must be decided: a bracket that
+    contains 0 raises ConvergenceError."""
     if mode not in ("auto", "two-sided", "one-sided"):
         raise PreconditionError("persistence mode must be 'auto', "
                                 f"'two-sided' or 'one-sided', not {mode!r}")
     if scheme is None:
         scheme = make_scheme(problem)
-    ustar = compute_semitrivial("u", problem, scheme, tol=1e-10)
-    vstar = compute_semitrivial("v", problem, scheme, tol=1e-10)
-    ver_u = linearized_radius("u", problem, ustar)
-    ver_v = linearized_radius("v", problem, vstar)
+    ustar, vstar, ver_u, ver_v = invasion_verdicts(problem, scheme, 1e-10)
+    _require_decided(ver_u, ver_v, "v" if mode == "one-sided" else "uv")
     if mode == "auto":
         mode = "two-sided" if (ver_u.unstable and ver_v.unstable) else "one-sided"
     if mode == "two-sided" and not (ver_u.unstable and ver_v.unstable):

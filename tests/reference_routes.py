@@ -17,7 +17,10 @@ tests rather than in ``compspread``:
   principal spectrum point;
 - ``dispersion_grid_scan``: the brute-force dispersion minimizer;
 - ``front_below_supersolution``: a simulated front against the
-  super-solution on its moving region.
+  super-solution on its moving region;
+- ``box_bounds``, ``sampled_range``, ``margin_map`` and ``kernel_mass``:
+  the invariant box of a problem, a baseline's range on a time sample,
+  a verdict's margins by label and a kernel's quadrature mass.
 
 Import it from a test module as ``import reference_routes`` (pytest puts
 ``tests/`` on the path).
@@ -30,9 +33,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from compspread.coefficients import (CoefficientField, CoefficientSet,
-                                     HypothesisVerdict, PeriodicScalar,
-                                     check_h0, check_h2, compute_envelopes)
+from compspread.coefficients import (SPECIES_ROLES, CoefficientField,
+                                     CoefficientSet, HypothesisVerdict,
+                                     PeriodicScalar, check_h0, check_h2,
+                                     compute_envelopes)
 from compspread.dispersal import Grid, Kernel
 from compspread.errors import ConvergenceError, PreconditionError
 from compspread.periodic_orbits import (PeriodicOrbit, _as_callable,
@@ -279,3 +283,35 @@ def front_below_supersolution(spec: SupersolutionSpec, grid: Grid,
         if np.any(state.u[mask] > up + tol) or np.any(state.v[mask] > vp + tol):
             return False
     return True
+
+
+def box_bounds(problem: Problem) -> tuple[float, float]:
+    """Invariant box [0, u_max] x [0, v_max] preserved by the discrete
+    dynamics."""
+    cs = problem.coefficients
+    return tuple(_field_sup(growth) / limit.min_value()
+                 for growth, limit, _ in map(cs.roles, SPECIES_ROLES))
+
+
+def _field_sup(fld) -> float:
+    hi = fld.baseline.range_exact()[1]
+    if fld.bump is not None:
+        hi += max(0.0, fld.bump.amplitude)
+    return hi
+
+
+def sampled_range(scalar: PeriodicScalar,
+                  samples: int) -> tuple[float, float]:
+    t = np.linspace(0.0, scalar.period, samples, endpoint=False)
+    if scalar.kind == "table":
+        t = np.union1d(t, np.asarray(scalar.params, dtype=float)[:, 0])
+    v = scalar(t)
+    return float(np.min(v)), float(np.max(v))
+
+
+def margin_map(verdict: HypothesisVerdict) -> dict[str, float]:
+    return dict(zip(verdict.labels, verdict.margins))
+
+
+def kernel_mass(kernel: Kernel) -> float:
+    return kernel.h * float(np.sum(kernel.weights))

@@ -9,7 +9,7 @@ import numpy as np
 
 from compspread.coefficients import (PeriodicScalar, SpatialBump, check_h0,
                                      check_h1, check_h2, compute_envelopes)
-from compspread.dispersal import Grid, Kernel
+from compspread.dispersal import Grid, Kernel, boundary_margin
 from compspread.periodic_orbits import logistic_orbit
 from compspread.semitrivial import (compute_semitrivial, destabilizing_bump,
                                     linearized_radius)
@@ -22,7 +22,7 @@ from compspread.spreading import (continuity_sweep, dispersion_speed,
 from compspread.verify import (ansatz_equation_residual, build_supersolution,
                                check_ansatz_inequalities,
                                monotone_coexistence, supersolution_residual)
-from reference_routes import (constant_set, dispersion_grid_scan,
+from reference_routes import (box_bounds, constant_set, dispersion_grid_scan,
                               front_below_supersolution)
 
 C0 = 2.0 * np.sqrt(0.8)
@@ -100,7 +100,8 @@ def test_criterion_04_kpp_solver_control():
     scheme = make_scheme(problem, steps_per_period=200)
     prof = ramp_profile(grid.x, -20.0, 2.0)
     state = SystemState(0.0, 0.5 * prof, np.zeros(grid.n))
-    obs = FrontObserver(grid, 0.25, "u")
+    obs = FrontObserver("front_u", grid, 0.25, lambda s: s.u,
+                        boundary_margin(grid, None))
     _, rec = run_periods(state, problem, scheme, 100, [obs])
     est = fit_front_speed(rec.times, rec.series["front_u"], 1.0)
     rel = abs(est.value - 2.0) / 2.0
@@ -213,7 +214,7 @@ def test_criterion_11_comparison_principles():
     problem = Problem(CANONICAL, grid)
     scheme = make_scheme(problem, steps_per_period=32)
     stepper = Stepper(problem, scheme)
-    u_hi, v_hi = problem.box_bounds()
+    u_hi, v_hi = box_bounds(problem)
     worst_comp = 0.0
     for _ in range(20):
         u1 = rng.uniform(0.05, 0.5 * u_hi, grid.n)

@@ -285,6 +285,38 @@ def test_convergence_failure_writes_diagnostics(tmp_path):
     assert record["diagnostics"]["wrap"] > 1e-6
 
 
+@pytest.mark.parametrize("command", ["coexist", "persistence"])
+def test_undecided_invasion_verdict_is_exit_4(tmp_path, monkeypatch,
+                                              command):
+    # A growth pocket of u lowers the u-resident on it, so v invades there
+    # and is suppressed elsewhere.  At tol=1.0 its exponent settles on a
+    # bracket around 0, and a solver that reads it cannot decide.
+    from compspread import semitrivial, verify
+
+    def wide(target, problem, resident):
+        return semitrivial.linearized_radius(target, problem, resident,
+                                             tol=1.0)
+
+    monkeypatch.setattr(verify, "linearized_radius", wide)
+    coeffs = dict(CANONICAL, a1={"constant": 1.0, "bump": {
+        "amplitude": -0.6, "width": 4.0}})
+    cfg = _write_config(tmp_path, {
+        "coefficients": coeffs,
+        "grid": {"x_min": -30.0, "x_max": 30.0, "n": 301},
+        "scenario": {"name": command},
+        "output": {"formats": ["csv", "json"]}})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConvergenceError"
+    assert "undecided at the u-resident" in record["message"]
+    (u_lo, u_hi), (v_lo, v_hi) = (record["diagnostics"]["u_resident"],
+                                  record["diagnostics"]["v_resident"])
+    assert u_lo <= 0.0 <= u_hi
+    assert 0.0 < v_lo <= v_hi
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
 def test_error_json_diagnostics_are_plain_json(tmp_path, monkeypatch):
     from compspread import cli
     from compspread.errors import ConvergenceError

@@ -96,6 +96,25 @@ KPP_CONTROL_SHA256 = {
 }
 
 
+# sha256 of the files of ``coexist`` and ``persistence`` on the
+# ``thm41-coexistence`` preset, the two solvers that read both invasion
+# verdicts.
+COEXIST_SHA256 = {
+    "coexist.json":
+    "ae9614e120ba03bce070b6321460bfd13adc1d7abcd72db2118244462494b05a",
+    "coexistence.csv":
+    "66798974968a3884f1c578348841fc0ee926ef187adccdc72f3198c6d268234b",
+    "manifest.json":
+    "2330db5fc168f95114daf6f1834dadfc4c3ae050449dfd4087596494481b6b54",
+}
+PERSISTENCE_SHA256 = {
+    "manifest.json":
+    "0f08a5591c86ed9d07c45f2ea376d2cae411d4b208125ea858ea55a9f8f4b2db",
+    "persistence.json":
+    "65b3eaa318a250aebad8d06efdadf9817e652c3e743dd822c9bfb183fffe720f",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -123,6 +142,16 @@ def test_kpp_control_preset_is_pinned(tmp_path):
     assert {name: _sha256(out / name)
             for name in sorted(p.name for p in out.iterdir())} == \
         KPP_CONTROL_SHA256
+
+
+@pytest.mark.parametrize("command, pinned", [
+    ("coexist", COEXIST_SHA256), ("persistence", PERSISTENCE_SHA256)])
+def test_thm41_solvers_are_pinned(tmp_path, command, pinned):
+    out = tmp_path / "out"
+    assert main([command, "--preset", "thm41-coexistence", "--out",
+                 str(out)]) == 0
+    assert {name: _sha256(out / name)
+            for name in sorted(p.name for p in out.iterdir())} == pinned
 
 
 @pytest.mark.parametrize("formats", [("json",), ("csv",), ALL_FORMATS])

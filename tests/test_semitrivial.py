@@ -126,6 +126,20 @@ def test_verdict_is_inconclusive_when_the_bracket_contains_zero(canonical_set):
     assert not sharp.inconclusive
 
 
+def test_verdict_with_a_bracket_containing_zero_is_not_unstable(
+        canonical_set):
+    # The wide-tolerance verdict above: lam = 0.2 inside [-0.1, 0.2].  A
+    # positive estimate is not a certificate; only lam_lo > 0 is.
+    bumped = canonical_set.with_bump_on("a2", SpatialBump.square(0.3, 4.0))
+    problem = Problem(bumped, Grid(-30.0, 30.0, 301))
+    ustar = compute_semitrivial("u", problem)
+    wide = linearized_radius("u", problem, ustar, tol=1.0)
+    assert wide.lam == pytest.approx(0.2, abs=1e-9)
+    assert wide.lam_lo == pytest.approx(-0.1, abs=1e-9)
+    assert wide.inconclusive
+    assert not wide.unstable
+
+
 def test_linearized_radius_general_table_path(canonical_set):
     # a bump on b2 makes the coefficient non-separable
     bumped = canonical_set.with_bump_on("b2", SpatialBump(0.2, 1.5, 0.5))

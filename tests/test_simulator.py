@@ -5,21 +5,31 @@ from scipy.integrate import solve_ivp
 from compspread import _accel
 from compspread.coefficients import (CoefficientField, PeriodicScalar,
                                      SpatialBump)
-from compspread.dispersal import Grid, Kernel
+from compspread.dispersal import Grid, Kernel, boundary_margin
 from compspread.errors import ConfigError, NumericalGuardError, PreconditionError
 from compspread.periodic_orbits import logistic_orbit
 from compspread.semitrivial import compute_semitrivial
-from compspread.simulator import (FrontObserver, MagnitudeFrontObserver,
-                                  PairFrontObserver, Problem, SchemeConfig,
+from compspread.simulator import (FrontObserver, Problem, SchemeConfig,
                                   SystemState, Stepper, front_position,
                                   make_front_data, make_scheme, ramp_profile,
                                   run_periods, run_transformed)
 from compspread.verify import monotone_coexistence, persistence_probe
-from reference_routes import constant_set, step
+from reference_routes import box_bounds, constant_set, step
 
 
 def _tiny_problem(cs):
     return Problem(cs, Grid(-1.0, 1.0, 11))
+
+
+def _period_deltas(run_one_period, state, n_periods):
+    """The state after n one-period runs from state, and the sup change of
+    (u, v) between consecutive period ends."""
+    ends = [run_one_period(state)]
+    for _ in range(n_periods - 1):
+        ends.append(run_one_period(ends[-1]))
+    return ends[-1], np.array([max(np.max(np.abs(b.u - a.u)),
+                                   np.max(np.abs(b.v - a.v)))
+                               for a, b in zip(ends, ends[1:])])
 
 
 def test_zero_state_is_fixed(canonical_set):
@@ -34,9 +44,10 @@ def test_logistic_equilibrium_holds(canonical_set):
     problem = _tiny_problem(canonical_set)
     scheme = make_scheme(problem)
     state = SystemState(0.0, np.ones(11), np.zeros(11))
-    state, rec = run_periods(state, problem, scheme, 3)
+    state, deltas = _period_deltas(
+        lambda s: run_periods(s, problem, scheme, 1)[0], state, 3)
     assert np.max(np.abs(state.u - 1.0)) < 1e-8
-    assert np.all(rec.period_delta < 1e-8)
+    assert np.all(deltas < 1e-8)
 
 
 def test_exclusion_converges_to_u_resident(canonical_set):
@@ -137,7 +148,8 @@ def test_front_position_interpolates():
 
 def test_front_observer_boundary_guard(canonical_set):
     grid = Grid(-2.0, 2.0, 41)
-    obs = FrontObserver(grid, 0.5, "u")
+    obs = FrontObserver("front_u", grid, 0.5, lambda s: s.u,
+                        boundary_margin(grid, None))
     state = SystemState(0.0, np.ones(41), np.zeros(41))
     with pytest.raises(NumericalGuardError):
         obs.sample(state)
@@ -158,7 +170,7 @@ def test_competitive_order_preserved(canonical_set, rng):
     problem = Problem(canonical_set, Grid(-10.0, 10.0, 101))
     scheme = make_scheme(problem)
     stepper = Stepper(problem, scheme)
-    box = problem.box_bounds()
+    box = box_bounds(problem)
     for _ in range(5):
         (u1, v1), (u2, v2) = _random_competitive_pair(rng, 101, box)
         t = 0.0
@@ -210,8 +222,10 @@ def test_transformed_resident_pair_is_stationary(canonical_set):
     ustar = compute_semitrivial("u", problem, scheme, tol=1e-10)
     vstar = compute_semitrivial("v", problem, scheme, tol=1e-10)
     state = SystemState(0.0, ustar.frames[0].copy(), vstar.frames[0].copy())
-    out, rec = run_transformed(state, problem, scheme, vstar.frames, 3)
-    assert np.all(rec.period_delta < 1e-6)
+    _, deltas = _period_deltas(
+        lambda s: run_transformed(s, problem, scheme, vstar.frames, 1)[0],
+        state, 3)
+    assert np.all(deltas < 1e-6)
 
 
 def test_transformed_zero_is_fixed(canonical_set):
@@ -228,7 +242,7 @@ def test_transformed_zero_is_fixed(canonical_set):
 def test_invariant_box(canonical_set, rng):
     problem = Problem(canonical_set, Grid(-10.0, 10.0, 101))
     scheme = make_scheme(problem)
-    u_hi, v_hi = problem.box_bounds()
+    u_hi, v_hi = box_bounds(problem)
     state = SystemState(0.0, rng.uniform(0, u_hi, 101),
                         rng.uniform(0, v_hi, 101))
     state, _ = run_periods(state, problem, scheme, 10)
@@ -369,9 +383,10 @@ def test_transformed_run_is_the_original_run_seen_at_period_ends(
     problem, scheme, _, frames, state = _transformed_setup(kind, canonical_set,
                                                            rng)
     grid, frame = problem.grid, frames[3]
-    observers = (PairFrontObserver(grid, 0.3, 0.1),
-                 MagnitudeFrontObserver(grid, 0.5, kernel=problem.kernel,
-                                        guard=False))
+    observers = (FrontObserver("front_pair", grid, 1.0,
+                               lambda s: np.minimum(s.u / 0.3, s.v / 0.1)),
+                 FrontObserver("front_edge", grid, 0.5 ** 2,
+                               lambda s: s.u ** 2 + s.v ** 2))
     out, rec = run_transformed(state, problem, scheme, frames, 4, observers)
     original = SystemState(state.t, state.u, frame - state.v)
     seen = []
@@ -385,9 +400,6 @@ def test_transformed_run_is_the_original_run_seen_at_period_ends(
     for obs in observers:
         np.testing.assert_array_equal(rec.series[obs.name],
                                       [obs.sample(s) for s in seen])
-    assert np.array_equal(rec.period_delta, [
-        max(np.max(np.abs(b.u - a.u)), np.max(np.abs(b.v - a.v)))
-        for a, b in zip(seen, seen[1:])])
 
 
 @pytest.mark.parametrize("kind", ["random", "nonlocal"])
@@ -497,7 +509,7 @@ def test_nonfinite_mid_period_is_a_guard_error(loop, canonical_set, weak_set,
     with pytest.raises(NumericalGuardError, match="nonfinite"):
         if loop == "run_periods":
             run_periods(state, problem, scheme, 2, [FrontObserver(
-                problem.grid, 0.25, guard=False)])
+                "front_u", problem.grid, 0.25, lambda s: s.u)])
         elif loop == "run_transformed":
             run_transformed(state, problem, scheme, np.full((30, 11), 0.4), 2)
         else:

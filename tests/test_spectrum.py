@@ -14,7 +14,8 @@ from compspread.spectrum import (MIN_STEPS_PER_PERIOD, LinearProblem,
                                  principal_spectrum_point,
                                  principal_spectrum_point_widened,
                                  radius_threshold_test)
-from reference_routes import evolve_linear, spectrum_monotonicity_check
+from reference_routes import (evolve_linear, kernel_mass,
+                              spectrum_monotonicity_check)
 
 GRID = Grid(-5.0, 5.0, 101)
 
@@ -391,7 +392,7 @@ def _dense_correlation(weights, n):
 def _nonlocal_stepper(dt_mass):
     kernel = Kernel.build("uniform", 1.0, GRID.h)
     spp = MIN_STEPS_PER_PERIOD
-    period = dt_mass * spp / kernel.mass()
+    period = dt_mass * spp / kernel_mass(kernel)
     return _LinearStepper(LinearProblem(0.0, "nonlocal", GRID, period,
                                         kernel=kernel, steps_per_period=spp))
 

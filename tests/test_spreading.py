@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from compspread.coefficients import CoefficientField, PeriodicScalar
-from compspread.dispersal import Grid, Kernel
+from compspread.dispersal import Grid, Kernel, boundary_margin
 from compspread.errors import PreconditionError
 from compspread.simulator import Problem, make_scheme
 from compspread.spreading import (continuity_sweep, dispersion_speed,
@@ -158,7 +158,8 @@ def test_theta_sensitivity_of_front_fits(canonical_set):
     v_orb = logistic_orbit(canonical_set.a2.baseline, canonical_set.c2.baseline)
     level = 0.5 * u_orb.value(0)
     u0, vt0 = make_front_data(grid, level, v_orb, -15.0, 2.0)
-    observers = [FrontObserver(grid, theta * level, "u", name=f"f{i}")
+    observers = [FrontObserver(f"f{i}", grid, theta * level, lambda s: s.u,
+                               boundary_margin(grid, None))
                  for i, theta in enumerate((0.1, 0.5, 0.9))]
     _, rec = run_transformed(SystemState(0.0, u0, vt0), problem, scheme,
                              vstar.frames, 70, observers)

@@ -126,14 +126,6 @@ def test_supersolution_residual_passes(canonical_spec):
     assert report.min_residual_v > 0.0
 
 
-def test_supersolution_residual_region_semantics(canonical_spec):
-    grid = Grid(-40.0, 160.0, 2001)
-    times = np.linspace(0.0, 1.0, 5)
-    behind = supersolution_residual(canonical_spec, grid, times, dt=0.005,
-                                    region="behind")
-    assert behind.points_checked > 0  # reported, no sign requirement
-
-
 def test_supersolution_residual_empty_region(canonical_spec):
     grid = Grid(-40.0, -30.0, 101)  # entirely behind the cutoff
     with pytest.raises(PreconditionError):
