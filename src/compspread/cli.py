@@ -22,7 +22,7 @@ from .config import (COUNT, NUMBER, OPTIONAL, POSITIVE, REQUIRED, SIZE,
                      TEXT, ResultWriter, RunConfig, is_number, load_config,
                      parse_config, read, write_json)
 from .dispersal import MAX_SIZE, boundary_margin
-from .errors import CompspreadError, ConfigError, ConvergenceError
+from .errors import CompspreadError, ConfigError
 from .presets import preset_config
 from .simulator import (FrontObserver, SystemState, make_scheme, ramp_profile,
                         run_periods)
@@ -147,8 +147,12 @@ def cmd_simulate(cfg: RunConfig, writer: ResultWriter, args) -> int:
     positions = records.series[obs.name]
     writer.csv("fronts.csv", ["t", obs.name],
                np.column_stack((records.times, positions)))
+    # The run stepped a window that followed the front; cells it left
+    # behind are stale, so the snapshot is the final window.
+    rows = records.window
     writer.csv("snapshot.csv", ["x", "u", "v"],
-               np.column_stack((problem.grid.x, state.u, state.v)))
+               np.column_stack((problem.grid.x[rows], state.u[rows],
+                                state.v[rows])))
     summary = {"periods": periods, "theta": theta}
     try:
         est = fit_front_speed(records.times, positions,
@@ -342,11 +346,11 @@ def _json_safe(obj):
 
 def _write_error(out_dir: Path, exc: CompspreadError) -> None:
     """error.json in out_dir: the error's type, message and exit code, and
-    a ConvergenceError's diagnostics.  It is not a result file, so no
+    its diagnostics when it carries any.  It is not a result file, so no
     manifest lists it."""
     record = {"type": type(exc).__name__, "message": str(exc),
               "exit_code": exc.exit_code}
-    if isinstance(exc, ConvergenceError):
+    if exc.diagnostics is not None:
         record["diagnostics"] = _json_safe(exc.diagnostics)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "error.json", record)

@@ -6,7 +6,15 @@ subcommand.
 
 
 class CompspreadError(Exception):
+    """Base of the package's errors.  ``diagnostics``, when given, is a
+    mapping of the numbers behind the error, which the CLI writes to
+    ``error.json`` beside the message."""
+
     exit_code = 1
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 class ConfigError(CompspreadError):
@@ -25,10 +33,6 @@ class ConvergenceError(CompspreadError):
     """An iteration exhausted its budget without meeting its tolerance."""
 
     exit_code = 4
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 class NumericalGuardError(CompspreadError):

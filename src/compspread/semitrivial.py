@@ -67,9 +67,11 @@ def compute_semitrivial(species: str, problem: Problem,
     stationary.  The absent competitor is an identically zero field, which
     :meth:`Stepper.step_arrays` passes through without dispersing or
     reacting it.  Spatially homogeneous coefficients take a scalar fast
-    path; the stored frames always use the scheme's step lattice.  A tail
-    missing the homogeneous orbit by more than TAIL_TOL blames the time
-    step if the run without bumps misses it too, else the domain."""
+    path; the stored frames always use the scheme's step lattice.  The
+    tail, from halfway between the bumps' support and the nearer domain
+    end outward, but at least tail_margin beyond the support, must meet
+    the homogeneous orbit within TAIL_TOL; a miss blames the time step if
+    the run without bumps misses it too, else the domain."""
     if species not in SPECIES_ROLES:
         raise PreconditionError("species must be 'u' or 'v'")
     if scheme is None:
@@ -107,9 +109,15 @@ def compute_semitrivial(species: str, problem: Problem,
         frames = np.repeat(frames[:, :1], problem.grid.n, axis=1)
     residual = float(np.max(np.abs(frames[-1] - frames[0])))
 
+    # The tail starts halfway from the support to the nearer domain end,
+    # and never closer to the support than tail_margin, so it recedes from
+    # the bumps as the domain grows.
     support = max(a_field.support_radius, b_field.support_radius)
-    x = problem.grid.x
-    tail = np.abs(x) >= support + tail_margin
+    grid = problem.grid
+    x = grid.x
+    start = max(support + tail_margin,
+                0.5 * (support + min(-grid.x_min, grid.x_max)))
+    tail = np.abs(x) >= start
     if not tail.any():
         raise NumericalGuardError("domain too small for the tail check")
     t_frames = np.arange(stepper.spp + 1) * stepper.dt

@@ -11,6 +11,7 @@ principles as the continuous system.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -100,7 +101,12 @@ class Stepper:
 
     Times live on the step lattice t = k*dt: the baselines repeat every
     period, so they are tabulated once at the step midpoints (k + 1/2)*dt
-    and each step looks up its phase k mod steps_per_period."""
+    and each step looks up its phase k mod steps_per_period.
+
+    A stepper steps the whole grid; :meth:`window` gives one that steps
+    ``points`` consecutive grid points from ``offset``, the fields then
+    being those points alone, with the same boundary handling at the
+    window's ends."""
 
     def __init__(self, problem: Problem, scheme: SchemeConfig):
         scheme.validate(problem)
@@ -109,8 +115,10 @@ class Stepper:
         self.period = problem.coefficients.period
         self.spp = scheme.steps_per_period(self.period)
         self.grid = problem.grid
+        self.points, self.offset = self.grid.n, 0
         bumps = problem.bump_arrays()
-        self._bumps = tuple(bumps[name] for name in FIELD_NAMES)
+        self._grid_bumps = self._bumps = tuple(bumps[name]
+                                               for name in FIELD_NAMES)
         fields = problem.coefficients.fields()
         t_mid = (np.arange(self.spp) + 0.5) * self.dt
         # One tuple of six floats (in FIELD_NAMES order) per phase.
@@ -122,6 +130,25 @@ class Stepper:
             self._cn = _accel.TridiagFactor(self.grid.n, self._r)
         else:
             self._weights = problem.kernel.weights * problem.kernel.h
+
+    def window(self, points: int) -> "Stepper":
+        """This stepper on ``points`` consecutive grid points, from offset 0
+        until :meth:`slide` moves it: same dt, phases and kernel weights, a
+        tridiagonal factor of ``points`` rows."""
+        win = copy.copy(self)
+        win.points = points
+        if self.problem.kernel is None:
+            win._cn = _accel.TridiagFactor(points, self._r)
+        win.slide(0)
+        return win
+
+    def slide(self, offset: int) -> None:
+        """Step the window from grid index ``offset``: the bump arrays are
+        sliced there, and a scalar bump stays a scalar."""
+        self.offset = offset
+        self._bumps = tuple(
+            b if np.ndim(b) == 0 else b[offset:offset + self.points]
+            for b in self._grid_bumps)
 
     def step_index(self, t: float) -> int:
         """Lattice index k with t = k*dt; PreconditionError when t is more
@@ -193,7 +220,8 @@ class Stepper:
         for k in range(k0, k0 + self.spp):
             u, v = self.step_arrays(u, v, self.time_at(k))
             if k + 1 == k0 + self.spp:
-                _guard_finite(u, v, self.time_at(k + 1), self.grid)
+                _guard_finite(u, v, self.time_at(k + 1), self.grid,
+                              self.offset)
             yield u, v
 
     def run_period(self, u: np.ndarray, v: np.ndarray,
@@ -205,14 +233,18 @@ class Stepper:
         return u, v
 
 
-def _guard_finite(u: np.ndarray, v: np.ndarray, t: float, grid: Grid) -> None:
+def _guard_finite(u: np.ndarray, v: np.ndarray, t: float, grid: Grid,
+                  offset: int = 0) -> None:
     """NumericalGuardError naming the first nonfinite grid point of u, else
-    of v, and its row when the fields are a (K, n) batch."""
+    of v, and its row when the fields are a (K, n) batch.  The fields
+    start at grid index ``offset``; the error names the grid's own index
+    and x."""
     finite_u = np.isfinite(u)
     if finite_u.all() and np.isfinite(v).all():
         return
     bad = ~finite_u if not finite_u.all() else ~np.isfinite(v)
     *row, j = np.argwhere(bad)[0].tolist()
+    j += offset
     at = f"row {row[0]}, " if row else ""
     raise NumericalGuardError(
         f"nonfinite value at t={t:.6g}, {at}x={grid.x[j]:.6g} (index {j})")
@@ -270,15 +302,79 @@ class FrontObserver:
         pos = front_position(self.profile(state), self.grid, self.level)
         if self.margin is not None and np.isfinite(pos) \
                 and pos > self.grid.x_max - self.margin:
-            raise NumericalGuardError(f"{self.name} reached the boundary "
-                                      f"margin at t={state.t:.6g}")
+            raise NumericalGuardError(
+                f"{self.name} reached the boundary margin at "
+                f"t={state.t:.6g}",
+                diagnostics={"observer": self.name, "t": state.t,
+                             "position": pos,
+                             "clearance": self.grid.x_max - pos,
+                             "margin": self.margin})
         return pos
 
 
 @dataclass
 class RunRecords:
+    """Period-end times and each observer's front positions.  ``window``
+    is the slice of the grid the last period stepped: the whole grid
+    unless the run followed its fronts (see :func:`_record_periods`)."""
+
     times: np.ndarray
     series: dict[str, np.ndarray]
+    window: slice
+
+
+# A front run steps a window of the grid that follows the front, from
+# WINDOW_BEHIND length units behind the furthest observed front position
+# to WINDOW_AHEAD ahead of it.  While the window can still move, each
+# observer's profile at its right edge must stay below WINDOW_PRECURSOR
+# times the observer's level.
+WINDOW_BEHIND = 30.0
+WINDOW_AHEAD = 80.0
+WINDOW_PRECURSOR = 1e-10
+
+
+def _window_points(grid: Grid, state: SystemState,
+                   observers: Sequence[FrontObserver]) -> int:
+    """Points of the window a run steps: WINDOW_BEHIND + WINDOW_AHEAD
+    length units, or the whole grid when no observer has a front to follow,
+    when the grid is no wider, or when the carried state is not
+    identically zero right of the first window.  So every cell that enters
+    the window carries the uninvaded far field: no invader, and the
+    competitor at its state at the start, which is the resident at the
+    period-start phase in a transformed run."""
+    points = min(grid.n, round((WINDOW_BEHIND + WINDOW_AHEAD) / grid.h) + 1)
+    if not observers or state.u[..., points:].any() \
+            or state.v[..., points:].any():
+        return grid.n
+    return points
+
+
+def _check_window(observers: Sequence[FrontObserver], state: SystemState,
+                  window: slice, grid: Grid) -> None:
+    """The guards of a window just stepped, at a period end:
+    NumericalGuardError when an observer's profile at the right edge
+    reaches WINDOW_PRECURSOR of its level while the window has grid left to
+    move into, or lies below its level at the left edge while stale cells
+    lie behind it, where its sample could then have found the front."""
+    lo, hi = window.start, window.stop - 1
+    x = grid.x
+    for obs in observers:
+        values = obs.profile(state)
+        for edge, j, fails in (
+                ("left", lo, lo > 0 and not values[lo] >= obs.level),
+                ("right", hi, hi < grid.n - 1
+                 and not values[hi] < WINDOW_PRECURSOR * obs.level)):
+            if fails:
+                ratio = values[j] / obs.level
+                raise NumericalGuardError(
+                    f"{obs.name} stands at {ratio:.3g} times its level at "
+                    f"the {edge} edge of the window [{x[lo]:.6g}, "
+                    f"{x[hi]:.6g}] at t={state.t:.6g}",
+                    diagnostics={"observer": obs.name, "t": state.t,
+                                 "edge": edge, "edge_x": x[j],
+                                 "edge_to_level": ratio,
+                                 "precursor_limit": WINDOW_PRECURSOR,
+                                 "window": [x[lo], x[hi]]})
 
 
 def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
@@ -289,22 +385,47 @@ def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
     At each period end the observers sample the state.  With ``frame``,
     the resident at the phase of state.t and so of every period end, the
     state carries the cooperative transform (u, frame - v) of the stepped
-    fields."""
+    fields.
+
+    The full-length stepped fields are the state, and a period steps the
+    window of :func:`_window_points` of them, written back at its end.
+    After the observers sample a period end and the window guards pass
+    (:func:`_check_window`), the window moves forward only, by whole cells,
+    to put the furthest finite front position WINDOW_BEHIND inside its
+    left edge, and stops at the grid's right end.  Cells the window has
+    left keep the values they had then; only ``records.window`` and the
+    cells right of it hold the run's state.  A window of the whole grid
+    steps every cell, as the loop without one."""
+    grid = stepper.grid
     times: list[float] = []
     series: dict[str, list[float]] = {obs.name: [] for obs in observers}
     k = stepper.step_index(state.t)
-    u, v = state.u, (state.v if frame is None else frame - state.v)
+    u = np.array(state.u, dtype=float)
+    v = np.array(state.v, dtype=float) if frame is None else frame - state.v
+    points = _window_points(grid, state, observers)
+    win = stepper if points == grid.n else stepper.window(points)
+    window = slice(0, grid.n)
     for _ in range(n_periods):
-        u, v = stepper.run_period(u, v, k)
+        window = slice(win.offset, win.offset + points)
+        u[..., window], v[..., window] = win.run_period(
+            u[..., window], v[..., window], k)
         k += stepper.spp
         state = SystemState(stepper.time_at(k), u,
                             v if frame is None else frame - v)
         times.append(state.t)
-        for obs in observers:
-            series[obs.name].append(obs.sample(state))
+        positions = [obs.sample(state) for obs in observers]
+        for obs, pos in zip(observers, positions):
+            series[obs.name].append(pos)
+        if win is not stepper:
+            _check_window(observers, state, window, grid)
+            ahead = [pos for pos in positions if np.isfinite(pos)]
+            if ahead:
+                target = (max(ahead) - WINDOW_BEHIND - grid.x_min) // grid.h
+                win.slide(min(max(win.offset, int(target)),
+                              grid.n - points))
     records = RunRecords(np.asarray(times),
                          {name: np.asarray(vals)
-                          for name, vals in series.items()})
+                          for name, vals in series.items()}, window)
     return state, records
 
 

@@ -18,6 +18,9 @@ tests rather than in ``compspread``:
 - ``dispersion_grid_scan``: the brute-force dispersion minimizer;
 - ``front_below_supersolution``: a simulated front against the
   super-solution on its moving region;
+- ``record_periods_full_grid``: the period loop of the front runs
+  stepping every grid point, the reference for the co-moving window of
+  ``simulator._record_periods``;
 - ``box_bounds``, ``sampled_range``, ``margin_map`` and ``kernel_mass``:
   the invariant box of a problem, a baseline's range on a time sample,
   a verdict's margins by label and a kernel's quadrature mass.
@@ -42,7 +45,8 @@ from compspread.errors import ConvergenceError, PreconditionError
 from compspread.periodic_orbits import (PeriodicOrbit, _as_callable,
                                         _time_grid, periodic_mean,
                                         resident_orbit)
-from compspread.simulator import (Problem, SchemeConfig, Stepper, SystemState,
+from compspread.simulator import (FrontObserver, Problem, RunRecords,
+                                  SchemeConfig, Stepper, SystemState,
                                   _guard_finite)
 from compspread.spectrum import (LinearProblem, _LinearStepper,
                                  homogeneous_growth_exponent,
@@ -283,6 +287,35 @@ def front_below_supersolution(spec: SupersolutionSpec, grid: Grid,
         if np.any(state.u[mask] > up + tol) or np.any(state.v[mask] > vp + tol):
             return False
     return True
+
+
+def record_periods_full_grid(stepper: Stepper, state: SystemState,
+                             n_periods: int,
+                             observers: Sequence[FrontObserver],
+                             frame: Optional[np.ndarray] = None
+                             ) -> tuple[SystemState, RunRecords]:
+    """Advance n whole periods from state.t with :meth:`Stepper.run_period`.
+    At each period end the observers sample the state.  With ``frame``,
+    the resident at the phase of state.t and so of every period end, the
+    state carries the cooperative transform (u, frame - v) of the stepped
+    fields.  Every period steps the whole grid."""
+    times: list[float] = []
+    series: dict[str, list[float]] = {obs.name: [] for obs in observers}
+    k = stepper.step_index(state.t)
+    u, v = state.u, (state.v if frame is None else frame - state.v)
+    for _ in range(n_periods):
+        u, v = stepper.run_period(u, v, k)
+        k += stepper.spp
+        state = SystemState(stepper.time_at(k), u,
+                            v if frame is None else frame - v)
+        times.append(state.t)
+        for obs in observers:
+            series[obs.name].append(obs.sample(state))
+    records = RunRecords(np.asarray(times),
+                         {name: np.asarray(vals)
+                          for name, vals in series.items()},
+                         slice(0, stepper.grid.n))
+    return state, records
 
 
 def box_bounds(problem: Problem) -> tuple[float, float]:

@@ -285,6 +285,42 @@ def test_convergence_failure_writes_diagnostics(tmp_path):
     assert record["diagnostics"]["wrap"] > 1e-6
 
 
+@pytest.mark.parametrize("guard, keys", [
+    ("boundary margin", {"observer", "t", "position", "clearance", "margin"}),
+    ("right edge", {"observer", "t", "edge", "edge_x", "edge_to_level",
+                    "precursor_limit", "window"})])
+def test_front_guard_failure_writes_its_margins(tmp_path, monkeypatch, guard,
+                                                keys):
+    # A front that reaches the boundary margin of a short domain, and a
+    # window 5 length units ahead of the front that its precursor reaches.
+    x_max = 70.0
+    if guard == "right edge":
+        from compspread import simulator
+        monkeypatch.setattr(simulator, "WINDOW_AHEAD", 5.0)
+        x_max = 150.0
+    cfg = _write_config(tmp_path, {
+        "coefficients": CANONICAL,
+        "grid": {"x_min": -50.0, "x_max": x_max,
+                 "n": int(round((x_max + 50.0) / 0.1)) + 1},
+        "scheme": {"steps_per_period": 200},
+        "scenario": {"name": "simulate", "periods": 60,
+                     "front": {"x0": -20.0, "ramp": 2.0, "u_level": 0.5}},
+        "output": {"formats": ["csv", "json"]}})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 5
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "NumericalGuardError"
+    assert guard in record["message"]
+    diag = record["diagnostics"]
+    assert set(diag) == keys
+    if guard == "boundary margin":
+        assert 0.0 <= diag["clearance"] < diag["margin"]
+    else:
+        assert diag["edge_to_level"] >= diag["precursor_limit"]
+        assert diag["edge_x"] == diag["window"][1]
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
 @pytest.mark.parametrize("command", ["coexist", "persistence"])
 def test_undecided_invasion_verdict_is_exit_4(tmp_path, monkeypatch,
                                               command):

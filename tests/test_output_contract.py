@@ -82,15 +82,23 @@ DESTABILIZE_SHA256 = {
 }
 
 
+# sha256 of interval.json from ``sweep --preset bump-not-slower``, the
+# transformed front run through a localized dip of a1.
+BUMP_NOT_SLOWER_SHA256 = (
+    "35f30300fb8c159e5f07c4ba517eee5a91f0dc525d5f42a32d5fbdbc52c72711")
+
+
 # sha256 of the files of ``simulate --preset kpp-control``, the
 # single-species front: v is identically zero, so u reacts at a scalar rate.
+# The run steps a window that follows the front, and snapshot.csv holds the
+# final window's rows.
 KPP_CONTROL_SHA256 = {
     "fronts.csv":
     "3924006c392d8c8f688bdd0687116232826e5d32e371a038b579358a313dc584",
     "manifest.json":
     "e9a7cb674f495a536f47ad7694355b9f198bf8cbc8df4aa5b56a9f69e7c277c3",
     "snapshot.csv":
-    "5869607a3312b174d39a5f2df74595b4422cc89d073e05f145c7cac671ce1648",
+    "87c555fc6117e19d1783d507fd6c38bfafed3d6bbf58230bb73758554ac59ab5",
     "summary.json":
     "13be71ac75c68f14a8e2582b7c7441214f4667b0dc3fcba475c97ec0df5d6307",
 }
@@ -124,6 +132,13 @@ def test_canonical_interval_is_pinned(tmp_path):
     assert main(["sweep", "--preset", "canonical-h1h2", "--out",
                  str(out)]) == 0
     assert _sha256(out / "interval.json") == INTERVAL_SHA256
+
+
+def test_bump_not_slower_interval_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--preset", "bump-not-slower", "--out",
+                 str(out)]) == 0
+    assert _sha256(out / "interval.json") == BUMP_NOT_SLOWER_SHA256
 
 
 def test_destabilize_preset_is_pinned(tmp_path):

@@ -7,8 +7,9 @@ from compspread.coefficients import (CoefficientField, PeriodicScalar,
 from compspread.dispersal import Grid
 from compspread.errors import NumericalGuardError, PreconditionError
 from compspread.periodic_orbits import logistic_orbit
-from compspread.semitrivial import (compute_semitrivial, destabilizing_bump,
-                                    far_field_exponent, linearized_radius)
+from compspread.semitrivial import (TAIL_TOL, compute_semitrivial,
+                                    destabilizing_bump, far_field_exponent,
+                                    linearized_radius)
 from compspread.simulator import Problem
 from compspread.spectrum import LinearProblem, principal_spectrum_point
 
@@ -90,10 +91,38 @@ def test_tail_guard_blames_a_coarse_time_step(canonical_set, bump,
 
 def test_tail_guard_blames_the_domain_when_the_scheme_meets_the_orbit(
         canonical_set):
+    # The tail starts halfway from the support (1.5) to the domain end, at
+    # 3.25, where the resident still carries the bump.
     problem = _harmonic_u_problem(canonical_set, SpatialBump(0.3, 1.0, 0.5),
-                                  25.0, 0.1)
+                                  5.0, 0.1)
     with pytest.raises(NumericalGuardError, match="domain too small"):
         compute_semitrivial("u", problem, tail_margin=0.5)
+
+
+def _square_a2_problem(canonical_set, half_width):
+    """The canonical set with a square bump 0.3 x 4 on a2, at h = 0.1."""
+    cs = canonical_set.with_bump_on("a2", SpatialBump.square(0.3, 4.0))
+    n = int(round(2 * half_width / 0.1)) + 1
+    return Problem(cs, Grid(-half_width, half_width, n))
+
+
+def test_tail_check_recedes_as_the_domain_grows(canonical_set):
+    # The v-resident decays from the bump at about exp(-sqrt(0.4)|x|): at
+    # tail_margin 10 beyond the support it still misses the orbit by more
+    # than TAIL_TOL.  On half-width 30 the tail starts at 16, and the
+    # resident meets the orbit there.
+    vstar = compute_semitrivial("v", _square_a2_problem(canonical_set, 30.0))
+    x = vstar.grid.x
+    assert np.max(np.abs(vstar.frames[:, np.abs(x) >= 16.0] - 0.4)) \
+        <= TAIL_TOL
+    assert np.max(np.abs(vstar.frames[:, np.abs(x) >= 12.0] - 0.4)) \
+        > TAIL_TOL
+
+
+def test_tail_check_blames_a_domain_one_unit_past_the_margin(canonical_set):
+    # Half-width support + tail_margin + 1: the tail starts at the margin.
+    with pytest.raises(NumericalGuardError, match=r"\(domain too small\)"):
+        compute_semitrivial("v", _square_a2_problem(canonical_set, 13.0))
 
 
 def test_linearized_radius_canonical(canonical_problem):
