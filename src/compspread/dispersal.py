@@ -151,20 +151,15 @@ def _check_kernel_grid(kernel: Kernel, grid: Grid) -> None:
         raise PreconditionError("kernel support exceeds half the domain")
 
 
-def apply_dispersal(u: np.ndarray, grid: Grid, kernel: Optional[Kernel] = None,
-                    mu: float = 0.0) -> np.ndarray:
-    """The dispersal operator, exponentially tilted by mu >= 0.  Without a
-    kernel: the second difference with reflecting ghost values, plus
-    mu^2 * u.  With one: convolution against exp(-mu*z)*kernel minus
-    identity, boundary values extended as constants."""
-    if mu < 0.0:
-        raise PreconditionError("tilt must be nonnegative")
+def apply_dispersal(u: np.ndarray, grid: Grid,
+                    kernel: Optional[Kernel] = None) -> np.ndarray:
+    """The dispersal operator.  Without a kernel: the second difference
+    with reflecting ghost values.  With one: convolution against the
+    kernel minus identity, boundary values extended as constants."""
     if kernel is None:
-        out = _accel.second_diff(u, 1.0 / grid.h ** 2)
-        return out + (mu * mu) * u if mu > 0.0 else out
+        return _accel.second_diff(u, 1.0 / grid.h ** 2)
     _check_kernel_grid(kernel, grid)
-    w = kernel.tilted_weights(mu) if mu > 0.0 else kernel.weights
-    return _accel.correlate_ext(u, w * kernel.h) - u
+    return _accel.correlate_ext(u, kernel.weights * kernel.h) - u
 
 
 def boundary_margin(grid: Grid, kernel: Optional[Kernel]) -> float:

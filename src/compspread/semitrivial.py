@@ -50,12 +50,6 @@ class PeriodicField:
     def steps_per_period(self) -> int:
         return self.frames.shape[0] - 1
 
-    def sup(self) -> float:
-        return float(np.max(self.frames))
-
-    def inf(self) -> float:
-        return float(np.min(self.frames))
-
 
 def compute_semitrivial(species: str, problem: Problem,
                         scheme: Optional[SchemeConfig] = None,
@@ -255,16 +249,18 @@ def destabilizing_bump(cs: CoefficientSet,
             f"(mean invasion exponent {mean_resid:.3e} >= 0)")
     threshold = -mean_resid
     kind = "random" if kernel_spec is None else "nonlocal"
+    # One search grid (and kernel) per width, shared by every amplitude.
+    domains = []
+    for width in widths:
+        m = int(np.ceil((width / 2.0 + pad) / h))
+        grid = Grid(-m * h, m * h, 2 * m + 1)
+        domains.append((width, grid, None if kernel_spec is None else
+                        Kernel.build(kernel_spec[0], kernel_spec[1], grid.h)))
 
     scanned = []
     for amp in BUMP_AMPLITUDES:
-        for width in widths:
+        for width, grid, kernel in domains:
             bump = SpatialBump.square(float(amp), float(width))
-            span = width / 2.0 + pad
-            m = int(np.ceil(span / h))
-            grid = Grid(-m * h, m * h, 2 * m + 1)
-            kernel = (None if kernel_spec is None
-                      else Kernel.build(kernel_spec[0], kernel_spec[1], grid.h))
             p = LinearProblem(0.0, kind, grid, cs.period, baseline=0.0,
                               bump=bump, kernel=kernel)
             verdict = radius_threshold_test(p, threshold)

@@ -99,9 +99,11 @@ class Stepper:
     """Bound problem + scheme; advances raw (u, v) arrays one step or one
     period.
 
-    Times live on the step lattice t = k*dt: the baselines repeat every
-    period, so they are tabulated once at the step midpoints (k + 1/2)*dt
-    and each step looks up its phase k mod steps_per_period.
+    Steps are addressed by their lattice index k, the step from t = k*dt:
+    the baselines repeat every period, so they are tabulated once at the
+    step midpoints (k + 1/2)*dt and each step looks up its phase
+    k mod steps_per_period.  A time from outside is put on the lattice
+    once, by :meth:`step_index`, where a run starts.
 
     A stepper steps the whole grid; :meth:`window` gives one that steps
     ``points`` consecutive grid points from ``offset``, the fields then
@@ -177,9 +179,9 @@ class Stepper:
         return out
 
     def step_arrays(self, u: np.ndarray, v: np.ndarray,
-                    t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(u, v) one step after time t, which must lie on the step
-        lattice.  The inputs are never modified.  Fields of shape (K, n)
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) after the step from lattice index k, from time k*dt to
+        (k + 1)*dt.  The inputs are never modified.  Fields of shape (K, n)
         step K independent trajectories at once, each row bitwise as if
         stepped alone.
 
@@ -196,7 +198,7 @@ class Stepper:
         scanned: a nonzero first entry, NaN included, proves the species
         live.  A NaN field counts as live and is stepped.  In a batch the
         skip needs every row of the species to be zero."""
-        base = self._phase_coefs[self.step_index(t) % self.spp]
+        base = self._phase_coefs[k % self.spp]
         live_u = bool(u.flat[0]) or u.any()
         live_v = bool(v.flat[0]) or v.any()
         u = self._disperse(u) if live_u else np.zeros(u.shape)
@@ -213,12 +215,13 @@ class Stepper:
         return u_new, v_new
 
     def period_steps(self, u: np.ndarray, v: np.ndarray, k0: int = 0):
-        """Yield (u, v) after each step of one period from lattice index k0.
-        The state ending it, at time_at(k0 + spp), is checked for nonfinite
-        values before it is yielded; neither substep turns a nonfinite value
-        finite, so the check covers the whole period."""
+        """Yield (u, v) after each step of one period from lattice index k0,
+        passing each step its own index.  The state ending it, at
+        time_at(k0 + spp), is checked for nonfinite values before it is
+        yielded; neither substep turns a nonfinite value finite, so the
+        check covers the whole period."""
         for k in range(k0, k0 + self.spp):
-            u, v = self.step_arrays(u, v, self.time_at(k))
+            u, v = self.step_arrays(u, v, k)
             if k + 1 == k0 + self.spp:
                 _guard_finite(u, v, self.time_at(k + 1), self.grid,
                               self.offset)
@@ -381,11 +384,12 @@ def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
                     observers: Sequence[FrontObserver],
                     frame: Optional[np.ndarray] = None
                     ) -> tuple[SystemState, RunRecords]:
-    """Advance n whole periods from state.t with :meth:`Stepper.run_period`.
-    At each period end the observers sample the state.  With ``frame``,
-    the resident at the phase of state.t and so of every period end, the
-    state carries the cooperative transform (u, frame - v) of the stepped
-    fields.
+    """Advance n whole periods with :meth:`Stepper.run_period` from the
+    lattice index of state.t, the one time put on the lattice
+    (PreconditionError when it lies more than 1e-9 off it).  At each
+    period end the observers sample the state.  With ``frame``, the
+    resident at the phase of state.t and so of every period end, the state
+    carries the cooperative transform (u, frame - v) of the stepped fields.
 
     The full-length stepped fields are the state, and a period steps the
     window of :func:`_window_points` of them, written back at its end.
@@ -394,8 +398,10 @@ def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
     to put the furthest finite front position WINDOW_BEHIND inside its
     left edge, and stops at the grid's right end.  Cells the window has
     left keep the values they had then; only ``records.window`` and the
-    cells right of it hold the run's state.  A window of the whole grid
-    steps every cell, as the loop without one."""
+    cells right of it hold the run's state.  The whole grid is the widest
+    window: it steps every cell with the stepper's own factor and bumps,
+    both its edges are the grid's, so neither guard can fire, and it never
+    moves."""
     grid = stepper.grid
     times: list[float] = []
     series: dict[str, list[float]] = {obs.name: [] for obs in observers}
@@ -403,7 +409,7 @@ def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
     u = np.array(state.u, dtype=float)
     v = np.array(state.v, dtype=float) if frame is None else frame - state.v
     points = _window_points(grid, state, observers)
-    win = stepper if points == grid.n else stepper.window(points)
+    win = stepper.window(points)
     window = slice(0, grid.n)
     for _ in range(n_periods):
         window = slice(win.offset, win.offset + points)
@@ -416,13 +422,11 @@ def _record_periods(stepper: Stepper, state: SystemState, n_periods: int,
         positions = [obs.sample(state) for obs in observers]
         for obs, pos in zip(observers, positions):
             series[obs.name].append(pos)
-        if win is not stepper:
-            _check_window(observers, state, window, grid)
-            ahead = [pos for pos in positions if np.isfinite(pos)]
-            if ahead:
-                target = (max(ahead) - WINDOW_BEHIND - grid.x_min) // grid.h
-                win.slide(min(max(win.offset, int(target)),
-                              grid.n - points))
+        _check_window(observers, state, window, grid)
+        ahead = [pos for pos in positions if np.isfinite(pos)]
+        if ahead:
+            target = (max(ahead) - WINDOW_BEHIND - grid.x_min) // grid.h
+            win.slide(min(max(win.offset, int(target)), grid.n - points))
     records = RunRecords(np.asarray(times),
                          {name: np.asarray(vals)
                           for name, vals in series.items()}, window)

@@ -170,11 +170,10 @@ class SupersolutionSpec:
         above."""
         return np.minimum(v, self.M_star)
 
-    def xi(self, t, K: Optional[float] = None) -> np.ndarray:
+    def xi(self, t) -> np.ndarray:
         """Moving cutoff where u+ crosses k*M*."""
-        K = self.K if K is None else K
         phi = self.pair.phi.value(t)
-        return self.c * t - np.log(self.k * self.M_star / (K * phi)) / self.mu
+        return self.c * t - np.log(self.k * self.M_star / (self.K * phi)) / self.mu
 
     def envelope(self, t, x):
         return np.exp(-self.mu * (np.asarray(x) - self.c * np.asarray(t)))

@@ -207,8 +207,9 @@ def step(state: SystemState, problem: Problem,
          scheme: SchemeConfig) -> SystemState:
     """One split step; guards against nonfinite values."""
     stepper = Stepper(problem, scheme)
-    u, v = stepper.step_arrays(state.u, state.v, state.t)
-    t = stepper.time_at(stepper.step_index(state.t) + 1)
+    k = stepper.step_index(state.t)
+    u, v = stepper.step_arrays(state.u, state.v, k)
+    t = stepper.time_at(k + 1)
     _guard_finite(u, v, t, stepper.grid)
     return SystemState(t, u, v)
 

@@ -105,39 +105,6 @@ def test_nonlocal_support_guard():
         apply_dispersal(np.ones(g.n), g, k)
 
 
-def test_tilted_random_zero_tilt_bitwise(grid, rng):
-    u = rng.uniform(0.0, 2.0, grid.n)
-    assert np.array_equal(apply_dispersal(u, grid, mu=0.0),
-                          apply_dispersal(u, grid))
-
-
-def test_tilted_random_constants(grid):
-    c = np.full(grid.n, 3.0)
-    assert np.allclose(apply_dispersal(c, grid, mu=1.0), 3.0)
-    assert np.allclose(apply_dispersal(c, grid, mu=0.5), 0.75)
-
-
-def test_tilted_nonlocal_zero_tilt_bitwise(grid, uniform_kernel, rng):
-    u = rng.uniform(0.0, 2.0, grid.n)
-    assert np.array_equal(apply_dispersal(u, grid, uniform_kernel, 0.0),
-                          apply_dispersal(u, grid, uniform_kernel))
-
-
-def test_tilted_nonlocal_uniform_constant():
-    g = Grid(-6.0, 6.0, 1201)
-    k = Kernel.build("uniform", 1.0, g.h)
-    out = apply_dispersal(np.ones(g.n), g, k, 1.0)
-    assert np.allclose(out, np.sinh(1.0) - 1.0, atol=5e-5)
-
-
-def test_tilted_nonlocal_triangle_constant():
-    g = Grid(-6.0, 6.0, 1201)
-    k = Kernel.build("triangle", 1.0, g.h)
-    out = apply_dispersal(np.ones(g.n), g, k, 1.0)
-    expected = 2.0 * (np.cosh(1.0) - 1.0) - 1.0
-    assert np.allclose(out, expected, atol=5e-5)
-
-
 def test_kernel_moment_normalization(uniform_kernel):
     assert kernel_moment(uniform_kernel, 0.0) == pytest.approx(1.0, abs=1e-12)
 

@@ -173,11 +173,9 @@ def test_competitive_order_preserved(canonical_set, rng):
     box = box_bounds(problem)
     for _ in range(5):
         (u1, v1), (u2, v2) = _random_competitive_pair(rng, 101, box)
-        t = 0.0
-        for _ in range(10 * stepper.spp):
-            u1, v1 = stepper.step_arrays(u1, v1, t)
-            u2, v2 = stepper.step_arrays(u2, v2, t)
-            t += stepper.dt
+        for k in range(10 * stepper.spp):
+            u1, v1 = stepper.step_arrays(u1, v1, k)
+            u2, v2 = stepper.step_arrays(u2, v2, k)
             assert np.max(u1 - u2) <= 1e-10
             assert np.max(v2 - v1) <= 1e-10
 
@@ -297,18 +295,27 @@ def test_tabulated_step_matches_per_step_coefficients(case, canonical_set, rng):
     v = rng.uniform(0.1, 0.4, problem.grid.n)
     ru, rv = u, v
     for k in range(2 * stepper.spp + 3):
-        u, v = stepper.step_arrays(u, v, stepper.time_at(k))
+        u, v = stepper.step_arrays(u, v, k)
         ru, rv = _reference_step(stepper, problem, ru, rv, k)
     assert np.array_equal(u, ru) and np.array_equal(v, rv)
 
 
 def test_off_lattice_time_is_a_precondition_error(canonical_set):
+    # A run puts its start time on the step lattice once; each step then
+    # takes its lattice index.
     problem = _tiny_problem(canonical_set)
-    stepper = Stepper(problem, make_scheme(problem))
+    scheme = make_scheme(problem)
+    stepper = Stepper(problem, scheme)
     u = np.full(11, 0.5)
-    stepper.step_arrays(u, u, 3 * stepper.dt + 5e-10)
-    with pytest.raises(PreconditionError):
-        stepper.step_arrays(u, u, 3.5 * stepper.dt)
+    frames = np.full((stepper.spp, 11), 0.6)
+    near = SystemState(3 * stepper.dt + 5e-10, u, u)
+    run_periods(near, problem, scheme, 1)
+    run_transformed(near, problem, scheme, frames, 1)
+    off = SystemState(3.5 * stepper.dt, u, u)
+    with pytest.raises(PreconditionError, match="step lattice"):
+        run_periods(off, problem, scheme, 1)
+    with pytest.raises(PreconditionError, match="step lattice"):
+        run_transformed(off, problem, scheme, frames, 1)
 
 
 def test_period_marks_are_exact_multiples_of_the_period():
@@ -336,7 +343,7 @@ def test_run_period_matches_step_loop(kind, canonical_set, rng):
     ru, rv = u, v
     frames = []
     for k in range(stepper.spp):
-        ru, rv = stepper.step_arrays(ru, rv, k * stepper.dt)
+        ru, rv = stepper.step_arrays(ru, rv, k)
         frames.append((ru, rv))
     pu, pv = stepper.run_period(u, v)
     assert np.array_equal(pu, ru) and np.array_equal(pv, rv)
@@ -355,7 +362,7 @@ def test_run_periods_from_mid_period_matches_step_loop(kind, canonical_set,
     end, rec = run_periods(SystemState(3 * stepper.dt, u, v), problem, scheme,
                            2)
     for k in range(3, 3 + 2 * stepper.spp):
-        u, v = stepper.step_arrays(u, v, stepper.time_at(k))
+        u, v = stepper.step_arrays(u, v, k)
     assert np.array_equal(end.u, u) and np.array_equal(end.v, v)
     assert end.t == stepper.time_at(3 + 2 * stepper.spp)
     assert np.array_equal(rec.times, [stepper.time_at(3 + stepper.spp),
@@ -412,7 +419,7 @@ def test_transformed_run_matches_the_per_step_round_trip(kind, canonical_set,
     spp = stepper.spp
     u, vt = state.u, state.v
     for k in range(3, 3 + 5 * spp):
-        u, v = stepper.step_arrays(u, frames[k % spp] - vt, stepper.time_at(k))
+        u, v = stepper.step_arrays(u, frames[k % spp] - vt, k)
         vt = frames[(k + 1) % spp] - v
     assert np.max(np.abs(out.u - u)) <= 1e-14
     assert np.max(np.abs(out.v - vt)) <= 1e-14
@@ -433,9 +440,8 @@ def test_batch_matches_row_by_row(kind, k, canonical_set, rng):
     u, v = u0, v0
     rows = [(u0[i], v0[i]) for i in range(k)]
     for step_k in range(stepper.spp + 3):
-        t = stepper.time_at(step_k)
-        u, v = stepper.step_arrays(u, v, t)
-        rows = [stepper.step_arrays(ru, rv, t) for ru, rv in rows]
+        u, v = stepper.step_arrays(u, v, step_k)
+        rows = [stepper.step_arrays(ru, rv, step_k) for ru, rv in rows]
     for i, (ru, rv) in enumerate(rows):
         assert np.array_equal(u[i], ru) and np.array_equal(v[i], rv)
     pu, pv = stepper.run_period(u0, v0)
@@ -450,9 +456,9 @@ def test_nan_in_a_batch_row_names_its_grid_point(canonical_set, monkeypatch):
     stepper = Stepper(problem, make_scheme(problem, steps_per_period=30))
     real = Stepper.step_arrays
 
-    def poisoned(self, u, v, t):
-        u, v = real(self, u, v, t)
-        if self.step_index(t) == self.spp - 1:
+    def poisoned(self, u, v, k):
+        u, v = real(self, u, v, k)
+        if k == self.spp - 1:
             u[2, 7] = np.nan  # after the last step, before the guard
         return u, v
 
@@ -470,10 +476,9 @@ def _nan_mid_period(monkeypatch, min_points=0):
     on grids with more than min_points points."""
     real = Stepper.step_arrays
 
-    def poisoned(self, u, v, t):
-        u, v = real(self, u, v, t)
-        if u.size > min_points and \
-                self.step_index(t) % self.spp == self.spp // 2:
+    def poisoned(self, u, v, k):
+        u, v = real(self, u, v, k)
+        if u.size > min_points and k % self.spp == self.spp // 2:
             u.reshape(-1)[u.size // 2] = np.nan
         return u, v
 
@@ -568,7 +573,7 @@ def _assert_zero_species_matches(problem, zero, rng):
     u0, v0 = (live, absent) if zero == "v" else (absent, live)
     u, v = ru, rv = u0, v0
     for k in range(2 * stepper.spp):
-        u, v = stepper.step_arrays(u, v, stepper.time_at(k))
+        u, v = stepper.step_arrays(u, v, k)
         ru, rv = _reference_step(stepper, problem, ru, rv, k)
     assert np.array_equal(u, ru) and np.array_equal(v, rv)
     end, _ = run_periods(SystemState(0.0, u0, v0), problem, scheme, 2)
@@ -582,7 +587,7 @@ def test_zero_species_comes_back_as_positive_zeros(kind, canonical_set, rng):
     stepper = Stepper(problem, make_scheme(problem))
     u = rng.uniform(0.1, 1.0, problem.grid.n)
     v = np.full(problem.grid.n, -0.0)
-    u_new, v_new = stepper.step_arrays(u, v, 0.0)
+    u_new, v_new = stepper.step_arrays(u, v, 0)
     assert not v_new.any() and not np.signbit(v_new).any()
     assert np.signbit(v).all()  # the input is left as it was
     ru, rv = _reference_step(stepper, problem, u, v, 0)
@@ -597,7 +602,7 @@ def test_single_nonzero_edge_entry_is_stepped(kind, edge, canonical_set, rng):
     u = rng.uniform(0.1, 1.0, problem.grid.n)
     v = np.zeros(problem.grid.n)
     v[edge] = 0.3
-    u_new, v_new = stepper.step_arrays(u, v, 0.0)
+    u_new, v_new = stepper.step_arrays(u, v, 0)
     ru, rv = _reference_step(stepper, problem, u, v, 0)
     assert np.array_equal(u_new, ru) and np.array_equal(v_new, rv)
     assert np.count_nonzero(v_new) > 1  # dispersal spread the entry
@@ -613,7 +618,7 @@ def test_zero_first_entry_falls_through_to_the_scan(kind, first, canonical_set,
     v = np.zeros(problem.grid.n)
     v[0] = first
     v[40] = 0.3
-    u_new, v_new = stepper.step_arrays(u, v, 0.0)
+    u_new, v_new = stepper.step_arrays(u, v, 0)
     ru, rv = _reference_step(stepper, problem, u, v, 0)
     assert np.array_equal(u_new, ru) and np.array_equal(v_new, rv)
     assert np.count_nonzero(v_new) > 1  # dispersal spread the entry
@@ -625,7 +630,7 @@ def test_batch_with_a_zero_first_row_is_stepped(canonical_set, rng):
     u = rng.uniform(0.1, 1.0, (2, problem.grid.n))
     u[0] = 0.0
     v = rng.uniform(0.1, 0.4, (2, problem.grid.n))
-    u_new, v_new = stepper.step_arrays(u, v, 0.0)
+    u_new, v_new = stepper.step_arrays(u, v, 0)
     for i in range(2):
         ru, rv = _reference_step(stepper, problem, u[i], v[i], 0)
         assert np.array_equal(u_new[i], ru) and np.array_equal(v_new[i], rv)

@@ -220,10 +220,9 @@ def test_nonfinite_guard_names_the_grid_index_in_a_moved_window(
     real = Stepper.step_arrays
     offsets = []
 
-    def poisoned(self, u, v, t):
-        u, v = real(self, u, v, t)
-        if self.offset > 0 and \
-                self.step_index(t) % self.spp == self.spp - 1:
+    def poisoned(self, u, v, k):
+        u, v = real(self, u, v, k)
+        if self.offset > 0 and k % self.spp == self.spp - 1:
             offsets.append(self.offset)
             u[5] = np.nan  # after the last step, before the guard
         return u, v
