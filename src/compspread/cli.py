@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -267,8 +268,10 @@ def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> int:
         jobs = (problems.values(),
                 [cfg.scheme or make_scheme(p) for p in problems.values()],
                 repeat(sc["periods"]), repeat(sc["x0"]), repeat(sc["ramp"]))
-        if args.workers > 1 and len(problems) > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # The pool forks all its processes at the first submit.
+        workers = min(args.workers, len(problems), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 outs = list(pool.map(speed_interval, *jobs))
         else:
             outs = list(map(speed_interval, *jobs))
@@ -347,18 +350,27 @@ def _json_safe(obj):
 def _write_error(out_dir: Path, exc: CompspreadError) -> None:
     """error.json in out_dir: the error's type, message and exit code, and
     its diagnostics when it carries any.  It is not a result file, so no
-    manifest lists it."""
+    manifest lists it.  When out_dir could not be created, the error stays
+    on stderr alone."""
     record = {"type": type(exc).__name__, "message": str(exc),
               "exit_code": exc.exit_code}
     if exc.diagnostics is not None:
         record["diagnostics"] = _json_safe(exc.diagnostics)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "error.json", record)
+    try:
+        write_json(out_dir / "error.json", record)
+    except OSError as err:
+        print(f"error.json not written: {err}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"--out {str(args.out)!r} cannot be an output "
+                              f"directory: {err.strerror or err}") from None
+        args.workers = read(COUNT, args.workers, "--workers")
         if args.preset:
             cfg = parse_config(preset_config(args.preset))
         else:

@@ -238,10 +238,6 @@ class EnvelopeTable:
     b2L: float; b2M: float
     c2L: float; c2M: float
 
-    def pairs(self) -> dict[str, tuple[float, float]]:
-        return {n: (getattr(self, n + "L"), getattr(self, n + "M"))
-                for n in FIELD_NAMES}
-
 
 def compute_envelopes(cs: CoefficientSet) -> EnvelopeTable:
     """Baseline envelopes, exact for every descriptor kind (a table's

@@ -241,10 +241,11 @@ def write_svg_polyline(path: Path, xs, ys, title: str) -> None:
 
 
 class ResultWriter:
-    """The one writer of result files.  Each method writes its file, and
-    lists it for the manifest, only when the configuration selected the
-    file's format; :meth:`finish` writes the manifest embedding the
-    resolved configuration."""
+    """The one writer of result files, into the existing directory
+    ``out_dir``.  Each method writes its file, and lists it for the
+    manifest, only when the configuration selected the file's format;
+    :meth:`finish` writes the manifest embedding the resolved
+    configuration."""
 
     def __init__(self, out_dir, config: RunConfig):
         self.out_dir = Path(out_dir)
@@ -255,7 +256,6 @@ class ResultWriter:
         if fmt not in self.config.output_formats:
             return None
         self.files.append(name)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
     def csv(self, name: str, header: list[str], rows) -> None:
@@ -274,7 +274,6 @@ class ResultWriter:
             write_svg_polyline(path, xs, ys, title)
 
     def finish(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         write_json(self.out_dir / "manifest.json",
                    {"config": self.config.raw,
                     "config_sha256": self.config.config_hash(),

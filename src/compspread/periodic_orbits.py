@@ -38,9 +38,6 @@ class PeriodicOrbit:
     def sup(self) -> float:
         return float(np.max(self.values))
 
-    def inf(self) -> float:
-        return float(np.min(self.values))
-
 
 def _time_grid(period: float) -> np.ndarray:
     return np.linspace(0.0, period, N_TIME_DEFAULT + 1)
@@ -143,15 +140,10 @@ def logistic_closed_form(a0, b0, period: float) -> PeriodicOrbit:
     return _closed_orbit(period, t, A, values)
 
 
-def nonhomogeneous_periodic(alpha, h, period: float | None = None
-                            ) -> PeriodicOrbit:
+def nonhomogeneous_periodic(alpha, h, period: float) -> PeriodicOrbit:
     """Unique periodic solution of u' = alpha(t) u + h(t) for negative mean
     alpha, by the integrating-factor closed form.  |mean alpha| times period
     above about 709 overflows e^{-int alpha}: ``NumericalGuardError``."""
-    if period is None:
-        if not isinstance(alpha, PeriodicScalar):
-            raise ValueError("period required when alpha is not a descriptor")
-        period = alpha.period
     falpha, fh = _as_callable(alpha), _as_callable(h)
     t = _time_grid(period)
     B = cumulative_simpson(falpha(t), t)

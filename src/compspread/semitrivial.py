@@ -24,10 +24,12 @@ from .simulator import Problem, SchemeConfig, Stepper, fixed_point, make_scheme
 from .spectrum import (LinearProblem, SpectrumResult, principal_spectrum_point,
                        principal_spectrum_point_widened, radius_threshold_test)
 
-# Period budget of the resident fixed point, and how far its tail may miss
-# the homogeneous orbit.
+# Period budget of the resident fixed point, how far its tail may miss
+# the homogeneous orbit, and the least distance of the tail from the bumps'
+# support.
 RESIDENT_MAX_PERIODS = 5000
 TAIL_TOL = 1e-4
+TAIL_MARGIN = 10.0
 # Bump amplitudes destabilizing_bump scans, smallest first.
 BUMP_AMPLITUDES = np.round(np.arange(0.05, 1.0001, 0.05), 10)
 
@@ -54,7 +56,6 @@ class PeriodicField:
 def compute_semitrivial(species: str, problem: Problem,
                         scheme: Optional[SchemeConfig] = None,
                         tol: float = 1e-8,
-                        tail_margin: float = 10.0,
                         seed_scale: float = 1.0) -> PeriodicField:
     """Attracting periodic state of one species alone, found by long-run
     integration from the homogeneous orbit level until the period map is
@@ -63,7 +64,7 @@ def compute_semitrivial(species: str, problem: Problem,
     reacting it.  Spatially homogeneous coefficients take a scalar fast
     path; the stored frames always use the scheme's step lattice.  The
     tail, from halfway between the bumps' support and the nearer domain
-    end outward, but at least tail_margin beyond the support, must meet
+    end outward, but at least TAIL_MARGIN beyond the support, must meet
     the homogeneous orbit within TAIL_TOL; a miss blames the time step if
     the run without bumps misses it too, else the domain."""
     if species not in SPECIES_ROLES:
@@ -104,12 +105,12 @@ def compute_semitrivial(species: str, problem: Problem,
     residual = float(np.max(np.abs(frames[-1] - frames[0])))
 
     # The tail starts halfway from the support to the nearer domain end,
-    # and never closer to the support than tail_margin, so it recedes from
+    # and never closer to the support than TAIL_MARGIN, so it recedes from
     # the bumps as the domain grows.
     support = max(a_field.support_radius, b_field.support_radius)
     grid = problem.grid
     x = grid.x
-    start = max(support + tail_margin,
+    start = max(support + TAIL_MARGIN,
                 0.5 * (support + min(-grid.x_min, grid.x_max)))
     tail = np.abs(x) >= start
     if not tail.any():
@@ -120,7 +121,7 @@ def compute_semitrivial(species: str, problem: Problem,
         if not homogeneous:  # raises if the scheme misses even without bumps
             compute_semitrivial(species, Problem(
                 problem.coefficients.baselines(), problem.grid, problem.kernel),
-                scheme, tol, tail_margin, seed_scale)
+                scheme, tol, seed_scale)
         cause = (f"time step too large: dt={stepper.dt:.4g}" if homogeneous
                  else "domain too small")
         raise NumericalGuardError(
@@ -140,7 +141,6 @@ class StabilityVerdict:
     lam: float
     lam_lo: float
     lam_hi: float
-    radius: float
     spectrum: SpectrumResult
 
     @property
@@ -195,8 +195,7 @@ def linearized_radius(target: str, problem: Problem,
                           steps_per_period=spp)
         res = principal_spectrum_point(p, tol)
 
-    return StabilityVerdict(res.lam, res.lam_lo, res.lam_hi,
-                            float(np.exp(res.lam * period)), res)
+    return StabilityVerdict(res.lam, res.lam_lo, res.lam_hi, res)
 
 
 def far_field_exponent(target: str, problem: Problem,

@@ -59,7 +59,7 @@ from .dispersal import Grid, Kernel, check_kernel_spacing, kernel_moment
 from .errors import ConvergenceError, NumericalGuardError, PreconditionError
 
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_PERIODS = 2000
+MAX_PERIODS = 2000
 MIN_STEPS_PER_PERIOD = 256
 POWER_STEPS = 10
 # The widened-domain check: grid widening factor and the largest exponent
@@ -187,11 +187,6 @@ class SpectrumResult:
     profile: np.ndarray
     periods: int
     widening: float = 0.0
-
-    @property
-    def residual(self) -> float:
-        """Width of the bracket."""
-        return self.lam_hi - self.lam_lo
 
 
 class _LinearStepper:
@@ -331,7 +326,7 @@ class _LinearStepper:
 
 
 class _PeriodBudget(Exception):
-    """Raised inside the period map once ``max_periods`` maps are spent."""
+    """Raised inside the period map once MAX_PERIODS maps are spent."""
 
 
 class _NoEigenpair(Exception):
@@ -463,14 +458,12 @@ def _one_step_point(stepper: _LinearStepper,
     return point(min(max(ritz, lo), hi), lo, hi, sv)
 
 
-def _principal_point(p: LinearProblem, tol: float, max_periods: int,
+def _principal_point(p: LinearProblem, tol: float,
                      decided: Optional[Callable] = None) -> SpectrumResult:
     """:func:`principal_spectrum_point`, stopping also as soon as
     ``decided(lam_lo, lam_hi)`` holds."""
     if tol <= 0.0:
         raise PreconditionError("tolerance must be positive")
-    if max_periods < 1:
-        raise PreconditionError("max_periods must be positive")
 
     def settled(lo: float, hi: float) -> bool:
         return hi - lo <= tol or (decided is not None and decided(lo, hi))
@@ -487,7 +480,7 @@ def _principal_point(p: LinearProblem, tol: float, max_periods: int,
 
     def period_map(u: np.ndarray) -> np.ndarray:
         nonlocal maps
-        if maps >= max_periods:
+        if maps >= MAX_PERIODS:
             raise _PeriodBudget
         maps += 1
         pu = stepper.run_period(u)
@@ -511,11 +504,11 @@ def _principal_point(p: LinearProblem, tol: float, max_periods: int,
         lo, hi = _cw_bracket(u, pu, p.period)
     except (_NoEigenpair, _PeriodBudget) as exc:
         raise ConvergenceError(
-            f"no certified principal eigenpair within {max_periods} period "
+            f"no certified principal eigenpair within {MAX_PERIODS} period "
             f"maps ({type(exc).__name__})",
             diagnostics={"periods": maps, "lam_lo": lo, "lam_hi": hi}) from exc
     for _ in range(POWER_STEPS):
-        if settled(lo, hi) or maps >= max_periods:
+        if settled(lo, hi) or maps >= MAX_PERIODS:
             break
         u = pu / np.max(pu)
         pu = period_map(u)
@@ -524,8 +517,7 @@ def _principal_point(p: LinearProblem, tol: float, max_periods: int,
                           maps)
 
 
-def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL,
-                             max_periods: int = DEFAULT_MAX_PERIODS
+def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL
                              ) -> SpectrumResult:
     """Growth exponent ln(rho(P))/T of the period map P with a
     Collatz-Wielandt bracket [lam_lo, lam_hi] around it.
@@ -545,8 +537,10 @@ def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL,
     wider than ``tol``.  A bracket left wider is still a bound and is
     reported as it is.  ``lam`` is the Ritz value clipped into the
     bracket; ``periods`` counts the period maps where they run, ARPACK's
-    included, and every one counts against ``max_periods``."""
-    return _principal_point(p, tol, max_periods)
+    included, against MAX_PERIODS: ARPACK and the map that certifies its
+    pair must fit in it, or ConvergenceError is raised, and the power
+    steps stop at it."""
+    return _principal_point(p, tol)
 
 
 def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL
@@ -579,8 +573,7 @@ def radius_threshold_test(p: LinearProblem, lam_threshold: float) -> str:
     the widened bracket when that excludes the threshold.  Returns
     "above", "below", or "undecided"."""
     res = _principal_point(
-        p, DEFAULT_TOL, DEFAULT_MAX_PERIODS,
-        lambda lo, hi: lo > lam_threshold or hi < lam_threshold)
+        p, DEFAULT_TOL, lambda lo, hi: lo > lam_threshold or hi < lam_threshold)
     if res.lam_lo > lam_threshold:
         return "above"
     if res.lam_hi < lam_threshold:

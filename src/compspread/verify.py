@@ -12,7 +12,7 @@ exponential envelope and bounds the spreading speed from above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -545,40 +545,15 @@ def _random_positive_field(rng, x: np.ndarray, level: float) -> np.ndarray:
     return level * np.clip(modes, 0.2, None)
 
 
-def _check_initials(initials, n: int, mode: str
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The given initial pairs as float arrays; PreconditionError unless
-    each is two finite arrays of shape (n,) with u strictly positive and v
-    strictly positive, or, in one-sided mode, identically zero (the
-    invader-only start)."""
-    ensemble = []
-    for i, (u0, v0) in enumerate(initials):
-        u0, v0 = np.array(u0, dtype=float), np.array(v0, dtype=float)
-        for name, w in (("u", u0), ("v", v0)):
-            if w.shape != (n,) or not np.isfinite(w).all():
-                raise PreconditionError(
-                    f"initial {name} of trial {i} must be a finite array of "
-                    f"shape ({n},), got shape {w.shape}")
-        if not (np.all(u0 > 0.0) and (np.all(v0 > 0.0) or (
-                mode == "one-sided" and not v0.any()))):
-            raise PreconditionError(
-                f"initial state of trial {i} must be strictly positive (in "
-                "one-sided mode v may also be identically zero)")
-        ensemble.append((u0, v0))
-    return ensemble
-
-
 def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
                       n_trials: int = 5, seed: int = 0,
                       mode: str = "auto", settle_tol: float = 1e-6,
-                      max_periods: int = 2000,
-                      initials: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None
-                      ) -> PersistenceReport:
-    """Run an ensemble of strictly positive initial states and report the
-    empirical uniform floor after settling: in two-sided mode the floor of
-    both species, in one-sided (resident-exclusion) mode the floor of the
-    invader and of the gap to the v-resident.  In one-sided mode a given
-    initial v may also be identically zero.
+                      max_periods: int = 2000) -> PersistenceReport:
+    """Run an ensemble of n_trials strictly positive random initial states,
+    drawn from ``seed``, and report the empirical uniform floor after
+    settling: in two-sided mode the floor of both species, in one-sided
+    (resident-exclusion) mode the floor of the invader and of the gap to
+    the v-resident.  Fewer than one trial raises PreconditionError.
 
     The trials are stepped as one (K, n) batch.  Each trial leaves the
     batch at the period whose sup change falls below settle_tol, or at
@@ -590,6 +565,8 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
     if mode not in ("auto", "two-sided", "one-sided"):
         raise PreconditionError("persistence mode must be 'auto', "
                                 f"'two-sided' or 'one-sided', not {mode!r}")
+    if n_trials < 1:
+        raise PreconditionError("persistence needs at least one trial")
     if scheme is None:
         scheme = make_scheme(problem)
     ustar, vstar, ver_u, ver_v = invasion_verdicts(problem, scheme, 1e-10)
@@ -609,14 +586,9 @@ def persistence_probe(problem: Problem, scheme: Optional[SchemeConfig] = None,
     u_level = ustar.homogeneous_orbit.values[0]
     v_level = vstar.homogeneous_orbit.values[0]
 
-    if initials is not None:
-        ensemble = _check_initials(initials, problem.grid.n, mode)
-    else:
-        ensemble = [(_random_positive_field(rng, x, 0.6 * u_level),
-                     _random_positive_field(rng, x, 0.6 * v_level))
-                    for _ in range(n_trials)]
-    if not ensemble:
-        raise PreconditionError("persistence needs at least one trial")
+    ensemble = [(_random_positive_field(rng, x, 0.6 * u_level),
+                 _random_positive_field(rng, x, 0.6 * v_level))
+                for _ in range(n_trials)]
     trials: list[Optional[PersistenceTrial]] = [None] * len(ensemble)
     # slot[i] is the ensemble index of batch row i.
     slot = np.arange(len(ensemble))

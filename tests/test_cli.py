@@ -8,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compspread import cli, spectrum
 from compspread.cli import main
+from compspread.config import load_config
 from compspread.errors import ConfigError
 from compspread.presets import PRESETS
+from compspread.spreading import SpeedEstimate, SpeedIntervalResult
+from reference_routes import coexistence_homogeneous
 
 CANONICAL = {
     "period": 1.0,
@@ -596,6 +600,77 @@ def test_interval_matrix_matches_single_runs(tmp_path):
         assert single == {"base": matrix[key]}
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it is
+    asked for and maps in this process, so no process is started."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def _stub_interval(problem, scheme, n_periods, x0, ramp):
+    est = SpeedEstimate(1.0, "stub")
+    return SpeedIntervalResult(est, est, est)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 1000000])
+def test_sweep_pool_is_bounded_by_jobs_and_cores(tmp_path, monkeypatch,
+                                                 workers):
+    # Two interval jobs: the pool never asks for more workers than jobs or
+    # cores, and one worker runs in this process without a pool.
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli, "speed_interval", _stub_interval)
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    entries = [{"amplitude": 0.2, "width": 4.0},
+               {"amplitude": 0.2, "width": 2.0}]
+    _interval_run(tmp_path, "w", CANONICAL, {"intervals": entries}, workers)
+    bound = min(workers, 2, os.cpu_count() or 1)
+    assert _RecordingPool.asked == ([bound] if bound > 1 else [])
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_nonpositive_workers_is_exit_2(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    assert main(["speed", "--preset", "continuity-sweep", "--out", str(out),
+                 "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError"
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_cannot_be_a_directory_is_exit_2(tmp_path, capsys,
+                                                  monkeypatch, under):
+    # An --out at a file, or under one, is refused before any work, and the
+    # file is left as it was.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "dispersion_speed", no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "sub" if under else blocker
+    assert main(["speed", "--preset", "continuity-sweep",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "ConfigError" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "kept"
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
 def test_readme_lists_every_scenario_key():
     # README's scenario-key table and the command line's own table name
     # the same keys of the same subcommands.
@@ -849,3 +924,54 @@ def test_bumped_coexist_and_persistence_leave_out_arpack(tmp_path, kernel,
                "    assert rc == 0, (cmd, rc)\n"
                "assert 'scipy.sparse.linalg' not in sys.modules, "
                "'scipy.sparse.linalg imported'")
+
+
+@pytest.mark.parametrize("kernel", [None, {"shape": "uniform", "radius": 1.0}])
+def test_seasonal_baselines_with_a_bump_reach_coexistence(tmp_path,
+                                                          monkeypatch,
+                                                          kernel):
+    # The paper's combined setting: thm41-coexistence with a seasonal a1
+    # carrying a bump and a seasonal a2.  The u-resident is time-periodic,
+    # so its invader's table takes period maps and ARPACK.
+    arnoldi_calls = []
+
+    def counted_arnoldi(*args, **kwargs):
+        arnoldi_calls.append(1)
+        return arnoldi(*args, **kwargs)
+
+    arnoldi = spectrum._arnoldi_eigenpair
+    monkeypatch.setattr(spectrum, "_arnoldi_eigenpair", counted_arnoldi)
+    raw = {
+        "coefficients": dict(WEAK, a1={
+            "harmonic": {"mean": 1.0, "amplitude": 0.3},
+            "bump": {"amplitude": 0.3, "width": 4.0, "ramp": 0.5}},
+            a2={"harmonic": {"mean": 1.0, "amplitude": 0.2}}),
+        "grid": {"x_min": -30.0, "x_max": 30.0, "n": 301},
+        "scheme": {"steps_per_period": 32},
+        "scenario": {"name": "coexist", "seed_eps": 0.01},
+        "output": {"formats": ["csv", "json"]},
+        "seed": 0,
+    }
+    if kernel is not None:
+        raw["kernel"] = kernel
+    cfg = _write_config(tmp_path, raw)
+    for cmd in ("coexist", "persistence"):
+        assert main([cmd, "--config", str(cfg),
+                     "--out", str(tmp_path / cmd)]) == 0
+    assert arnoldi_calls
+
+    assert json.loads((tmp_path / "coexist" / "coexist.json")
+                      .read_text())["ordered"]
+    rows = np.loadtxt(tmp_path / "coexist" / "coexistence.csv",
+                      delimiter=",", skiprows=1)
+    tail = rows[np.abs(rows[:, 0]) >= 20.0]
+    u_orb, v_orb = coexistence_homogeneous(
+        load_config(cfg).coefficients.baselines())
+    assert np.max(np.abs(tail[:, [1, 3]] - u_orb.values[0])) <= 1e-3
+    assert np.max(np.abs(tail[:, [2, 4]] - v_orb.values[0])) <= 1e-3
+
+    report = json.loads((tmp_path / "persistence" / "persistence.json")
+                        .read_text())
+    assert report["mode"] == "two-sided"
+    assert report["failures"] == 0
+    assert report["unsettled"] == 0

@@ -7,6 +7,7 @@ from compspread.coefficients import (CoefficientField, PeriodicScalar,
 from compspread.dispersal import Grid
 from compspread.errors import NumericalGuardError, PreconditionError
 from compspread.periodic_orbits import logistic_orbit
+from compspread import semitrivial
 from compspread.semitrivial import (TAIL_TOL, compute_semitrivial,
                                     destabilizing_bump, far_field_exponent,
                                     linearized_radius)
@@ -28,10 +29,11 @@ def test_homogeneous_resident_matches_orbit(canonical_problem):
     assert vstar.residual < 1e-8
 
 
-def test_positive_bump_raises_resident_locally(canonical_set):
+def test_positive_bump_raises_resident_locally(canonical_set, monkeypatch):
     bumped = canonical_set.with_bump_on("a2", SpatialBump(0.3, 1.5, 0.5))
     problem = Problem(bumped, Grid(-25.0, 25.0, 501))
-    vstar = compute_semitrivial("v", problem, tail_margin=13.0)
+    monkeypatch.setattr(semitrivial, "TAIL_MARGIN", 13.0)
+    vstar = compute_semitrivial("v", problem)
     x = problem.grid.x
     assert np.min(vstar.frames) >= 0.4 - 1e-9
     over_bump = np.abs(x) <= 1.0
@@ -40,10 +42,11 @@ def test_positive_bump_raises_resident_locally(canonical_set):
     assert np.max(np.abs(vstar.frames[0][tail] - 0.4)) < 1e-4
 
 
-def test_negative_bump_lowers_resident_locally(canonical_set):
+def test_negative_bump_lowers_resident_locally(canonical_set, monkeypatch):
     bumped = canonical_set.with_bump_on("a2", SpatialBump(-0.2, 1.5, 0.5))
     problem = Problem(bumped, Grid(-25.0, 25.0, 501))
-    vstar = compute_semitrivial("v", problem, tail_margin=13.0)
+    monkeypatch.setattr(semitrivial, "TAIL_MARGIN", 13.0)
+    vstar = compute_semitrivial("v", problem)
     x = problem.grid.x
     assert np.max(vstar.frames) <= 0.4 + 1e-9
     over_bump = np.abs(x) <= 1.0
@@ -60,11 +63,12 @@ def test_resident_unique_from_larger_seed(canonical_set):
     assert np.max(np.abs(ref.frames - again.frames)) < 1e-5
 
 
-def test_tail_guard_fires_on_small_domain(canonical_set):
+def test_tail_guard_fires_on_small_domain(canonical_set, monkeypatch):
     bumped = canonical_set.with_bump_on("a2", SpatialBump(0.3, 1.5, 0.5))
     problem = Problem(bumped, Grid(-6.0, 6.0, 121))
+    monkeypatch.setattr(semitrivial, "TAIL_MARGIN", 10.0)
     with pytest.raises(Exception):
-        compute_semitrivial("v", problem, tail_margin=10.0)
+        compute_semitrivial("v", problem)
 
 
 def _harmonic_u_problem(canonical_set, bump, half_width, h):
@@ -90,13 +94,14 @@ def test_tail_guard_blames_a_coarse_time_step(canonical_set, bump,
 
 
 def test_tail_guard_blames_the_domain_when_the_scheme_meets_the_orbit(
-        canonical_set):
+        canonical_set, monkeypatch):
     # The tail starts halfway from the support (1.5) to the domain end, at
     # 3.25, where the resident still carries the bump.
     problem = _harmonic_u_problem(canonical_set, SpatialBump(0.3, 1.0, 0.5),
                                   5.0, 0.1)
+    monkeypatch.setattr(semitrivial, "TAIL_MARGIN", 0.5)
     with pytest.raises(NumericalGuardError, match="domain too small"):
-        compute_semitrivial("u", problem, tail_margin=0.5)
+        compute_semitrivial("u", problem)
 
 
 def _square_a2_problem(canonical_set, half_width):
@@ -108,7 +113,7 @@ def _square_a2_problem(canonical_set, half_width):
 
 def test_tail_check_recedes_as_the_domain_grows(canonical_set):
     # The v-resident decays from the bump at about exp(-sqrt(0.4)|x|): at
-    # tail_margin 10 beyond the support it still misses the orbit by more
+    # TAIL_MARGIN 10 beyond the support it still misses the orbit by more
     # than TAIL_TOL.  On half-width 30 the tail starts at 16, and the
     # resident meets the orbit there.
     vstar = compute_semitrivial("v", _square_a2_problem(canonical_set, 30.0))
@@ -120,7 +125,7 @@ def test_tail_check_recedes_as_the_domain_grows(canonical_set):
 
 
 def test_tail_check_blames_a_domain_one_unit_past_the_margin(canonical_set):
-    # Half-width support + tail_margin + 1: the tail starts at the margin.
+    # Half-width support + TAIL_MARGIN + 1: the tail starts at the margin.
     with pytest.raises(NumericalGuardError, match=r"\(domain too small\)"):
         compute_semitrivial("v", _square_a2_problem(canonical_set, 13.0))
 
@@ -131,7 +136,8 @@ def test_linearized_radius_canonical(canonical_problem):
     # invading v at the u-resident: growth 0.4 - 0.5*1 = -0.1
     at_u = linearized_radius("u", canonical_problem, ustar)
     assert at_u.lam == pytest.approx(-0.1, abs=1e-5)
-    assert at_u.radius == pytest.approx(np.exp(-0.1), abs=1e-5)
+    assert np.exp(at_u.lam * canonical_problem.coefficients.period) \
+        == pytest.approx(np.exp(-0.1), abs=1e-5)
     assert not at_u.unstable
     # invading u at the v-resident: growth 1 - 0.5*0.4 = 0.8
     at_v = linearized_radius("v", canonical_problem, vstar)

@@ -90,7 +90,7 @@ def test_dominant_profile_properties():
     res = principal_spectrum_point(p)
     assert np.max(res.profile) == pytest.approx(1.0)
     assert np.all(res.profile > 0.0)
-    assert res.residual < 1e-6
+    assert res.lam_hi - res.lam_lo < 1e-6
 
 
 def test_monotonicity_equal_problems():
@@ -482,7 +482,7 @@ def test_separable_bracket_closes_in_two_maps(kind):
     res = principal_spectrum_point(p)
     ref = _dense_exponent(p)
     assert res.lam_lo - 1e-12 <= ref <= res.lam_hi + 1e-12
-    assert res.residual <= 1e-10
+    assert res.lam_hi - res.lam_lo <= 1e-10
     assert res.periods == 0
 
 
@@ -505,17 +505,18 @@ def test_uniform_kernel_square_bump_brackets_shut():
                       bump=SpatialBump.square(0.3, 2.0),
                       kernel=Kernel.build("uniform", 1.0, g.h))
     res = principal_spectrum_point(p, tol=1e-8)
-    assert res.residual <= 1e-10
+    assert res.lam_hi - res.lam_lo <= 1e-10
     assert res.lam == pytest.approx(0.18740, abs=1e-5)
 
 
 def test_one_period_budget_on_a_separable_problem_raises(monkeypatch):
     # An unsettled pencil leaves the problem to period maps and ARPACK.
     monkeypatch.setattr(spectrum, "PENCIL_ITERATIONS", 1)
+    monkeypatch.setattr(spectrum, "MAX_PERIODS", 1)
     p = LinearProblem(0.0, "random", GRID, 1.0, baseline=-0.1,
                       bump=SpatialBump(0.5, 1.0, 0.5))
     with pytest.raises(ConvergenceError) as info:
-        principal_spectrum_point(p, max_periods=1)
+        principal_spectrum_point(p)
     assert info.value.diagnostics["periods"] == 1
 
 
@@ -536,7 +537,7 @@ def test_homogeneous_problems_take_one_period_map(case, monkeypatch):
     made = _recorded_steppers(monkeypatch)
     res = principal_spectrum_point(p)
     assert res.periods == 0
-    assert res.residual <= 1e-6
+    assert res.lam_hi - res.lam_lo <= 1e-6
     assert abs(res.lam - exact) < 1e-5
     assert _no_half_step_tables(made)
     ref = _dense_exponent(p)
@@ -551,13 +552,14 @@ def _unseparable_table(row: np.ndarray) -> np.ndarray:
     return row + bump * (1.0 + 0.5 * np.sin(2.0 * np.pi * t_mid))[:, None]
 
 
-def test_too_few_periods_for_arpack_raise_convergence_error():
+def test_too_few_periods_for_arpack_raise_convergence_error(monkeypatch):
     # A coefficient table takes ARPACK, which needs more than 5 maps.
+    monkeypatch.setattr(spectrum, "MAX_PERIODS", 5)
     row = -0.1 + SpatialBump(0.5, 1.0, 0.5)(GRID.x)
     p = LinearProblem(0.0, "random", GRID, 1.0,
                       coef_table=_unseparable_table(row))
     with pytest.raises(ConvergenceError) as info:
-        principal_spectrum_point(p, max_periods=5)
+        principal_spectrum_point(p)
     diag = info.value.diagnostics
     assert diag["periods"] == 5
     assert diag["lam_lo"] < diag["lam_hi"]
@@ -624,7 +626,7 @@ def test_tiled_table_takes_the_one_step_route(kind, monkeypatch):
     assert _no_half_step_tables(made)
     assert res.lam_lo <= sep.lam <= res.lam_hi
     assert res.lam_lo <= res.lam <= res.lam_hi
-    assert res.residual <= 1e-10
+    assert res.lam_hi - res.lam_lo <= 1e-10
     assert res.widening == _split(p.coef_table)[2]
 
 
@@ -703,8 +705,7 @@ def test_decided_widened_bracket_takes_the_one_step_route(inside):
     delta = _split(p.coef_table)[2]
     threshold = principal_spectrum_point(p).lam if inside else -1.0
     res = spectrum._principal_point(
-        p, spectrum.DEFAULT_TOL, spectrum.DEFAULT_MAX_PERIODS,
-        lambda lo, hi: lo > threshold or hi < threshold)
+        p, spectrum.DEFAULT_TOL, lambda lo, hi: lo > threshold or hi < threshold)
     if inside:
         assert res.periods > 0
         assert res.widening == 0.0

@@ -293,20 +293,6 @@ def test_persistence_one_sided_canonical(canonical_set):
     assert report.eta > 0.3
 
 
-def test_persistence_scalar_reduction(canonical_set):
-    # an invader-only start reduces to the scalar logistic: its floor is the
-    # resident level of the u-species
-    problem = Problem(canonical_set, Grid(-15.0, 15.0, 151))
-    n = problem.grid.n
-    initials = [(np.full(n, 0.5), np.zeros(n))]
-    report = persistence_probe(problem, make_scheme(problem,
-                                                    steps_per_period=32),
-                               mode="one-sided", initials=initials)
-    u_orb = logistic_orbit(canonical_set.a1.baseline, canonical_set.b1.baseline)
-    assert report.trials[0].eta <= u_orb.inf() + 1e-6
-    assert report.trials[0].eta > 0.3
-
-
 @pytest.mark.parametrize("max_periods, settled", [(2, False), (2000, True)])
 def test_persistence_reports_unsettled_trials(weak_set, max_periods, settled):
     problem = Problem(weak_set, Grid(-15.0, 15.0, 151))
@@ -382,24 +368,8 @@ def test_persistence_rejects_unknown_mode(canonical_set, monkeypatch):
         persistence_probe(problem, mode="two_sided")
 
 
-@pytest.mark.parametrize("case", ["short", "nonfinite", "negative", "zero u",
-                                  "zero v two-sided", "no trials"])
-def test_persistence_rejects_invalid_initials(canonical_set, weak_set, case):
-    cs = weak_set if case == "zero v two-sided" else canonical_set
-    problem = Problem(cs, Grid(-15.0, 15.0, 151))
-    n = problem.grid.n
-    u0, v0 = np.full(n, 0.5), np.full(n, 0.2)
-    if case == "short":
-        u0 = np.full(n - 1, 0.5)
-    elif case == "nonfinite":
-        v0[3] = np.nan
-    elif case == "negative":
-        v0[3] = -0.1
-    elif case == "zero u":
-        u0 = np.zeros(n)
-    elif case == "zero v two-sided":
-        v0 = np.zeros(n)
-    initials = [(np.full(n, 0.5), np.full(n, 0.2)), (u0, v0)]
-    with pytest.raises(PreconditionError):
+def test_persistence_needs_at_least_one_trial(canonical_set):
+    problem = Problem(canonical_set, Grid(-15.0, 15.0, 151))
+    with pytest.raises(PreconditionError, match="at least one trial"):
         persistence_probe(problem, make_scheme(problem, steps_per_period=32),
-                          initials=[] if case == "no trials" else initials)
+                          n_trials=0)
