@@ -118,24 +118,22 @@ def _write_dispersion(writer: ResultWriter, cfg: RunConfig, bracket,
     writer.svg("dispersion.svg", mus, speeds, "dispersion curve")
 
 
-def cmd_speed(cfg: RunConfig, writer: ResultWriter, args) -> int:
+def cmd_speed(cfg: RunConfig, writer: ResultWriter, args) -> None:
     bracket = args.scenario["bracket"]
     est = dispersion_speed(cfg.coefficients.baselines(), cfg.kernel, bracket)
     _write_dispersion(writer, cfg, bracket, args.scenario["mu_points"])
     writer.json("speed.json", asdict(est))
     print(f"c0* = {est.value:.5f}, mu* = {est.mu_star:.5f}")
-    return 0
 
 
-def cmd_spectrum(cfg: RunConfig, writer: ResultWriter, args) -> int:
+def cmd_spectrum(cfg: RunConfig, writer: ResultWriter, args) -> None:
     points = args.scenario["mu_points"]
     _write_dispersion(writer, cfg, args.scenario["bracket"], points)
     mean_alpha = invasion_mean_rate(cfg.coefficients.baselines())
     print(f"lambda(0) = {mean_alpha:.6f} over {points} tilt samples")
-    return 0
 
 
-def cmd_simulate(cfg: RunConfig, writer: ResultWriter, args) -> int:
+def cmd_simulate(cfg: RunConfig, writer: ResultWriter, args) -> None:
     periods, front = args.scenario["periods"], args.scenario["front"]
     problem = cfg.problem()
     scheme = cfg.scheme or make_scheme(problem)
@@ -167,20 +165,18 @@ def cmd_simulate(cfg: RunConfig, writer: ResultWriter, args) -> int:
     speed_txt = (f"{summary['front_speed']['value']:.5f}"
                  if summary.get("front_speed") else "n/a")
     print(f"front speed = {speed_txt} over {periods} periods")
-    return 0
 
 
-def cmd_persistence(cfg: RunConfig, writer: ResultWriter, args) -> int:
+def cmd_persistence(cfg: RunConfig, writer: ResultWriter, args) -> None:
     problem = cfg.problem()
     scheme = cfg.scheme or make_scheme(problem)
     report = persistence_probe(problem, scheme, seed=cfg.seed, **args.keywords)
     writer.json("persistence.json", report.to_json_dict())
     print(f"persistence floor eta = {report.eta:.6f} ({report.mode}, "
           f"{report.failures} failures, {report.unsettled} unsettled)")
-    return 0
 
 
-def cmd_coexist(cfg: RunConfig, writer: ResultWriter, args) -> int:
+def cmd_coexist(cfg: RunConfig, writer: ResultWriter, args) -> None:
     problem = cfg.problem()
     scheme = cfg.scheme or make_scheme(problem)
     result = monotone_coexistence(problem, scheme, **args.keywords)
@@ -198,10 +194,9 @@ def cmd_coexist(cfg: RunConfig, writer: ResultWriter, args) -> int:
         "v_range": [float(result.upper[1].min()), float(result.lower[1].max())]})
     print(f"coexistence reached in {result.periods} periods "
           f"(wrap residual {result.wrap_residual:.2e})")
-    return 0
 
 
-def cmd_destabilize(cfg: RunConfig, writer: ResultWriter, args) -> int:
+def cmd_destabilize(cfg: RunConfig, writer: ResultWriter, args) -> None:
     kernel_spec = None
     if cfg.kernel is not None:
         kernel_spec = (cfg.kernel.shape, cfg.kernel.nominal_radius)
@@ -216,10 +211,9 @@ def cmd_destabilize(cfg: RunConfig, writer: ResultWriter, args) -> int:
         "scanned": [list(s) for s in result.scanned]})
     print(f"destabilizing bump: amplitude {result.bump.amplitude:.2f}, "
           f"width {2 * result.bump.plateau:.1f}, exponent {result.lam_total:.5f}")
-    return 0
 
 
-def cmd_verify_super(cfg: RunConfig, writer: ResultWriter, args) -> int:
+def cmd_verify_super(cfg: RunConfig, writer: ResultWriter, args) -> None:
     eps = args.scenario["eps"]
     if cfg.grid is None:
         raise ConfigError("verify-super needs a grid section")
@@ -247,10 +241,9 @@ def cmd_verify_super(cfg: RunConfig, writer: ResultWriter, args) -> int:
     status = "PASS" if (report.passed and ineq.holds) else "FAIL"
     print(f"super-solution check {status}: residual floor "
           f"({report.min_residual_u:.3e}, {report.min_residual_v:.3e})")
-    return 0
 
 
-def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> int:
+def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> None:
     sc = args.scenario
     if cfg.scenario.get("name") == "interval" or "intervals" in sc:
         # The speed interval of the configuration, or of each bump of the
@@ -282,7 +275,7 @@ def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> int:
               f"[{first['lower']['value']:.5f}, "
               f"{first['upper']['value']:.5f}] vs "
               f"c0* = {first['theoretical']['value']:.5f}")
-        return 0
+        return
     if args.periods is not None:
         raise ConfigError("--periods: a continuity sweep has no period count")
     table = continuity_sweep(cfg.coefficients, cfg.kernel, **args.keywords)
@@ -294,10 +287,10 @@ def cmd_sweep(cfg: RunConfig, writer: ResultWriter, args) -> int:
         "rows": [list(r) for r in table.to_rows()]})
     print(f"sweep over {len(table.rows)} shifts; base c0* = "
           f"{table.base_speed:.5f}, monotone approach: {table.monotone}")
-    return 0
 
 
-# Subcommands in the order ``--help`` lists them.
+# Subcommands in the order ``--help`` lists them.  A handler fails only by
+# raising a CompspreadError.
 _HANDLERS = {
     "speed": cmd_speed,
     "simulate": cmd_simulate,
@@ -377,10 +370,9 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         args.scenario, args.keywords = _read_scenario(cfg, args)
         writer = ResultWriter(args.out, cfg)
-        code = _HANDLERS[args.command](cfg, writer, args)
-        if code == 0:
-            writer.finish()
-        return code
+        _HANDLERS[args.command](cfg, writer, args)
+        writer.finish()
+        return 0
     except CompspreadError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         if 2 <= exc.exit_code <= 5:

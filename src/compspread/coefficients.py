@@ -23,9 +23,10 @@ H2_SAMPLES = 256
 class PeriodicScalar:
     """Periodic scalar coefficient with a closed-form or tabular descriptor.
 
-    Kinds: ``constant`` (value,), ``harmonic`` (mean, amplitude, phase),
-    ``table`` (piecewise-linear knots over one period, wrapped modulo the
-    period, matching endpoint values).
+    Kinds: ``harmonic`` (mean, amplitude, phase), ``table`` (piecewise-linear
+    knots over one period, wrapped modulo the period, matching endpoint
+    values).  A constant is the harmonic of amplitude 0: c + 0*sin(.) is c
+    exactly.
     """
 
     period: float
@@ -48,12 +49,12 @@ class PeriodicScalar:
                 raise ConfigError("table knot times must increase")
             if abs(knots[0, 1] - knots[-1, 1]) > 1e-9:
                 raise ConfigError("table endpoint values must match")
-        elif self.kind not in ("constant", "harmonic"):
+        elif self.kind != "harmonic":
             raise ConfigError(f"unknown periodic descriptor kind {self.kind!r}")
 
     @staticmethod
     def constant(value: float, period: float = 1.0) -> "PeriodicScalar":
-        return PeriodicScalar(period, "constant", (float(value),))
+        return PeriodicScalar.harmonic(value, 0.0, 0.0, period)
 
     @staticmethod
     def harmonic(mean: float, amplitude: float, phase: float = 0.0,
@@ -68,8 +69,6 @@ class PeriodicScalar:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.broadcast_to(self.params[0], t.shape).copy() if t.ndim else float(self.params[0])
         if self.kind == "harmonic":
             mean, amp, phase = self.params
             val = mean + amp * np.sin(TWO_PI * t / self.period + phase)
@@ -81,8 +80,6 @@ class PeriodicScalar:
 
     def shifted(self, delta: float) -> "PeriodicScalar":
         """The same descriptor with ``delta`` added everywhere."""
-        if self.kind == "constant":
-            return PeriodicScalar.constant(self.params[0] + delta, self.period)
         if self.kind == "harmonic":
             mean, amp, phase = self.params
             return PeriodicScalar(self.period, "harmonic", (mean + delta, amp, phase))
@@ -91,9 +88,6 @@ class PeriodicScalar:
 
     def range_exact(self) -> tuple[float, float]:
         """(inf, sup) over one period, exact for every descriptor kind."""
-        if self.kind == "constant":
-            c = self.params[0]
-            return c, c
         if self.kind == "harmonic":
             mean, amp, _ = self.params
             return mean - abs(amp), mean + abs(amp)

@@ -181,7 +181,7 @@ def linearized_radius(target: str, problem: Problem,
                           baseline=base, bump=growth.bump,
                           kernel=problem.kernel)
         if growth.bump is not None:
-            res, _ = principal_spectrum_point_widened(p, tol)
+            res = principal_spectrum_point_widened(p, tol)
         else:
             res = principal_spectrum_point(p, tol)
     else:
@@ -196,16 +196,6 @@ def linearized_radius(target: str, problem: Problem,
         res = principal_spectrum_point(p, tol)
 
     return StabilityVerdict(res.lam, res.lam_lo, res.lam_hi, res)
-
-
-def far_field_exponent(target: str, problem: Problem,
-                       resident: PeriodicField) -> float:
-    """Growth exponent of the invader where every bump has vanished and the
-    resident sits on its homogeneous orbit: the period mean of
-    growth - suppress * orbit (dispersal conserves constants)."""
-    invader = "v" if target == "u" else "u"
-    return InvasionRate(problem.coefficients, invader,
-                        resident.homogeneous_orbit).mean()
 
 
 @dataclass
@@ -266,7 +256,7 @@ def destabilizing_bump(cs: CoefficientSet,
             scanned.append((float(amp), float(width), verdict))
             if verdict == "below":
                 continue
-            res, _ = principal_spectrum_point_widened(p)
+            res = principal_spectrum_point_widened(p)
             if res.lam <= threshold:
                 scanned[-1] = (float(amp), float(width), "confirmed-below")
                 continue

@@ -21,9 +21,9 @@ the Collatz-Wielandt ratios bound it: min(Pu/u) <= rho(P) <= max(Pu/u).
   row mean of T - c and delta = max|r|.  Each step is entrywise
   increasing in the coefficient, so |lam(T) - lam(beta + c)| <= delta,
   and the one-step bracket of beta_k + c(x), widened by delta on each
-  side, bounds the table's exponent.  It is taken when 2*delta <= tol, or
-  when the widened bracket decides the caller's question.  A stationary
-  resident (time-constant coefficients) gives such a table.
+  side, bounds the table's exponent.  It is taken exactly when
+  2*delta <= tol.  A stationary resident (time-constant coefficients)
+  gives such a table.
 - Other tables, and problems whose pencil does not settle, map the
   constant field once and, unless that bracket already settles, take
   ARPACK's Arnoldi method (loaded only then); the bracket comes from the
@@ -120,29 +120,25 @@ class LinearProblem:
             return 0.0
         return homogeneous_growth_exponent(self.mu, 0.0, self.kernel)
 
-    def _auto_steps(self) -> int:
+    def resolved_steps(self) -> int:
         if self.kernel is None:
             # Crank-Nicolson stays order-preserving for dt <= h^2.
-            need = int(np.ceil(self.period / self.grid.h ** 2))
+            need = self.period / self.grid.h ** 2
         else:
             m_mu = kernel_moment(self.kernel, self.mu)
-            need = int(np.ceil(2.0 * self.period * max(m_mu, 1.0)))
-        return max(MIN_STEPS_PER_PERIOD, need)
-
-    def resolved_steps(self) -> int:
-        spp = self.steps_per_period or self._auto_steps()
+            need = 2.0 * self.period * max(m_mu, 1.0)
+        spp = self.steps_per_period or max(MIN_STEPS_PER_PERIOD,
+                                           int(np.ceil(need)))
         dt = self.period / spp
         if self.kernel is None:
             if dt > self.grid.h ** 2 * (1.0 + 1e-12):
                 raise NumericalGuardError(
                     f"dt={dt:.3e} violates the order-preservation bound "
                     f"h^2={self.grid.h ** 2:.3e}")
-        else:
-            m_mu = kernel_moment(self.kernel, self.mu)
-            if dt * m_mu > 1.0 + 1e-12:
-                raise NumericalGuardError(
-                    f"dt={dt:.3e} violates the nonlocal positivity bound "
-                    f"1/m(mu)={1.0 / m_mu:.3e}")
+        elif dt * m_mu > 1.0 + 1e-12:
+            raise NumericalGuardError(
+                f"dt={dt:.3e} violates the nonlocal positivity bound "
+                f"1/m(mu)={1.0 / m_mu:.3e}")
         if self.coef_table is not None and self.coef_table.shape != (spp, self.grid.n):
             raise PreconditionError("coefficient table shape must be (steps, n)")
         return spp
@@ -462,19 +458,17 @@ def _principal_point(p: LinearProblem, tol: float,
                      decided: Optional[Callable] = None) -> SpectrumResult:
     """:func:`principal_spectrum_point`, stopping also as soon as
     ``decided(lam_lo, lam_hi)`` holds."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise PreconditionError("tolerance must be positive")
 
     def settled(lo: float, hi: float) -> bool:
         return hi - lo <= tol or (decided is not None and decided(lo, hi))
 
     stepper = _LinearStepper(p)
-    # Within tol of separable (always, without a table), or possibly
-    # decided by the widened bracket: try the one step first.
-    separable = 2.0 * stepper.widening <= tol
-    if separable or decided is not None:
+    # Within tol of separable (always, without a table): the one step.
+    if 2.0 * stepper.widening <= tol:
         res = _one_step_point(stepper, settled)
-        if res is not None and (separable or settled(res.lam_lo, res.lam_hi)):
+        if res is not None:
             return res
     maps = 0
 
@@ -544,11 +538,12 @@ def principal_spectrum_point(p: LinearProblem, tol: float = DEFAULT_TOL
 
 
 def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL
-                                     ) -> tuple[SpectrumResult, float]:
-    """Domain-adequacy guarded exponent for localized coefficients: recompute
-    on a grid WIDEN_FACTOR times wider and fail if the exponent shifts more
-    than WIDEN_SHIFT_TOL.  A coefficient table is sampled on its own grid
-    and cannot be widened."""
+                                     ) -> SpectrumResult:
+    """Domain-adequacy guarded exponent for localized coefficients: the
+    result on ``p``'s own grid, once a grid WIDEN_FACTOR times wider has
+    moved the exponent by at most WIDEN_SHIFT_TOL (NumericalGuardError
+    otherwise).  A coefficient table is sampled on its own grid and cannot
+    be widened."""
     if p.coef_table is not None:
         raise PreconditionError(
             "the widened-domain check takes baseline-plus-bump problems, "
@@ -560,7 +555,7 @@ def principal_spectrum_point_widened(p: LinearProblem, tol: float = DEFAULT_TOL
     if shift > WIDEN_SHIFT_TOL:
         raise NumericalGuardError(
             f"domain too small: exponent shifts by {shift:.2e} when widened")
-    return res, shift
+    return res
 
 
 def radius_threshold_test(p: LinearProblem, lam_threshold: float) -> str:
@@ -569,9 +564,8 @@ def radius_threshold_test(p: LinearProblem, lam_threshold: float) -> str:
     one map, as :func:`principal_spectrum_point` routes the problem) when
     it excludes the threshold, otherwise from the bracket of its
     eigenpair, which stops as soon as its bracket excludes the threshold.
-    A coefficient table tries the one step whatever its delta and keeps
-    the widened bracket when that excludes the threshold.  Returns
-    "above", "below", or "undecided"."""
+    A coefficient table takes its own route, the one step exactly when
+    2*delta <= DEFAULT_TOL.  Returns "above", "below", or "undecided"."""
     res = _principal_point(
         p, DEFAULT_TOL, lambda lo, hi: lo > lam_threshold or hi < lam_threshold)
     if res.lam_lo > lam_threshold:

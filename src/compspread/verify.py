@@ -24,8 +24,7 @@ from .periodic_orbits import (N_TIME_DEFAULT, InvasionRate, PeriodicOrbit,
                               cumulative_simpson, nonhomogeneous_periodic,
                               periodic_mean, resident_orbit)
 from .semitrivial import (PeriodicField, StabilityVerdict,
-                          compute_semitrivial, far_field_exponent,
-                          linearized_radius)
+                          compute_semitrivial, linearized_radius)
 from .simulator import Problem, SchemeConfig, Stepper, fixed_point, make_scheme
 from .spectrum import homogeneous_growth_exponent
 from .spreading import minimize_dispersion
@@ -407,6 +406,19 @@ def _require_decided(ver_u: StabilityVerdict, ver_v: StabilityVerdict,
 # monotone iteration to coexistence
 # ---------------------------------------------------------------------------
 
+def _grows_everywhere(problem: Problem, invader: str,
+                      resident: PeriodicField) -> bool:
+    """Whether the invader's rate growth - suppress * resident is positive
+    at every grid point in every frame of the resident's period: only then
+    is a constant a sub-solution of its linearization (dispersal conserves
+    constants)."""
+    growth, _, suppress = problem.coefficients.roles(invader)
+    t = (np.arange(resident.frames.shape[0]) * resident.dt)[:, None]
+    x = problem.grid.x
+    rate = growth.value(t, x) - suppress.value(t, x) * resident.frames
+    return bool(np.all(rate > 0.0))
+
+
 @dataclass
 class CoexistenceResult:
     upper: tuple[np.ndarray, np.ndarray]
@@ -443,13 +455,13 @@ def monotone_coexistence(problem: Problem, scheme: Optional[SchemeConfig] = None
             f"(exponent brackets {_brackets(ver_u, ver_v)})")
     # The invaders' eigenvectors decay to 1e-12 and below far from the
     # bumps, and would take many periods to fill in there.  Where the
-    # invader grows on its own (positive far-field exponent), a seed
-    # floored at SEED_FLOOR is still a sub-solution of its growth.
+    # invader grows at the resident everywhere, a seed floored at
+    # SEED_FLOOR is still a sub-solution of its growth.
     prof_v = ver_u.spectrum.profile
     prof_u = ver_v.spectrum.profile
-    if far_field_exponent("u", problem, ustar) > 0.0:
+    if _grows_everywhere(problem, "v", ustar):
         prof_v = np.maximum(prof_v, SEED_FLOOR)
-    if far_field_exponent("v", problem, vstar) > 0.0:
+    if _grows_everywhere(problem, "u", vstar):
         prof_u = np.maximum(prof_u, SEED_FLOOR)
 
     stepper = Stepper(problem, scheme)

@@ -813,11 +813,21 @@ def _imports_scipy_integrate(node):
     return False
 
 
+def test_package_root_binds_only_its_version(run_python):
+    # Every name is imported from its submodule: the package root is no
+    # second import path.
+    run_python("import compspread\n"
+               "public = [n for n in vars(compspread) if not n.startswith('_')]\n"
+               "assert public == [], public\n"
+               "assert compspread.__version__")
+
+
 def test_package_defines_only_what_it_uses():
     # Each public top-level function and class of compspread is used by
-    # another part of the package (re-exports in __init__ do not count) or
-    # by the benchmark; references that only tests call live in
-    # tests/reference_routes.py, and so does every scipy.integrate import.
+    # another part of the package or by the benchmark (the package root
+    # binds no other name: test_package_root_binds_only_its_version);
+    # references that only tests call live in tests/reference_routes.py,
+    # and so does every scipy.integrate import.
     root = Path(__file__).resolve().parents[1]
     modules = {p.stem: ast.parse(p.read_text())
                for p in (root / "src" / "compspread").glob("*.py")
@@ -975,3 +985,16 @@ def test_seasonal_baselines_with_a_bump_reach_coexistence(tmp_path,
     assert report["mode"] == "two-sided"
     assert report["failures"] == 0
     assert report["unsettled"] == 0
+
+
+def test_strongly_suppressive_resident_bump_reaches_coexistence(tmp_path):
+    # A bump of 10 on a1 lifts the u-resident to about 11 inside it, where
+    # v's rate 1 - 0.5*u is negative although its far-field exponent is
+    # 0.5: a seed floored there shrank and broke monotonicity (exit 5).
+    raw = copy.deepcopy(PRESETS["thm41-coexistence"])
+    raw["coefficients"]["a1"] = {"constant": 1.0, "bump": {
+        "amplitude": 10.0, "width": 4.0, "ramp": 0.5}}
+    cfg = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["coexist", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "coexist.json").read_text())["ordered"]

@@ -9,8 +9,7 @@ from compspread.errors import NumericalGuardError, PreconditionError
 from compspread.periodic_orbits import logistic_orbit
 from compspread import semitrivial
 from compspread.semitrivial import (TAIL_TOL, compute_semitrivial,
-                                    destabilizing_bump, far_field_exponent,
-                                    linearized_radius)
+                                    destabilizing_bump, linearized_radius)
 from compspread.simulator import Problem
 from compspread.spectrum import LinearProblem, principal_spectrum_point
 
@@ -264,13 +263,3 @@ def test_destabilizing_bump_search_nonlocal(canonical_set):
 def test_destabilize_requires_stable_start(weak_set):
     with pytest.raises(PreconditionError):
         destabilizing_bump(weak_set)  # already unstable: mean = 1 - 0.5/2 > 0
-
-
-def test_far_field_exponent_of_constant_residents(weak_set):
-    # Weak set: each invader grows at 1 - 0.5 * 1 where the other species
-    # sits at its carrying capacity 1.
-    problem = Problem(weak_set, Grid(-10.0, 10.0, 101))
-    for target in ("u", "v"):
-        resident = compute_semitrivial(target, problem)
-        assert far_field_exponent(target, problem, resident) == \
-            pytest.approx(0.5, abs=1e-12)

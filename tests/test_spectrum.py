@@ -210,7 +210,10 @@ def test_widened_domain_check():
     g = Grid(-25.0, 25.0, 501)
     p = LinearProblem(0.0, "random", g, 1.0, baseline=-0.1,
                       bump=SpatialBump(0.5, 2.0, 0.0))
-    res, shift = principal_spectrum_point_widened(p)
+    res = principal_spectrum_point_widened(p)
+    wide = principal_spectrum_point(
+        replace(p, grid=g.widened(spectrum.WIDEN_FACTOR)))
+    shift = abs(wide.lam - res.lam)
     assert shift < 1e-4
     assert res.lam > 0.1
 
@@ -447,6 +450,19 @@ def _recorded_steppers(monkeypatch) -> list:
 
     monkeypatch.setattr(spectrum, "_LinearStepper", Recording)
     return made
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-6])
+def test_tolerance_that_is_not_positive_raises_before_any_step(tol,
+                                                                monkeypatch):
+    # NaN once passed a ``tol <= 0`` guard, skipped the one-step route and
+    # spent every period map before ConvergenceError.
+    p = LinearProblem(0.0, "random", Grid(-20.0, 20.0, 401), 1.0,
+                      baseline=0.1, bump=SpatialBump(0.5, 2.0, 0.5))
+    made = _recorded_steppers(monkeypatch)
+    with pytest.raises(PreconditionError, match="tolerance"):
+        principal_spectrum_point(p, tol=tol)
+    assert made == []
 
 
 def _no_half_step_tables(made: list) -> bool:
@@ -693,27 +709,6 @@ def test_table_past_tol_takes_period_maps():
     res = principal_spectrum_point(p, tol=1.9 * delta)
     assert res.periods > 0
     assert res.widening == 0.0
-
-
-@pytest.mark.parametrize("inside", [False, True])
-def test_decided_widened_bracket_takes_the_one_step_route(inside):
-    # delta is about 0.25 here, far above tol/2; a threshold outside the
-    # widened bracket is decided by the one step, one inside it is not.
-    row = -0.2 + TABLE_BUMP(TABLE_GRID.x)
-    p = _table_problem("random", row + TABLE_BUMP(TABLE_GRID.x)
-                       * (0.5 * np.sin(2.0 * np.pi * T_MID))[:, None])
-    delta = _split(p.coef_table)[2]
-    threshold = principal_spectrum_point(p).lam if inside else -1.0
-    res = spectrum._principal_point(
-        p, spectrum.DEFAULT_TOL, lambda lo, hi: lo > threshold or hi < threshold)
-    if inside:
-        assert res.periods > 0
-        assert res.widening == 0.0
-    else:
-        assert res.periods == 0
-        assert res.widening == delta
-        assert res.lam_lo > threshold
-    assert res.lam_lo <= res.lam <= res.lam_hi
 
 
 def test_constant_table_exponent_past_the_period_map_overflow():
